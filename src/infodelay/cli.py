@@ -362,7 +362,7 @@ def _analysis_sections(report: AnalysisReport, params: ModelParams,
         report.g_coeffs = g_cubic(coeffs)
         report.candidates = hopf_candidates(coeffs)
         if report.candidates:
-            report.s0 = min(c.delays[0] for c in report.candidates)
+            report.s0 = report.candidates[0].delays[0]
         else:
             notes.append("no imaginary-axis crossings: no delay-induced "
                          "stability switch")
@@ -370,9 +370,7 @@ def _analysis_sections(report: AnalysisReport, params: ModelParams,
         try:
             report.normal_form = compute_normal_form(params)
             report.s0 = report.normal_form.s_star
-        except ValueError as exc:
-            notes.append(f"bifurcation direction not computed: {exc}")
-        except ResonanceError as exc:
+        except (ValueError, ResonanceError) as exc:
             notes.append(f"bifurcation direction not computed: {exc}")
 
 
@@ -381,13 +379,12 @@ def _run_simulate(report: AnalysisReport, config: RunConfig, params: ModelParams
     report.equilibria = equilibria(params)
     estar = report.equilibria[3]
     history = HistorySpec.constant(config.u0, config.v0, config.w0)
-    w0 = history.w0 if history.w0 is not None else config.u0 * config.v0 / (params.mu + params.r)
     sim = {
         "t_end_requested": config.t_end,
         "steps_per_delay": config.steps_per_delay,
         "transient_fraction": config.transient_fraction,
-        "history": {"u0": config.u0, "v0": config.v0, "w0": w0,
-                    "w0_policy": history.w0_policy},
+        "history": {"u0": config.u0, "v0": config.v0, "w0": history.initial_w(params),
+                    "w0_policy": "Consistent" if history.w0 is None else "Explicit"},
         "diverged": False,
         "diverged_at": None,
     }
@@ -438,7 +435,7 @@ def _sweep_row(config: RunConfig, value: float) -> dict:
     cands = hopf_candidates(char_coeffs(params, eq[3]))
     if not cands:
         return row
-    row["s0"] = min(c.delays[0] for c in cands)
+    row["s0"] = cands[0].delays[0]
     try:
         nf = compute_normal_form(params)
     except (ValueError, ResonanceError):

@@ -1,16 +1,20 @@
 """Time-domain integration of the delayed interaction model.
 
-Two integrators share one fixed-step RK4 core built on the method of
-steps: the grid spacing divides the delay exactly, so every delayed
-lookup lands either on a stored node or on the midpoint of a completed
-step, where a cubic Hermite patch (node values plus node derivatives)
-supplies the value without losing the fourth order.
+Both integrators are fixed-step RK4 on the method of steps (Bellen and
+Zennaro, Numerical Methods for Delay Differential Equations, 2003). The
+step h divides the delay s exactly, so every delayed (u, v) an RK stage
+needs sits on a lag grid of spacing h/2. The grid starts as the history
+sampled at g*h/2 on [-s, 0]; each step then appends the cubic Hermite
+midpoint of the step before it (node values plus node derivatives, which
+keeps the fourth order) and its own starting node. Step i reads the
+grid entries 2i, 2i+1 and 2i+2. When s = 0 the system is an ODE and the
+delayed factor is the stage's own state.
 
 simulate advances the three-variable reduced system in which the memory
 variable w obeys its own ODE. simulate_distributed instead evaluates
 the memory integral directly by exponentially weighted quadrature over
-the stored product history; agreement between the two validates the
-chain reduction.
+the product history at the same h/2 spacing; agreement between the two
+validates the chain reduction.
 
 cycle_metrics classifies the tail of a trajectory (settled, oscillating,
 growing) and measures amplitude and period of a limit cycle.
@@ -18,17 +22,15 @@ growing) and measures amplitude and period of a limit cycle.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.signal import find_peaks
 
-from .model import ModelParams
+from .model import ModelParams, State, reduced_rhs
 
 __all__ = [
-    "HistoryKind",
-    "W0Policy",
     "HistorySpec",
     "Trajectory",
     "SimulationDiverged",
@@ -58,16 +60,6 @@ _DIVERGE_GROWTH = 10.0
 _KERNEL_SPAN = 30.0
 
 
-class HistoryKind(str, Enum):
-    CONSTANT = "Constant"
-    SAMPLED = "Sampled"
-
-
-class W0Policy(str, Enum):
-    CONSISTENT = "Consistent"
-    EXPLICIT = "Explicit"
-
-
 class SimulationDiverged(RuntimeError):
     """A state component left the admissible range at the given time."""
 
@@ -78,85 +70,63 @@ class SimulationDiverged(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class HistorySpec:
-    """Prehistory of (u, v) on [-s, 0] plus the initial memory value.
+    """Prehistory of (u, v) on [-s, 0] plus an optional initial memory value.
 
-    Constant histories hold (u0, v0) fixed for all past times. Sampled
-    histories interpolate linearly between given samples; lookups before
-    the first sample clamp to it, which matters for the distributed
-    integrator whose memory kernel reaches far beyond one delay.
+    The samples are interpolated linearly, and a lookup before the first
+    sample clamps to it. A single sample at t = 0 is therefore a history
+    held constant forever; a history of two or more samples must cover
+    one delay. The distributed integrator's memory kernel reaches far
+    beyond one delay and sees the clamped value there.
 
-    The Consistent policy seeds w(0) = u(0)*v(0)/(mu+r), the exact
-    memory value of a history held constant forever; Explicit uses the
-    supplied w0 verbatim.
+    With w0 None, w(0) = u(0)*v(0)/(mu+r), the exact memory value of a
+    history held constant forever (reported as the Consistent policy);
+    otherwise w(0) = w0 (Explicit).
     """
 
-    kind: HistoryKind
-    constant_value: tuple[float, float] | None = None
-    sample_times: np.ndarray | None = None
-    sample_values: np.ndarray | None = None
-    w0_policy: W0Policy = W0Policy.CONSISTENT
+    sample_times: np.ndarray
+    sample_values: np.ndarray
     w0: float | None = None
 
     @classmethod
     def constant(cls, u0: float, v0: float, w0: float | None = None) -> "HistorySpec":
-        policy = W0Policy.CONSISTENT if w0 is None else W0Policy.EXPLICIT
-        return cls(kind=HistoryKind.CONSTANT, constant_value=(float(u0), float(v0)),
-                   w0_policy=policy, w0=w0)
+        value = (float(u0), float(v0))
+        if not all(math.isfinite(x) for x in value):
+            raise ValueError(f"constant_value must be finite, got {value!r}")
+        return cls(np.zeros(1), np.array([value]), w0)
 
     @classmethod
     def sampled(cls, times, values, w0: float | None = None) -> "HistorySpec":
-        policy = W0Policy.CONSISTENT if w0 is None else W0Policy.EXPLICIT
-        return cls(kind=HistoryKind.SAMPLED,
-                   sample_times=np.asarray(times, dtype=float),
-                   sample_values=np.asarray(values, dtype=float),
-                   w0_policy=policy, w0=w0)
+        t = np.asarray(times, dtype=float)
+        if t.ndim != 1 or len(t) < 2:
+            raise ValueError("sample_times must be 1-D with at least two entries")
+        return cls(t, np.asarray(values, dtype=float), w0)
 
     def __post_init__(self):
-        if self.kind is HistoryKind.CONSTANT:
-            if self.constant_value is None or len(self.constant_value) != 2:
-                raise ValueError("constant history needs constant_value = (u0, v0)")
-            if not all(math.isfinite(x) for x in self.constant_value):
-                raise ValueError(f"constant_value must be finite, got {self.constant_value!r}")
-        elif self.kind is HistoryKind.SAMPLED:
-            t, x = self.sample_times, self.sample_values
-            if t is None or x is None:
-                raise ValueError("sampled history needs sample_times and sample_values")
-            if t.ndim != 1 or len(t) < 2:
-                raise ValueError("sample_times must be 1-D with at least two entries")
-            if x.shape != (len(t), 2):
-                raise ValueError(f"sample_values must have shape ({len(t)}, 2), got {x.shape}")
-            if not (np.all(np.isfinite(t)) and np.all(np.isfinite(x))):
-                raise ValueError("history samples must be finite")
-            if np.any(np.diff(t) <= 0):
-                raise ValueError("sample_times must be strictly increasing")
-            if abs(t[-1]) > 1e-9:
-                raise ValueError(f"last sample time must be 0, got {t[-1]!r}")
-        else:
-            raise ValueError(f"unknown history kind {self.kind!r}")
-        if self.w0_policy is W0Policy.EXPLICIT:
-            if self.w0 is None or not math.isfinite(self.w0):
-                raise ValueError("Explicit w0 policy needs a finite w0")
+        t, x = self.sample_times, self.sample_values
+        if t.ndim != 1 or len(t) == 0:
+            raise ValueError("sample_times must be 1-D and non-empty")
+        if x.shape != (len(t), 2):
+            raise ValueError(f"sample_values must have shape ({len(t)}, 2), got {x.shape}")
+        if not (np.all(np.isfinite(t)) and np.all(np.isfinite(x))):
+            raise ValueError("history samples must be finite")
+        if np.any(np.diff(t) <= 0):
+            raise ValueError("sample_times must be strictly increasing")
+        if abs(t[-1]) > 1e-9:
+            raise ValueError(f"last sample time must be 0, got {t[-1]!r}")
+        if self.w0 is not None and not math.isfinite(self.w0):
+            raise ValueError("Explicit w0 policy needs a finite w0")
 
+    def at(self, times) -> tuple[np.ndarray, np.ndarray]:
+        """u and v of the history at the given times."""
+        t, x = self.sample_times, self.sample_values
+        return np.interp(times, t, x[:, 0]), np.interp(times, t, x[:, 1])
 
-def _history_lookup(history: HistorySpec, s: float):
-    """(u, v) lookup callables for t <= 0, validated to cover [-s, 0]."""
-    if history.kind is HistoryKind.CONSTANT:
-        u0, v0 = history.constant_value
-        return (lambda t: u0), (lambda t: v0)
-    t, x = history.sample_times, history.sample_values
-    if t[0] > -s + 1e-9 * max(1.0, s):
-        raise ValueError(
-            f"sampled history starts at {t[0]!r} but must cover [-{s!r}, 0]")
-    tu, xu = t, np.ascontiguousarray(x[:, 0])
-    xv = np.ascontiguousarray(x[:, 1])
-    return (lambda tt: float(np.interp(tt, tu, xu)),
-            lambda tt: float(np.interp(tt, tu, xv)))
-
-
-def _initial_w(history: HistorySpec, params: ModelParams, u0: float, v0: float) -> float:
-    if history.w0_policy is W0Policy.EXPLICIT:
-        return history.w0
-    return u0 * v0 / (params.mu + params.r)
+    def initial_w(self, params: ModelParams) -> float:
+        """w(0): w0 if given, else the consistent u(0)*v(0)/(mu+r)."""
+        if self.w0 is not None:
+            return self.w0
+        u0, v0 = self.at(0.0)
+        return float(u0 * v0 / (params.mu + params.r))
 
 
 @dataclass(eq=False)
@@ -180,28 +150,27 @@ class Trajectory:
         return self.t0 + self.step * np.arange(len(self.states))
 
     def __call__(self, t):
-        if np.ndim(t) > 0:
-            return np.stack([self(float(ti)) for ti in np.asarray(t).ravel()])
-        t = float(t)
-        n = len(self.states) - 1
+        ts = np.asarray(t, dtype=float).ravel()
         slack = 1e-9 * self.step
-        if not (self.t0 - slack <= t <= self.t_end + slack):
-            raise ValueError(f"t = {t!r} outside [{self.t0!r}, {self.t_end!r}]")
-        k = int(math.floor((t - self.t0) / self.step))
-        k = min(max(k, 0), n - 1)
-        if t == self.t0 + k * self.step:
-            return self.states[k].copy()
-        if t == self.t0 + (k + 1) * self.step:
-            return self.states[k + 1].copy()
+        outside = ~((self.t0 - slack <= ts) & (ts <= self.t_end + slack))
+        if outside.any():
+            raise ValueError(f"t = {float(ts[outside][0])!r} outside "
+                             f"[{self.t0!r}, {self.t_end!r}]")
+        nodes = self.times
+        k = np.clip(np.searchsorted(nodes, ts, side="right") - 1, 0, len(nodes) - 2)
         h = self.step
-        th = (t - (self.t0 + k * h)) / h
+        th = ((ts - nodes[k]) / h)[:, None]
+        om = 1.0 - th
         y0, y1 = self.states[k], self.states[k + 1]
         d0, d1 = self.dense_coeffs[k], self.dense_coeffs[k + 1]
-        om = 1.0 - th
-        return (om * om * (1.0 + 2.0 * th) * y0
-                + th * om * om * h * d0
-                + th * th * (3.0 - 2.0 * th) * y1
-                - th * th * om * h * d1)
+        out = (om * om * (1.0 + 2.0 * th) * y0
+               + th * om * om * h * d0
+               + th * th * (3.0 - 2.0 * th) * y1
+               - th * th * om * h * d1)
+        first, last = ts == nodes[k], ts == nodes[k + 1]
+        out[first] = y0[first]
+        out[last] = y1[last]
+        return out if np.ndim(t) > 0 else out[0]
 
     def to_csv(self, path) -> None:
         data = np.column_stack([self.times, self.states])
@@ -223,13 +192,34 @@ class CycleMetrics:
     n_periods_measured: int
 
 
-def _check_run_args(t_end: float, steps_per_delay: int) -> int:
+def _run_grid(s: float, t_end: float, steps_per_delay: int) -> tuple[int, float, int]:
+    """Steps per delay, step size and step count of a run to t_end."""
     nd = int(steps_per_delay)
     if nd != steps_per_delay or nd < 20:
         raise ValueError(f"steps_per_delay must be an integer >= 20, got {steps_per_delay!r}")
     if not (math.isfinite(t_end) and t_end > 0):
         raise ValueError(f"t_end must be positive and finite, got {t_end!r}")
-    return nd
+    h = s / nd if s > 0.0 else 1.0 / nd
+    return nd, h, max(1, math.ceil(t_end / h - 1e-9))
+
+
+def _lag_grid(history: HistorySpec, s: float, nd: int, h: float) -> tuple[array, array]:
+    """The u and v lag grids, primed with the history on [-s, 0].
+
+    Entry 2*nd (the last one here) is the state at t = 0; for s = 0 it
+    is the only history entry.
+    """
+    t0 = history.sample_times[0]
+    if len(history.sample_times) > 1 and t0 > -s + 1e-9 * max(1.0, s):
+        raise ValueError(f"sampled history starts at {t0!r} but must cover [-{s!r}, 0]")
+    hu, hv = history.at(np.arange(-2 * nd if s > 0.0 else 0, 1) * (0.5 * h))
+    return array("d", hu), array("d", hv)
+
+
+def _end_row(params: ModelParams, state: State, lu: array, lv: array, n: int) -> State:
+    """Right-hand side at the last node n, whose delayed state is entry 2n."""
+    delayed = State(lu[2 * n], lv[2 * n], 0.0) if params.s > 0.0 else state
+    return reduced_rhs(state, delayed, params)
 
 
 def simulate(params: ModelParams, history: HistorySpec, t_end: float,
@@ -241,13 +231,10 @@ def simulate(params: ModelParams, history: HistorySpec, t_end: float,
     past t_end. Raises SimulationDiverged when a component leaves
     |x| <= 1e6.
     """
-    nd = _check_run_args(t_end, steps_per_delay)
-    s = params.s
-    h = s / nd if s > 0.0 else 1.0 / nd
-    n = max(1, math.ceil(t_end / h - 1e-9))
-    hu, hv = _history_lookup(history, s)
-    u0, v0 = hu(0.0), hv(0.0)
-    w0 = _initial_w(history, params, u0, v0)
+    nd, h, n = _run_grid(params.s, t_end, steps_per_delay)
+    lu, lv = _lag_grid(history, params.s, nd, h)
+    lagged = params.s > 0.0
+    u, v, w = lu[-1], lv[-1], history.initial_w(params)
 
     r1, a1 = params.r1, params.a1
     r2, a2 = params.r2, params.a2
@@ -257,84 +244,53 @@ def simulate(params: ModelParams, history: HistorySpec, t_end: float,
 
     states = np.empty((n + 1, 3))
     derivs = np.empty((n + 1, 3))
-    states[0] = (u0, v0, w0)
+    states[0] = (u, v, w)
     half, sixth, eighth = 0.5 * h, h / 6.0, 0.125 * h
     bound = _DIVERGENCE_BOUND
 
-    u, v, w = u0, v0, w0
-    if s > 0.0:
-        for i in range(n):
-            j = i - nd
-            if j >= 0:
-                du1, dv1 = states[j, 0], states[j, 1]
-                du4, dv4 = states[j + 1, 0], states[j + 1, 1]
-                dum = 0.5 * (du1 + du4) + eighth * (derivs[j, 0] - derivs[j + 1, 0])
-                dvm = 0.5 * (dv1 + dv4) + eighth * (derivs[j, 1] - derivs[j + 1, 1])
-            else:
-                du1, dv1 = hu(j * h), hv(j * h)
-                dum, dvm = hu((j + 0.5) * h), hv((j + 0.5) * h)
-                if j + 1 >= 0:
-                    du4, dv4 = u0, v0
-                else:
-                    du4, dv4 = hu((j + 1) * h), hv((j + 1) * h)
-            k1u = r1 * u * (1.0 - a1 * u) - br1 * du1 * dv1
-            k1v = r2 * v * (1.0 - a2 * v) + br2 * w
-            k1w = u * v - mr * w
-            derivs[i, 0], derivs[i, 1], derivs[i, 2] = k1u, k1v, k1w
-            u2, v2, w2 = u + half * k1u, v + half * k1v, w + half * k1w
-            k2u = r1 * u2 * (1.0 - a1 * u2) - br1 * dum * dvm
-            k2v = r2 * v2 * (1.0 - a2 * v2) + br2 * w2
-            k2w = u2 * v2 - mr * w2
-            u3, v3, w3 = u + half * k2u, v + half * k2v, w + half * k2w
-            k3u = r1 * u3 * (1.0 - a1 * u3) - br1 * dum * dvm
-            k3v = r2 * v3 * (1.0 - a2 * v3) + br2 * w3
-            k3w = u3 * v3 - mr * w3
-            u4, v4, w4 = u + h * k3u, v + h * k3v, w + h * k3w
-            k4u = r1 * u4 * (1.0 - a1 * u4) - br1 * du4 * dv4
-            k4v = r2 * v4 * (1.0 - a2 * v4) + br2 * w4
-            k4w = u4 * v4 - mr * w4
-            u += sixth * (k1u + 2.0 * (k2u + k3u) + k4u)
-            v += sixth * (k1v + 2.0 * (k2v + k3v) + k4v)
-            w += sixth * (k1w + 2.0 * (k2w + k3w) + k4w)
-            if not (abs(u) <= bound and abs(v) <= bound and abs(w) <= bound):
-                raise SimulationDiverged((i + 1) * h)
-            states[i + 1, 0], states[i + 1, 1], states[i + 1, 2] = u, v, w
-        j = n - nd
-        if j >= 0:
-            dun, dvn = states[j, 0], states[j, 1]
+    for i in range(n):
+        if lagged:
+            g = 2 * i
+            du1, dv1 = lu[g], lv[g]
+            dum, dvm = lu[g + 1], lv[g + 1]
+            du4, dv4 = lu[g + 2], lv[g + 2]
         else:
-            dun, dvn = hu(j * h), hv(j * h)
-        derivs[n] = (r1 * u * (1.0 - a1 * u) - br1 * dun * dvn,
-                     r2 * v * (1.0 - a2 * v) + br2 * w,
-                     u * v - mr * w)
-    else:
-        # plain ODE: the "delayed" factor is the stage's own state
-        for i in range(n):
-            k1u = r1 * u * (1.0 - a1 * u) - br1 * u * v
-            k1v = r2 * v * (1.0 - a2 * v) + br2 * w
-            k1w = u * v - mr * w
-            derivs[i, 0], derivs[i, 1], derivs[i, 2] = k1u, k1v, k1w
-            u2, v2, w2 = u + half * k1u, v + half * k1v, w + half * k1w
-            k2u = r1 * u2 * (1.0 - a1 * u2) - br1 * u2 * v2
-            k2v = r2 * v2 * (1.0 - a2 * v2) + br2 * w2
-            k2w = u2 * v2 - mr * w2
-            u3, v3, w3 = u + half * k2u, v + half * k2v, w + half * k2w
-            k3u = r1 * u3 * (1.0 - a1 * u3) - br1 * u3 * v3
-            k3v = r2 * v3 * (1.0 - a2 * v3) + br2 * w3
-            k3w = u3 * v3 - mr * w3
-            u4, v4, w4 = u + h * k3u, v + h * k3v, w + h * k3w
-            k4u = r1 * u4 * (1.0 - a1 * u4) - br1 * u4 * v4
-            k4v = r2 * v4 * (1.0 - a2 * v4) + br2 * w4
-            k4w = u4 * v4 - mr * w4
-            u += sixth * (k1u + 2.0 * (k2u + k3u) + k4u)
-            v += sixth * (k1v + 2.0 * (k2v + k3v) + k4v)
-            w += sixth * (k1w + 2.0 * (k2w + k3w) + k4w)
-            if not (abs(u) <= bound and abs(v) <= bound and abs(w) <= bound):
-                raise SimulationDiverged((i + 1) * h)
-            states[i + 1, 0], states[i + 1, 1], states[i + 1, 2] = u, v, w
-        derivs[n] = (r1 * u * (1.0 - a1 * u) - br1 * u * v,
-                     r2 * v * (1.0 - a2 * v) + br2 * w,
-                     u * v - mr * w)
+            du1, dv1 = u, v
+        k1u = r1 * u * (1.0 - a1 * u) - br1 * du1 * dv1
+        k1v = r2 * v * (1.0 - a2 * v) + br2 * w
+        k1w = u * v - mr * w
+        derivs[i, 0], derivs[i, 1], derivs[i, 2] = k1u, k1v, k1w
+        if i:
+            lu.append(0.5 * (pu + u) + eighth * (pku - k1u))
+            lv.append(0.5 * (pv + v) + eighth * (pkv - k1v))
+            lu.append(u)
+            lv.append(v)
+        pu, pv, pku, pkv = u, v, k1u, k1v
+        u2, v2, w2 = u + half * k1u, v + half * k1v, w + half * k1w
+        if not lagged:
+            dum, dvm = u2, v2
+        k2u = r1 * u2 * (1.0 - a1 * u2) - br1 * dum * dvm
+        k2v = r2 * v2 * (1.0 - a2 * v2) + br2 * w2
+        k2w = u2 * v2 - mr * w2
+        u3, v3, w3 = u + half * k2u, v + half * k2v, w + half * k2w
+        if not lagged:
+            dum, dvm = u3, v3
+        k3u = r1 * u3 * (1.0 - a1 * u3) - br1 * dum * dvm
+        k3v = r2 * v3 * (1.0 - a2 * v3) + br2 * w3
+        k3w = u3 * v3 - mr * w3
+        u4, v4, w4 = u + h * k3u, v + h * k3v, w + h * k3w
+        if not lagged:
+            du4, dv4 = u4, v4
+        k4u = r1 * u4 * (1.0 - a1 * u4) - br1 * du4 * dv4
+        k4v = r2 * v4 * (1.0 - a2 * v4) + br2 * w4
+        k4w = u4 * v4 - mr * w4
+        u += sixth * (k1u + 2.0 * (k2u + k3u) + k4u)
+        v += sixth * (k1v + 2.0 * (k2v + k3v) + k4v)
+        w += sixth * (k1w + 2.0 * (k2w + k3w) + k4w)
+        if not (abs(u) <= bound and abs(v) <= bound and abs(w) <= bound):
+            raise SimulationDiverged((i + 1) * h)
+        states[i + 1, 0], states[i + 1, 1], states[i + 1, 2] = u, v, w
+    derivs[n] = _end_row(params, State(u, v, w), lu, lv, n)
     return Trajectory(t0=0.0, t_end=n * h, step=h, states=states, dense_coeffs=derivs)
 
 
@@ -344,22 +300,19 @@ def simulate_distributed(params: ModelParams, history: HistorySpec, t_end: float
 
     The exponentially weighted product history is accumulated on a grid
     of half the RK step (trapezoid rule), truncated where the kernel has
-    decayed to exp(-30). Half-grid products come from the same Hermite
-    patches the delayed lookups use; the newest half-step product is
-    seeded from the inner RK stages and replaced by its Hermite value
-    one step later, which only ever touches one quadrature weight.
+    decayed to exp(-30). Half-grid products come from the lag grid's
+    Hermite midpoints; the newest half-step product is seeded from the
+    inner RK stages and replaced by its Hermite value one step later,
+    which only ever touches one quadrature weight.
 
     The returned w column is the quadrature value of the memory
-    integral; the w0 policy of the history is ignored because the
-    history itself determines that value. The discrete delay s is
-    handled exactly as in simulate.
+    integral; the history's w0 is ignored because the history itself
+    determines that value. The discrete delay s is handled exactly as
+    in simulate.
     """
-    nd = _check_run_args(t_end, steps_per_delay)
-    s = params.s
-    h = s / nd if s > 0.0 else 1.0 / nd
-    n = max(1, math.ceil(t_end / h - 1e-9))
-    hu, hv = _history_lookup(history, s)
-    u0, v0 = hu(0.0), hv(0.0)
+    nd, h, n = _run_grid(params.s, t_end, steps_per_delay)
+    lu, lv = _lag_grid(history, params.s, nd, h)
+    lagged = params.s > 0.0
 
     r1, a1 = params.r1, params.a1
     r2, a2 = params.r2, params.a2
@@ -373,66 +326,61 @@ def simulate_distributed(params: ModelParams, history: HistorySpec, t_end: float
     tw[0] = tw[-1] = 0.5 * qstep
     wk = tw * np.exp(-mr * qstep * np.arange(ns + 1))
     wk_past = np.ascontiguousarray(wk[:0:-1])  # tau = ns*qstep .. qstep
-    w0_tail = wk[0]
+    w0_tail = float(wk[0])
 
     # fine-grid products u*v at spacing qstep; index g <-> time (g - ns)*qstep
     q = np.empty(ns + 2 * n + 1)
-    tpast = (np.arange(ns + 1) - ns) * qstep
-    for g, tg in enumerate(tpast):
-        q[g] = hu(tg) * hv(tg)
+    qu, qv = history.at(np.arange(-ns, 1) * qstep)
+    q[:ns + 1] = qu * qv
 
     states = np.empty((n + 1, 3))
     derivs = np.empty((n + 1, 3))
     half, sixth, eighth = 0.5 * h, h / 6.0, 0.125 * h
     bound = _DIVERGENCE_BOUND
 
-    u, v = u0, v0
+    u, v = lu[-1], lv[-1]
     w_cur = float(wk_past @ q[0:ns]) + w0_tail * q[ns]
-    states[0] = (u0, v0, w_cur)
+    states[0] = (u, v, w_cur)
 
     for i in range(n):
         base = ns + 2 * i
-        j = i - nd
-        if s > 0.0:
-            if j >= 0:
-                du1, dv1 = states[j, 0], states[j, 1]
-                du4, dv4 = states[j + 1, 0], states[j + 1, 1]
-                dum = 0.5 * (du1 + du4) + eighth * (derivs[j, 0] - derivs[j + 1, 0])
-                dvm = 0.5 * (dv1 + dv4) + eighth * (derivs[j, 1] - derivs[j + 1, 1])
-            else:
-                du1, dv1 = hu(j * h), hv(j * h)
-                dum, dvm = hu((j + 0.5) * h), hv((j + 0.5) * h)
-                if j + 1 >= 0:
-                    du4, dv4 = u0, v0
-                else:
-                    du4, dv4 = hu((j + 1) * h), hv((j + 1) * h)
-        sn = float(wk_past @ q[2 * i: 2 * i + ns])
-        if s == 0.0:
+        if lagged:
+            g = 2 * i
+            du1, dv1 = lu[g], lv[g]
+            dum, dvm = lu[g + 1], lv[g + 1]
+            du4, dv4 = lu[g + 2], lv[g + 2]
+        else:
             du1, dv1 = u, v
+        sn = float(wk_past @ q[2 * i: 2 * i + ns])
         k1u = r1 * u * (1.0 - a1 * u) - br1 * du1 * dv1
         k1v = r2 * v * (1.0 - a2 * v) + br2 * (sn + w0_tail * u * v)
         derivs[i, 0], derivs[i, 1] = k1u, k1v
         derivs[i, 2] = u * v - mr * w_cur
-        if i > 0:
+        if i:
             # replace last step's seeded half product with its Hermite value
-            um = 0.5 * (states[i - 1, 0] + u) + eighth * (derivs[i - 1, 0] - k1u)
-            vm = 0.5 * (states[i - 1, 1] + v) + eighth * (derivs[i - 1, 1] - k1v)
+            um = 0.5 * (pu + u) + eighth * (pku - k1u)
+            vm = 0.5 * (pv + v) + eighth * (pkv - k1v)
+            lu.append(um)
+            lv.append(vm)
+            lu.append(u)
+            lv.append(v)
             q[base - 1] = um * vm
+        pu, pv, pku, pkv = u, v, k1u, k1v
         sh = float(wk_past @ q[2 * i + 1: 2 * i + 1 + ns])
         u2, v2 = u + half * k1u, v + half * k1v
-        if s == 0.0:
+        if not lagged:
             dum, dvm = u2, v2
         k2u = r1 * u2 * (1.0 - a1 * u2) - br1 * dum * dvm
         k2v = r2 * v2 * (1.0 - a2 * v2) + br2 * (sh + w0_tail * u2 * v2)
         u3, v3 = u + half * k2u, v + half * k2v
-        if s == 0.0:
+        if not lagged:
             dum, dvm = u3, v3
         k3u = r1 * u3 * (1.0 - a1 * u3) - br1 * dum * dvm
         k3v = r2 * v3 * (1.0 - a2 * v3) + br2 * (sh + w0_tail * u3 * v3)
         q[base + 1] = 0.5 * (u2 * v2 + u3 * v3)
         sn1 = float(wk_past @ q[2 * i + 2: 2 * i + 2 + ns])
         u4, v4 = u + h * k3u, v + h * k3v
-        if s == 0.0:
+        if not lagged:
             du4, dv4 = u4, v4
         k4u = r1 * u4 * (1.0 - a1 * u4) - br1 * du4 * dv4
         k4v = r2 * v4 * (1.0 - a2 * v4) + br2 * (sn1 + w0_tail * u4 * v4)
@@ -443,18 +391,7 @@ def simulate_distributed(params: ModelParams, history: HistorySpec, t_end: float
         if not (abs(u) <= bound and abs(v) <= bound and abs(w_cur) <= bound):
             raise SimulationDiverged((i + 1) * h)
         states[i + 1, 0], states[i + 1, 1], states[i + 1, 2] = u, v, w_cur
-
-    j = n - nd
-    if s > 0.0:
-        if j >= 0:
-            dun, dvn = states[j, 0], states[j, 1]
-        else:
-            dun, dvn = hu(j * h), hv(j * h)
-    else:
-        dun, dvn = u, v
-    derivs[n] = (r1 * u * (1.0 - a1 * u) - br1 * dun * dvn,
-                 r2 * v * (1.0 - a2 * v) + br2 * w_cur,
-                 u * v - mr * w_cur)
+    derivs[n] = _end_row(params, State(u, v, w_cur), lu, lv, n)
     return Trajectory(t0=0.0, t_end=n * h, step=h, states=states, dense_coeffs=derivs)
 
 
@@ -502,6 +439,49 @@ def _refined_peak_times(ts: np.ndarray, signal: np.ndarray,
     return ts[peaks] + np.clip(shift, -0.5, 0.5) * step
 
 
+def _prominent_peaks(x: np.ndarray, min_prominence: float) -> np.ndarray:
+    """Indices of the peaks of x whose prominence is at least min_prominence.
+
+    The definitions are those of scipy.signal.find_peaks. A peak is a
+    sample above both neighbours; a flat top counts once, at its middle
+    (rounded down), and the two end samples never count. Its prominence
+    is its height over the higher of the two lowest points between it
+    and the nearest strictly higher peak (or the signal end) on each
+    side.
+    """
+    # collapse runs of equal samples; a peak is a run above both neighbour runs
+    starts = np.flatnonzero(np.r_[True, x[1:] != x[:-1]])
+    ends = np.r_[starts[1:] - 1, len(x) - 1]
+    runs = x[starts]
+    top = np.flatnonzero((runs[1:-1] > runs[:-2]) & (runs[1:-1] > runs[2:])) + 1
+    peaks = (starts[top] + ends[top]) // 2
+    if len(peaks) == 0:
+        return peaks
+    heights = x[peaks]
+    # lowest sample before the first peak, between neighbouring peaks, after the last
+    valleys = np.minimum.reduceat(x, np.r_[0, peaks])
+    left = _lowest_back_to_higher(heights, valleys[:-1])
+    right = _lowest_back_to_higher(heights[::-1], valleys[:0:-1])[::-1]
+    return peaks[heights - np.maximum(left, right) >= min_prominence]
+
+
+def _lowest_back_to_higher(heights: np.ndarray, valleys: np.ndarray) -> np.ndarray:
+    """Per peak, the lowest valley back to the nearest strictly higher peak.
+
+    valleys[k] is the lowest point between peak k-1 (or the signal
+    start) and peak k. A stack holds the peaks not yet overtaken, each
+    with the lowest point back to the peak below it on the stack.
+    """
+    out = np.empty(len(heights))
+    stack: list[tuple[float, float]] = []
+    for k, (height, low) in enumerate(zip(heights.tolist(), valleys.tolist())):
+        while stack and stack[-1][0] <= height:
+            low = min(low, stack.pop()[1])
+        stack.append((height, low))
+        out[k] = low
+    return out
+
+
 def cycle_metrics(traj: Trajectory, equilibrium, transient_fraction: float = 0.5
                   ) -> CycleMetrics:
     """Classify the post-transient window and measure the cycle if any.
@@ -538,7 +518,7 @@ def cycle_metrics(traj: Trajectory, equilibrium, transient_fraction: float = 0.5
     env = np.array([c.max() for c in chunks])
 
     signal = xs[:, 0] - eq[0]
-    peaks, _ = find_peaks(signal, prominence=_PEAK_PROMINENCE)
+    peaks = _prominent_peaks(signal, _PEAK_PROMINENCE)
     n_periods = max(0, len(peaks) - 1)
     pk_times = _refined_peak_times(ts, signal, peaks)
     period = float(np.diff(pk_times).mean()) if len(peaks) >= 2 else None

@@ -26,7 +26,7 @@ from enum import Enum
 import numpy as np
 
 from .model import Equilibrium, EquilibriumLabel, ModelParams, coexistence
-from .stability import char_coeffs, hopf_candidates
+from .stability import _jacobian, char_coeffs, hopf_candidates
 
 __all__ = [
     "Direction",
@@ -96,16 +96,14 @@ def linearize(params: ModelParams, estar: Equilibrium) -> Linearization:
     if estar.label is not EquilibriumLabel.ESTAR or not estar.exists:
         raise ValueError("linearize requires the existing coexistence equilibrium")
     u, v = estar.point.u, estar.point.v
-    mr = params.mu + params.r
-    ju = params.r1 * (1.0 - 2.0 * params.a1 * u)
-    jv = params.r2 * (1.0 - 2.0 * params.a2 * v)
+    ju, jv, mr, br2, bv, bu = _jacobian(params, estar)
     a = np.array([
         [ju, 0.0, 0.0],
-        [0.0, jv, params.b2 * params.r2],
+        [0.0, jv, br2],
         [v, u, -mr],
     ])
     a_s = np.array([
-        [-params.b1 * params.r1 * v, -params.b1 * params.r1 * u, 0.0],
+        [-bv, -bu, 0.0],
         [0.0, 0.0, 0.0],
         [0.0, 0.0, 0.0],
     ])
@@ -301,8 +299,7 @@ def compute_normal_form(params: ModelParams) -> NormalForm:
     cands = hopf_candidates(coeffs)
     if not cands:
         raise ValueError("no imaginary-axis crossings: stability never switches")
-    best = min(cands, key=lambda cand: cand.delays[0])
-    omega, s_star = best.omega, best.delays[0]
+    omega, s_star = cands[0].omega, cands[0].delays[0]
 
     lin = linearize(params, estar)
     c = right_eigvec(lin, omega, s_star)

@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .cubic import cubic_roots
+from .cubic import real_positive_roots
 from .model import Equilibrium, EquilibriumLabel, ModelParams, coexistence
 
 __all__ = [
@@ -40,9 +40,6 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
-# acceptance window for roots of G fed into the delay recovery
-_REL_IMAG = 1e-9
-_MIN_REAL = 1e-9
 # determinant floor of the (sin, cos) recovery system
 _MIN_DET = 1e-14
 # |G'(z)| below this is treated as a degenerate (tangential) crossing
@@ -102,16 +99,30 @@ class HopfCandidate:
     transversality_sign: Transversality
 
 
+def _jacobian(params: ModelParams, estar: Equilibrium
+              ) -> tuple[float, float, float, float, float, float]:
+    """The nonzero Jacobian entries at the coexistence point (u*, v*).
+
+    Returns ju and jv, the slopes of the two logistic terms; mr = mu + r;
+    br2 = b2*r2, the feed of w into v; and b1*r1*v*, b1*r1*u*, the
+    slopes of the delayed loss term in delayed u and delayed v.
+    """
+    u, v = estar.point.u, estar.point.v
+    br1 = params.b1 * params.r1
+    return (params.r1 * (1.0 - 2.0 * params.a1 * u),
+            params.r2 * (1.0 - 2.0 * params.a2 * v),
+            params.mu + params.r,
+            params.b2 * params.r2,
+            br1 * v,
+            br1 * u)
+
+
 def char_coeffs(params: ModelParams, estar: Equilibrium) -> CharCoeffs:
     """The six characteristic coefficients at the coexistence equilibrium."""
     if estar.label is not EquilibriumLabel.ESTAR or not estar.exists:
         raise ValueError("char_coeffs requires the existing coexistence equilibrium")
-    u, v = estar.point.u, estar.point.v
-    mr = params.mu + params.r
-    ju = params.r1 * (1.0 - 2.0 * params.a1 * u)
-    jv = params.r2 * (1.0 - 2.0 * params.a2 * v)
-    bu = params.b2 * params.r2 * u
-    q2 = params.b1 * params.r1 * v
+    ju, jv, mr, br2, q2, _ = _jacobian(params, estar)
+    bu = br2 * estar.point.u
     return CharCoeffs(
         p0=ju * jv * mr + bu * ju,
         p1=ju * jv - (ju + jv) * mr - bu,
@@ -209,10 +220,7 @@ def hopf_candidates(coeffs: CharCoeffs, j_max: int = DEFAULT_J_MAX) -> list[Hopf
         raise ValueError("j_max must be nonnegative")
     g = g_cubic(coeffs)
     out = []
-    for root in cubic_roots(g.m, g.n, g.h):
-        if not (abs(root.imag) <= _REL_IMAG * abs(root) and root.real > _MIN_REAL):
-            continue
-        z = root.real
+    for z in real_positive_roots(g.m, g.n, g.h):
         omega = math.sqrt(z)
         # real part:  A*cos + B*sin = R;  imaginary part:  B*cos - A*sin = I
         a = coeffs.q0 - coeffs.q2 * z
@@ -255,5 +263,4 @@ def s0(params: ModelParams) -> tuple[float, HopfCandidate] | None:
     cands = hopf_candidates(char_coeffs(params, estar))
     if not cands:
         return None
-    best = min(cands, key=lambda cand: cand.delays[0])
-    return best.delays[0], best
+    return cands[0].delays[0], cands[0]

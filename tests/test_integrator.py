@@ -1,6 +1,9 @@
 """Time stepping, dense output, classification, distributed memory."""
 
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +14,6 @@ from infodelay import (
     ModelParams,
     SimulationDiverged,
     Trajectory,
-    W0Policy,
     coexistence,
     cycle_metrics,
     equilibria,
@@ -19,6 +21,8 @@ from infodelay import (
     simulate,
     simulate_distributed,
 )
+import infodelay
+from infodelay.integrator import _prominent_peaks
 from conftest import ESTAR, draw_params, make_params, screen_for_flip
 
 
@@ -56,12 +60,10 @@ def test_sampled_history_validation():
 def test_w0_policies():
     p = make_params(2.0)
     hist = HistorySpec.constant(1.01, 0.99)
-    assert hist.w0_policy is W0Policy.CONSISTENT
     traj = simulate(p, hist, 1.0, 50)
     assert traj.states[0, 2] == 1.01 * 0.99 / 6.0
 
     explicit = HistorySpec.constant(1.01, 0.99, w0=0.3)
-    assert explicit.w0_policy is W0Policy.EXPLICIT
     traj2 = simulate(p, explicit, 1.0, 50)
     assert traj2.states[0, 2] == 0.3
 
@@ -135,6 +137,21 @@ def test_dense_output_between_nodes():
     mids = coarse.times[:-1] + 0.5 * coarse.step
     gap = np.abs(coarse(mids) - fine(mids)).max()
     assert gap < 1e-7
+
+
+def test_dense_output_matches_pointwise_hermite():
+    # the vectorized evaluation must reproduce the per-point formula
+    # bit for bit away from the nodes
+    traj = simulate(make_params(2.0), _flat(1.05, 0.95), 10.0, 50)
+    h, y, d = traj.step, traj.states, traj.dense_coeffs
+    ts = (np.arange(500) + 0.37) * (traj.t_end / 500)
+    for t, row in zip(ts, traj(ts)):
+        k = int(math.floor(t / h))
+        th = (t - k * h) / h
+        om = 1.0 - th
+        want = (om * om * (1.0 + 2.0 * th) * y[k] + th * om * om * h * d[k]
+                + th * th * (3.0 - 2.0 * th) * y[k + 1] - th * th * om * h * d[k + 1])
+        assert np.array_equal(row, want), t
 
 
 def test_csv_round_trip(tmp_path):
@@ -294,6 +311,31 @@ def test_metrics_transient_fraction_validation(settle_run):
         cycle_metrics(traj, ESTAR, transient_fraction=1.0)
     with pytest.raises(ValueError, match="transient_fraction"):
         cycle_metrics(traj, ESTAR, transient_fraction=-0.1)
+
+
+def test_peaks_match_scipy_find_peaks():
+    # small-integer signals make ties, plateaus and end maxima common
+    find_peaks = pytest.importorskip("scipy.signal").find_peaks
+    rng = np.random.default_rng(7)
+    for trial in range(3000):
+        n = int(rng.integers(3, 60))
+        if trial % 3 == 0:
+            x = rng.normal(size=n)
+        else:
+            x = rng.integers(0, 1 + trial % 5, size=n).astype(float)
+        for prominence in (0.0, 1e-6, 1.0, 2.5):
+            want, _ = find_peaks(x, prominence=prominence)
+            got = _prominent_peaks(x, prominence)
+            assert np.array_equal(got, want), (x.tolist(), prominence, got, want)
+
+
+def test_import_leaves_scipy_out():
+    src = str(Path(infodelay.__file__).resolve().parents[1])
+    code = (f"import sys; sys.path.insert(0, {src!r}); import infodelay; "
+            "print('scipy' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_fft_period_recovers_off_bin_frequency():
