@@ -38,7 +38,8 @@ from .integrator import (
 from .model import Equilibrium, ModelParams, State, equilibria
 from .normal_form import NormalForm, ResonanceError, compute_normal_form
 from .plots import trajectory_plots
-from .stability import CharCoeffs, GCubic, HopfCandidate, char_coeffs, g_cubic, h1_holds, hopf_candidates
+from .stability import (CharCoeffs, GCubic, HopfCandidate, char_coeffs, g_cubic, h1_holds,
+                        hopf_candidates, near_double_root)
 
 __all__ = [
     "Command",
@@ -361,6 +362,10 @@ def _analysis_sections(report: AnalysisReport, params: ModelParams,
         report.char_coeffs = coeffs
         report.g_coeffs = g_cubic(coeffs)
         report.candidates = hopf_candidates(coeffs)
+        pair_at = near_double_root(report.g_coeffs)
+        if pair_at is not None:
+            notes.append(f"G has two roots near z = {pair_at:.9g} closer than double precision "
+                         "resolves; two crossings may have been added or dropped there")
         if report.candidates:
             report.s0 = report.candidates[0].delays[0]
         else:
@@ -387,6 +392,7 @@ def _run_simulate(report: AnalysisReport, config: RunConfig, params: ModelParams
                     "w0_policy": "Consistent" if history.w0 is None else "Explicit"},
         "diverged": False,
         "diverged_at": None,
+        "left_positive_orthant_at": None,
     }
     report.simulation = sim
     try:
@@ -394,6 +400,7 @@ def _run_simulate(report: AnalysisReport, config: RunConfig, params: ModelParams
     except SimulationDiverged as exc:
         sim["diverged"] = True
         sim["diverged_at"] = exc.time
+        sim["left_positive_orthant_at"] = exc.left_positive_orthant_at
         sim["classification"] = "Diverges"
         sim["amplitude"] = None
         sim["period"] = None
@@ -402,6 +409,7 @@ def _run_simulate(report: AnalysisReport, config: RunConfig, params: ModelParams
         report.notes.append(f"simulation diverged at t = {exc.time:g}; "
                             "no trajectory written")
         return
+    sim["left_positive_orthant_at"] = traj.left_positive_orthant_at
     sim["t_end"] = traj.t_end
     sim["step"] = traj.step
     sim["final_state"] = list(traj.states[-1])

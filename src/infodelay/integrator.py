@@ -3,18 +3,34 @@
 Both integrators are fixed-step RK4 on the method of steps (Bellen and
 Zennaro, Numerical Methods for Delay Differential Equations, 2003). The
 step h divides the delay s exactly, so every delayed (u, v) an RK stage
-needs sits on a lag grid of spacing h/2. The grid starts as the history
-sampled at g*h/2 on [-s, 0]; each step then appends the cubic Hermite
-midpoint of the step before it (node values plus node derivatives, which
-keeps the fourth order) and its own starting node. Step i reads the
-grid entries 2i, 2i+1 and 2i+2. When s = 0 the system is an ODE and the
-delayed factor is the stage's own state.
+needs sits on a lag grid of spacing h/2: the history sampled at g*h/2
+on [-s, 0], then, for each step, the cubic Hermite midpoint of the step
+(node values plus node derivatives, which keeps the fourth order) and
+the node that ends it. Step i reads the grid entries 2i, 2i+1 and 2i+2.
+
+The delay enters only through the loss term b1*r1*u(t-s)*v(t-s), so on
+any stretch of at most one delay that term is known before the stretch
+starts. The run is therefore cut into delay blocks of at most
+s/h steps. Before a block one numpy expression forms its delayed
+losses from the lag grid, the block's Python loop does only the RK4
+stage algebra and collects its rows in a list, and after it two slice
+assignments store states and node derivatives and two strided ones put
+the block's midpoints and nodes on the lag grid. The derivative at the
+next block's first node, which the last midpoint needs, reads the grid
+one delay back and is evaluated before that fill. Every value comes
+from the same expression, evaluated in the same order, as in a loop
+that reads and appends the lag grid step by step; only where values are
+stored has changed, so the results are bit-identical to it. When s = 0
+the system is an ODE, the delayed factor is the stage's own state, and
+blocks only bound the length of the row list.
 
 simulate advances the three-variable reduced system in which the memory
 variable w obeys its own ODE. simulate_distributed instead evaluates
 the memory integral directly by exponentially weighted quadrature over
 the product history at the same h/2 spacing; agreement between the two
-validates the chain reduction.
+validates the chain reduction. Both report the first node at which u or
+v turns negative, where the model leaves its meaningful region; the
+1e6 divergence bound is only a backstop.
 
 cycle_metrics classifies the tail of a trajectory (settled, oscillating,
 growing) and measures amplitude and period of a limit cycle.
@@ -22,9 +38,9 @@ growing) and measures amplitude and period of a limit cycle.
 from __future__ import annotations
 
 import math
-from array import array
 from dataclasses import dataclass
 from enum import Enum
+from itertools import repeat
 
 import numpy as np
 
@@ -58,14 +74,24 @@ _ENVELOPE_SETTLED = (0.5, 4.0)
 _DIVERGE_GROWTH = 10.0
 # the memory kernel is truncated once it has decayed below exp(-30)
 _KERNEL_SPAN = 30.0
+# most steps per block; with s = 0 (nothing delayed) this only bounds
+# the row list
+_MAX_BLOCK = 4096
+# rows per chunk of the trajectory CSV writer
+_CSV_CHUNK = 8192
 
 
 class SimulationDiverged(RuntimeError):
-    """A state component left the admissible range at the given time."""
+    """A state component left the admissible range at the given time.
 
-    def __init__(self, time: float):
+    left_positive_orthant_at is the first node time, up to that one, at
+    which u or v was negative, or None.
+    """
+
+    def __init__(self, time: float, left_positive_orthant_at: float | None = None):
         super().__init__(f"state left |x| <= {_DIVERGENCE_BOUND:g} at t = {time:g}")
         self.time = time
+        self.left_positive_orthant_at = left_positive_orthant_at
 
 
 @dataclass(frozen=True, eq=False)
@@ -136,7 +162,8 @@ class Trajectory:
     states[k] is the state at t0 + k*step and dense_coeffs[k] the exact
     right-hand side there; between nodes __call__ evaluates the Hermite
     cubic through the bracketing pair, and at a node it returns the
-    stored row bit for bit.
+    stored row bit for bit. left_positive_orthant_at is the first node
+    time at which u or v is negative, or None.
     """
 
     t0: float
@@ -144,6 +171,7 @@ class Trajectory:
     step: float
     states: np.ndarray
     dense_coeffs: np.ndarray
+    left_positive_orthant_at: float | None = None
 
     @property
     def times(self) -> np.ndarray:
@@ -173,8 +201,22 @@ class Trajectory:
         return out if np.ndim(t) > 0 else out[0]
 
     def to_csv(self, path) -> None:
-        data = np.column_stack([self.times, self.states])
-        np.savetxt(path, data, fmt="%.17g", delimiter=",", header="t,u,v,w", comments="")
+        """Write t,u,v,w rows with 17 significant digits.
+
+        The bytes are those of np.savetxt(path, column_stack([times,
+        states]), fmt="%.17g", delimiter=",", header="t,u,v,w",
+        comments=""); the rows are formatted a chunk at a time, with the
+        t column built exactly like times.
+        """
+        n = len(self.states)
+        with open(path, "w", encoding="latin1") as fh:
+            fh.write("t,u,v,w\n")
+            for a in range(0, n, _CSV_CHUNK):
+                b = min(a + _CSV_CHUNK, n)
+                chunk = np.empty((b - a, 4))
+                chunk[:, 0] = self.t0 + self.step * np.arange(a, b)
+                chunk[:, 1:] = self.states[a:b]
+                fh.write(("%.17g,%.17g,%.17g,%.17g\n" * (b - a)) % tuple(chunk.ravel().tolist()))
 
 
 class Classification(str, Enum):
@@ -203,23 +245,96 @@ def _run_grid(s: float, t_end: float, steps_per_delay: int) -> tuple[int, float,
     return nd, h, max(1, math.ceil(t_end / h - 1e-9))
 
 
-def _lag_grid(history: HistorySpec, s: float, nd: int, h: float) -> tuple[array, array]:
-    """The u and v lag grids, primed with the history on [-s, 0].
+class _Run:
+    """Node storage and lag grid of one fixed-step run, filled block by block.
 
-    Entry 2*nd (the last one here) is the state at t = 0; for s = 0 it
-    is the only history entry.
+    The lag grid holds delayed (u, v) at spacing h/2: column 2*nd + 2*i
+    is node i, column 2*nd + 2*i - 1 the Hermite midpoint of step i - 1,
+    and the columns before 2*nd the history on [-s, 0]. Step i reads
+    columns 2i, 2i+1 and 2i+2. For s = 0 the grid is the one column of
+    the state at t = 0. The run's initial (u, v) is in states[0]; the
+    integrator adds w.
+
+    blocks() yields each block's first step and, per step, the delayed
+    losses b1*r1*u*v at the step's first node, midpoint and last node,
+    formed for the whole block by one numpy expression (placeholder
+    zeros when s = 0, where each stage uses its own product). The caller
+    runs the block and hands its rows to close(), or to diverged() when
+    a state leaves the bound. A row is (k1u, k1v, k1w, u, v, w): the
+    derivative at the step's first node and the state at its last node.
     """
-    t0 = history.sample_times[0]
-    if len(history.sample_times) > 1 and t0 > -s + 1e-9 * max(1.0, s):
-        raise ValueError(f"sampled history starts at {t0!r} but must cover [-{s!r}, 0]")
-    hu, hv = history.at(np.arange(-2 * nd if s > 0.0 else 0, 1) * (0.5 * h))
-    return array("d", hu), array("d", hv)
 
+    def __init__(self, params: ModelParams, history: HistorySpec, t_end: float,
+                 steps_per_delay: int):
+        nd, h, n = _run_grid(params.s, t_end, steps_per_delay)
+        t0 = history.sample_times[0]
+        if len(history.sample_times) > 1 and t0 > -params.s + 1e-9 * max(1.0, params.s):
+            raise ValueError(f"sampled history starts at {t0!r} but must cover "
+                             f"[-{params.s!r}, 0]")
+        self.params, self.h, self.n = params, h, n
+        self.lagged = params.s > 0.0
+        self.off = 2 * nd if self.lagged else 0
+        self.block = min(nd, _MAX_BLOCK) if self.lagged else _MAX_BLOCK
+        self.lag = np.empty((2, self.off + 2 * n + 1 if self.lagged else 1))
+        self.lag[:, :self.off + 1] = history.at(np.arange(-self.off, 1) * (0.5 * h))
+        self.states = np.empty((n + 1, 3))
+        self.derivs = np.empty((n + 1, 3))
+        self.states[0, :2] = self.lag[:, self.off]
 
-def _end_row(params: ModelParams, state: State, lu: array, lv: array, n: int) -> State:
-    """Right-hand side at the last node n, whose delayed state is entry 2n."""
-    delayed = State(lu[2 * n], lv[2 * n], 0.0) if params.s > 0.0 else state
-    return reduced_rhs(state, delayed, params)
+    def blocks(self):
+        """Each block's first step and its per-step delayed losses."""
+        lag, br1 = self.lag, self.params.b1 * self.params.r1
+        for i0 in range(0, self.n, self.block):
+            m = min(self.block, self.n - i0)
+            if self.lagged:
+                cols = slice(2 * i0, 2 * (i0 + m) + 1)
+                F = (br1 * lag[0, cols] * lag[1, cols]).tolist()
+                yield i0, zip(F[0:-1:2], F[1::2], F[2::2])
+            else:
+                yield i0, repeat((0.0, 0.0, 0.0), m)
+
+    def close(self, i0: int, rows: list, state: State) -> None:
+        """Store a finished block and put its midpoints and nodes on the lag grid.
+
+        The midpoint of the block's last step needs the derivative at the
+        next block's first node, whose delayed value is a delay back and
+        so already on the grid; it is the same expression the next
+        block's first step evaluates, and is the final row if no block
+        follows.
+        """
+        b = self._store(i0, rows)
+        delayed = State(*self.lag[:, 2 * b].tolist(), 0.0) if self.lagged else state
+        self.derivs[b] = reduced_rhs(state, delayed, self.params)
+        if self.lagged and b < self.n:
+            y, d = self.states[i0:b + 1, :2].T, self.derivs[i0:b + 1, :2].T
+            seg = self.lag[:, self.off + 2 * i0:self.off + 2 * b + 1]
+            seg[:, 1::2] = 0.5 * (y[:, :-1] + y[:, 1:]) + 0.125 * self.h * (d[:, :-1] - d[:, 1:])
+            seg[:, 2::2] = y[:, 1:]
+
+    def diverged(self, i0: int, rows: list, state: State) -> SimulationDiverged:
+        """The exception for a state past the bound after the given rows."""
+        b = self._store(i0, rows) + 1
+        self.states[b] = state
+        return SimulationDiverged(b * self.h, self._orthant_exit(b))
+
+    def _store(self, i0: int, rows: list) -> int:
+        """Put the rows of steps i0, i0+1, ... into states and derivs; the next node index."""
+        m = len(rows) // 6
+        block = np.fromiter(rows, float, len(rows)).reshape(m, 6)
+        self.derivs[i0:i0 + m] = block[:, :3]
+        self.states[i0 + 1:i0 + m + 1] = block[:, 3:]
+        return i0 + m
+
+    def _orthant_exit(self, last: int) -> float | None:
+        """Time of the first node up to node last with u or v < 0, or None."""
+        uv = self.states[:last + 1]
+        hit = np.flatnonzero((uv[:, 0] < 0.0) | (uv[:, 1] < 0.0))
+        return int(hit[0]) * self.h if len(hit) else None
+
+    def trajectory(self) -> Trajectory:
+        return Trajectory(t0=0.0, t_end=self.n * self.h, step=self.h, states=self.states,
+                          dense_coeffs=self.derivs,
+                          left_positive_orthant_at=self._orthant_exit(self.n))
 
 
 def simulate(params: ModelParams, history: HistorySpec, t_end: float,
@@ -231,67 +346,53 @@ def simulate(params: ModelParams, history: HistorySpec, t_end: float,
     past t_end. Raises SimulationDiverged when a component leaves
     |x| <= 1e6.
     """
-    nd, h, n = _run_grid(params.s, t_end, steps_per_delay)
-    lu, lv = _lag_grid(history, params.s, nd, h)
-    lagged = params.s > 0.0
-    u, v, w = lu[-1], lv[-1], history.initial_w(params)
+    run = _Run(params, history, t_end, steps_per_delay)
+    lagged, h = run.lagged, run.h
+    u, v = run.states[0, :2].tolist()
+    w = run.states[0, 2] = history.initial_w(params)
 
     r1, a1 = params.r1, params.a1
     r2, a2 = params.r2, params.a2
     br1 = params.b1 * params.r1
     br2 = params.b2 * params.r2
     mr = params.mu + params.r
-
-    states = np.empty((n + 1, 3))
-    derivs = np.empty((n + 1, 3))
-    states[0] = (u, v, w)
-    half, sixth, eighth = 0.5 * h, h / 6.0, 0.125 * h
+    half, sixth = 0.5 * h, h / 6.0
     bound = _DIVERGENCE_BOUND
 
-    for i in range(n):
-        if lagged:
-            g = 2 * i
-            du1, dv1 = lu[g], lv[g]
-            dum, dvm = lu[g + 1], lv[g + 1]
-            du4, dv4 = lu[g + 2], lv[g + 2]
-        else:
-            du1, dv1 = u, v
-        k1u = r1 * u * (1.0 - a1 * u) - br1 * du1 * dv1
-        k1v = r2 * v * (1.0 - a2 * v) + br2 * w
-        k1w = u * v - mr * w
-        derivs[i, 0], derivs[i, 1], derivs[i, 2] = k1u, k1v, k1w
-        if i:
-            lu.append(0.5 * (pu + u) + eighth * (pku - k1u))
-            lv.append(0.5 * (pv + v) + eighth * (pkv - k1v))
-            lu.append(u)
-            lv.append(v)
-        pu, pv, pku, pkv = u, v, k1u, k1v
-        u2, v2, w2 = u + half * k1u, v + half * k1v, w + half * k1w
-        if not lagged:
-            dum, dvm = u2, v2
-        k2u = r1 * u2 * (1.0 - a1 * u2) - br1 * dum * dvm
-        k2v = r2 * v2 * (1.0 - a2 * v2) + br2 * w2
-        k2w = u2 * v2 - mr * w2
-        u3, v3, w3 = u + half * k2u, v + half * k2v, w + half * k2w
-        if not lagged:
-            dum, dvm = u3, v3
-        k3u = r1 * u3 * (1.0 - a1 * u3) - br1 * dum * dvm
-        k3v = r2 * v3 * (1.0 - a2 * v3) + br2 * w3
-        k3w = u3 * v3 - mr * w3
-        u4, v4, w4 = u + h * k3u, v + h * k3v, w + h * k3w
-        if not lagged:
-            du4, dv4 = u4, v4
-        k4u = r1 * u4 * (1.0 - a1 * u4) - br1 * du4 * dv4
-        k4v = r2 * v4 * (1.0 - a2 * v4) + br2 * w4
-        k4w = u4 * v4 - mr * w4
-        u += sixth * (k1u + 2.0 * (k2u + k3u) + k4u)
-        v += sixth * (k1v + 2.0 * (k2v + k3v) + k4v)
-        w += sixth * (k1w + 2.0 * (k2w + k3w) + k4w)
-        if not (abs(u) <= bound and abs(v) <= bound and abs(w) <= bound):
-            raise SimulationDiverged((i + 1) * h)
-        states[i + 1, 0], states[i + 1, 1], states[i + 1, 2] = u, v, w
-    derivs[n] = _end_row(params, State(u, v, w), lu, lv, n)
-    return Trajectory(t0=0.0, t_end=n * h, step=h, states=states, dense_coeffs=derivs)
+    for i0, forcing in run.blocks():
+        rows = []
+        for f1, fm, f4 in forcing:
+            if not lagged:
+                f1 = br1 * u * v
+            k1u = r1 * u * (1.0 - a1 * u) - f1
+            k1v = r2 * v * (1.0 - a2 * v) + br2 * w
+            k1w = u * v - mr * w
+            u2, v2, w2 = u + half * k1u, v + half * k1v, w + half * k1w
+            if not lagged:
+                fm = br1 * u2 * v2
+            k2u = r1 * u2 * (1.0 - a1 * u2) - fm
+            k2v = r2 * v2 * (1.0 - a2 * v2) + br2 * w2
+            k2w = u2 * v2 - mr * w2
+            u3, v3, w3 = u + half * k2u, v + half * k2v, w + half * k2w
+            if not lagged:
+                fm = br1 * u3 * v3
+            k3u = r1 * u3 * (1.0 - a1 * u3) - fm
+            k3v = r2 * v3 * (1.0 - a2 * v3) + br2 * w3
+            k3w = u3 * v3 - mr * w3
+            u4, v4, w4 = u + h * k3u, v + h * k3v, w + h * k3w
+            if not lagged:
+                f4 = br1 * u4 * v4
+            k4u = r1 * u4 * (1.0 - a1 * u4) - f4
+            k4v = r2 * v4 * (1.0 - a2 * v4) + br2 * w4
+            k4w = u4 * v4 - mr * w4
+            u += sixth * (k1u + 2.0 * (k2u + k3u) + k4u)
+            v += sixth * (k1v + 2.0 * (k2v + k3v) + k4v)
+            w += sixth * (k1w + 2.0 * (k2w + k3w) + k4w)
+            if not (abs(u) <= bound and abs(v) <= bound and abs(w) <= bound):
+                raise run.diverged(i0, rows, State(u, v, w))
+            rows.extend((k1u, k1v, k1w, u, v, w))
+        run.close(i0, rows, State(u, v, w))
+    return run.trajectory()
 
 
 def simulate_distributed(params: ModelParams, history: HistorySpec, t_end: float,
@@ -300,19 +401,18 @@ def simulate_distributed(params: ModelParams, history: HistorySpec, t_end: float
 
     The exponentially weighted product history is accumulated on a grid
     of half the RK step (trapezoid rule), truncated where the kernel has
-    decayed to exp(-30). Half-grid products come from the lag grid's
-    Hermite midpoints; the newest half-step product is seeded from the
-    inner RK stages and replaced by its Hermite value one step later,
-    which only ever touches one quadrature weight.
+    decayed to exp(-30). Half-grid products come from the Hermite
+    midpoints of the steps; the newest half-step product is seeded from
+    the inner RK stages and replaced by its Hermite value one step
+    later, which only ever touches one quadrature weight.
 
     The returned w column is the quadrature value of the memory
     integral; the history's w0 is ignored because the history itself
     determines that value. The discrete delay s is handled exactly as
     in simulate.
     """
-    nd, h, n = _run_grid(params.s, t_end, steps_per_delay)
-    lu, lv = _lag_grid(history, params.s, nd, h)
-    lagged = params.s > 0.0
+    run = _Run(params, history, t_end, steps_per_delay)
+    lagged, h, n = run.lagged, run.h, run.n
 
     r1, a1 = params.r1, params.a1
     r2, a2 = params.r2, params.a2
@@ -333,66 +433,55 @@ def simulate_distributed(params: ModelParams, history: HistorySpec, t_end: float
     qu, qv = history.at(np.arange(-ns, 1) * qstep)
     q[:ns + 1] = qu * qv
 
-    states = np.empty((n + 1, 3))
-    derivs = np.empty((n + 1, 3))
     half, sixth, eighth = 0.5 * h, h / 6.0, 0.125 * h
     bound = _DIVERGENCE_BOUND
 
-    u, v = lu[-1], lv[-1]
-    w_cur = float(wk_past @ q[0:ns]) + w0_tail * q[ns]
-    states[0] = (u, v, w_cur)
+    u, v = run.states[0, :2].tolist()
+    w_cur = run.states[0, 2] = float(wk_past @ q[0:ns]) + w0_tail * q[ns]
 
-    for i in range(n):
-        base = ns + 2 * i
-        if lagged:
-            g = 2 * i
-            du1, dv1 = lu[g], lv[g]
-            dum, dvm = lu[g + 1], lv[g + 1]
-            du4, dv4 = lu[g + 2], lv[g + 2]
-        else:
-            du1, dv1 = u, v
-        sn = float(wk_past @ q[2 * i: 2 * i + ns])
-        k1u = r1 * u * (1.0 - a1 * u) - br1 * du1 * dv1
-        k1v = r2 * v * (1.0 - a2 * v) + br2 * (sn + w0_tail * u * v)
-        derivs[i, 0], derivs[i, 1] = k1u, k1v
-        derivs[i, 2] = u * v - mr * w_cur
-        if i:
-            # replace last step's seeded half product with its Hermite value
-            um = 0.5 * (pu + u) + eighth * (pku - k1u)
-            vm = 0.5 * (pv + v) + eighth * (pkv - k1v)
-            lu.append(um)
-            lv.append(vm)
-            lu.append(u)
-            lv.append(v)
-            q[base - 1] = um * vm
-        pu, pv, pku, pkv = u, v, k1u, k1v
-        sh = float(wk_past @ q[2 * i + 1: 2 * i + 1 + ns])
-        u2, v2 = u + half * k1u, v + half * k1v
-        if not lagged:
-            dum, dvm = u2, v2
-        k2u = r1 * u2 * (1.0 - a1 * u2) - br1 * dum * dvm
-        k2v = r2 * v2 * (1.0 - a2 * v2) + br2 * (sh + w0_tail * u2 * v2)
-        u3, v3 = u + half * k2u, v + half * k2v
-        if not lagged:
-            dum, dvm = u3, v3
-        k3u = r1 * u3 * (1.0 - a1 * u3) - br1 * dum * dvm
-        k3v = r2 * v3 * (1.0 - a2 * v3) + br2 * (sh + w0_tail * u3 * v3)
-        q[base + 1] = 0.5 * (u2 * v2 + u3 * v3)
-        sn1 = float(wk_past @ q[2 * i + 2: 2 * i + 2 + ns])
-        u4, v4 = u + h * k3u, v + h * k3v
-        if not lagged:
-            du4, dv4 = u4, v4
-        k4u = r1 * u4 * (1.0 - a1 * u4) - br1 * du4 * dv4
-        k4v = r2 * v4 * (1.0 - a2 * v4) + br2 * (sn1 + w0_tail * u4 * v4)
-        u += sixth * (k1u + 2.0 * (k2u + k3u) + k4u)
-        v += sixth * (k1v + 2.0 * (k2v + k3v) + k4v)
-        q[base + 2] = u * v
-        w_cur = sn1 + w0_tail * u * v
-        if not (abs(u) <= bound and abs(v) <= bound and abs(w_cur) <= bound):
-            raise SimulationDiverged((i + 1) * h)
-        states[i + 1, 0], states[i + 1, 1], states[i + 1, 2] = u, v, w_cur
-    derivs[n] = _end_row(params, State(u, v, w_cur), lu, lv, n)
-    return Trajectory(t0=0.0, t_end=n * h, step=h, states=states, dense_coeffs=derivs)
+    for i0, forcing in run.blocks():
+        rows = []
+        for i, (f1, fm, f4) in enumerate(forcing, i0):
+            base = ns + 2 * i
+            if not lagged:
+                f1 = br1 * u * v
+            sn = float(wk_past @ q[2 * i: 2 * i + ns])
+            k1u = r1 * u * (1.0 - a1 * u) - f1
+            k1v = r2 * v * (1.0 - a2 * v) + br2 * (sn + w0_tail * u * v)
+            k1w = u * v - mr * w_cur
+            if i:
+                # replace last step's seeded half product with its Hermite value
+                um = 0.5 * (pu + u) + eighth * (pku - k1u)
+                vm = 0.5 * (pv + v) + eighth * (pkv - k1v)
+                q[base - 1] = um * vm
+            pu, pv, pku, pkv = u, v, k1u, k1v
+            sh = float(wk_past @ q[2 * i + 1: 2 * i + 1 + ns])
+            u2, v2 = u + half * k1u, v + half * k1v
+            if not lagged:
+                fm = br1 * u2 * v2
+            k2u = r1 * u2 * (1.0 - a1 * u2) - fm
+            k2v = r2 * v2 * (1.0 - a2 * v2) + br2 * (sh + w0_tail * u2 * v2)
+            u3, v3 = u + half * k2u, v + half * k2v
+            if not lagged:
+                fm = br1 * u3 * v3
+            k3u = r1 * u3 * (1.0 - a1 * u3) - fm
+            k3v = r2 * v3 * (1.0 - a2 * v3) + br2 * (sh + w0_tail * u3 * v3)
+            q[base + 1] = 0.5 * (u2 * v2 + u3 * v3)
+            sn1 = float(wk_past @ q[2 * i + 2: 2 * i + 2 + ns])
+            u4, v4 = u + h * k3u, v + h * k3v
+            if not lagged:
+                f4 = br1 * u4 * v4
+            k4u = r1 * u4 * (1.0 - a1 * u4) - f4
+            k4v = r2 * v4 * (1.0 - a2 * v4) + br2 * (sn1 + w0_tail * u4 * v4)
+            u += sixth * (k1u + 2.0 * (k2u + k3u) + k4u)
+            v += sixth * (k1v + 2.0 * (k2v + k3v) + k4v)
+            q[base + 2] = u * v
+            w_cur = sn1 + w0_tail * u * v
+            if not (abs(u) <= bound and abs(v) <= bound and abs(w_cur) <= bound):
+                raise run.diverged(i0, rows, State(u, v, w_cur))
+            rows.extend((k1u, k1v, k1w, u, v, w_cur))
+        run.close(i0, rows, State(u, v, w_cur))
+    return run.trajectory()
 
 
 def fft_period(values, step: float) -> float | None:

@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .cubic import real_positive_roots
+from .cubic import cubic_roots, real_positive_roots
 from .model import Equilibrium, EquilibriumLabel, ModelParams, coexistence
 
 __all__ = [
@@ -34,6 +34,7 @@ __all__ = [
     "h1_holds",
     "g_cubic",
     "hopf_candidates",
+    "near_double_root",
     "transversality_sign",
     "s0",
 ]
@@ -46,6 +47,12 @@ _MIN_DET = 1e-14
 _DEGENERATE_GPRIME = 1e-9
 
 DEFAULT_J_MAX = 3
+
+# computed roots of G closer than this, relative, may be a pair that
+# double precision does not resolve: rounding puts the computed roots
+# of a pair with a true gap below 1e-7 up to 5e-7 apart, and up to 4e-6
+# when the third root lies within 1% of them
+_NEAR_DOUBLE = 1e-6
 
 
 @dataclass(frozen=True)
@@ -160,6 +167,22 @@ def g_cubic(coeffs: CharCoeffs) -> GCubic:
         n=c.p1 * c.p1 + 2.0 * c.q0 * c.q2 - c.q1 * c.q1 - 2.0 * c.p0 * c.p2,
         h=c.p0 * c.p0 - c.q0 * c.q0,
     )
+
+
+def near_double_root(g: GCubic) -> float | None:
+    """Real part where two roots of G with positive real part nearly agree.
+
+    Two roots closer than about 1e-7 relative are at the limit of double
+    precision: rounding decides whether they come out as two real roots
+    (two crossings) or as a complex pair (none). Returns the mean real
+    part of the first pair of computed roots within 1e-6 relative of
+    each other, or None.
+    """
+    roots = [z for z in cubic_roots(g.m, g.n, g.h) if z.real > 0.0]
+    for a, b in zip(roots, roots[1:]):
+        if abs(a - b) <= _NEAR_DOUBLE * max(abs(a), abs(b)):
+            return 0.5 * (a.real + b.real)
+    return None
 
 
 def transversality_sign(z: float, coeffs: CharCoeffs) -> Transversality:

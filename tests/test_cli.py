@@ -202,6 +202,7 @@ def test_simulate_outputs(tmp_path):
     report = run(parse_config(cfg("Simulate", extra=extra)), tmp_path)
     sim = report.to_dict()["simulation"]
     assert sim["diverged"] is False
+    assert sim["left_positive_orthant_at"] is None
     assert sim["history"]["w0"] == 1.05 * 0.95 / 6.0
     assert sim["history"]["w0_policy"] == "Consistent"
     assert sim["step"] == 2.0 / 50
@@ -232,6 +233,29 @@ def test_simulate_divergence_stays_in_band(tmp_path):
     assert sim["classification"] == "Diverges"
     assert not (tmp_path / "out" / "trajectory.csv").exists()
     assert any("diverged" in note for note in doc["notes"])
+
+
+def test_simulate_reports_orthant_exit_before_divergence(tmp_path):
+    extra = "t_end = 700\nu0 = 1.01\nv0 = 0.99\nsteps_per_delay = 200\n"
+    run(parse_config(cfg("Simulate", extra=extra, s=repr(S_STAR + 0.02))), tmp_path)
+    sim = json.loads((tmp_path / "report.json").read_text())["simulation"]
+    assert sim["diverged"] is True
+    assert 0.0 < sim["left_positive_orthant_at"] < sim["diverged_at"]
+    with open(tmp_path / "report.csv", newline="") as fh:
+        rows = dict(csv.reader(fh))
+    assert float(rows["simulation.left_positive_orthant_at"]) == sim["left_positive_orthant_at"]
+
+
+def test_near_double_root_note(tmp_path, monkeypatch):
+    # Analyze and Critical add the note when G has an unresolved pair
+    import infodelay.cli as cli
+    monkeypatch.setattr(cli, "near_double_root", lambda g: 0.04)
+    for command in ("Analyze", "Critical"):
+        notes = run(parse_config(cfg(command)), tmp_path / command).to_dict()["notes"]
+        assert any("z = 0.04 " in note and "may have been added or dropped" in note
+                   for note in notes), notes
+    notes = run(parse_config(cfg("Direction")), tmp_path / "Direction").to_dict()["notes"]
+    assert notes == []
 
 
 def test_simulate_plot_outputs(tmp_path):

@@ -22,8 +22,9 @@ from infodelay import (
     simulate_distributed,
 )
 import infodelay
-from infodelay.integrator import _prominent_peaks
-from conftest import ESTAR, draw_params, make_params, screen_for_flip
+from infodelay.integrator import _CSV_CHUNK, _MAX_BLOCK, _prominent_peaks
+from infodelay.model import State, reduced_rhs
+from conftest import ESTAR, S_STAR, draw_params, make_params, screen_for_flip
 
 
 def _flat(u, v):
@@ -152,6 +153,114 @@ def test_dense_output_matches_pointwise_hermite():
         want = (om * om * (1.0 + 2.0 * th) * y[k] + th * om * om * h * d[k]
                 + th * th * (3.0 - 2.0 * th) * y[k + 1] - th * th * om * h * d[k + 1])
         assert np.array_equal(row, want), t
+
+
+def _per_step_rk4(p, hist, t_end, spd):
+    """Plain per-step RK4 on reduced_rhs with its own Hermite lag list.
+
+    Returns (states, dense rows, divergence time, orthant exit time):
+    the arrays are None after a divergence, the times None when the
+    event does not happen.
+    """
+    h = p.s / spd if p.s > 0.0 else 1.0 / spd
+    n = max(1, math.ceil(t_end / h - 1e-9))
+    half, sixth, eighth = 0.5 * h, h / 6.0, 0.125 * h
+    lagged = p.s > 0.0
+    hu, hv = hist.at(np.arange(-2 * spd if lagged else 0, 1) * half)
+    lag = [State(a, b, 0.0) for a, b in zip(hu.tolist(), hv.tolist())]
+    x = State(lag[-1].u, lag[-1].v, hist.initial_w(p))
+    states, derivs = [x], []
+    left = 0.0 if x.u < 0.0 or x.v < 0.0 else None
+
+    def rhs(y, g):
+        return reduced_rhs(y, lag[g] if lagged else y, p)
+
+    def stage(k, c):
+        return State(x.u + c * k.u, x.v + c * k.v, x.w + c * k.w)
+
+    for i in range(n):
+        k1 = rhs(x, 2 * i)
+        if i:
+            y0, d0 = states[-2], derivs[-1]
+            lag.append(State(0.5 * (y0.u + x.u) + eighth * (d0.u - k1.u),
+                             0.5 * (y0.v + x.v) + eighth * (d0.v - k1.v), 0.0))
+            lag.append(x)
+        derivs.append(k1)
+        k2 = rhs(stage(k1, half), 2 * i + 1)
+        k3 = rhs(stage(k2, half), 2 * i + 1)
+        k4 = rhs(stage(k3, h), 2 * i + 2)
+        x = State(*(a + sixth * (b1 + 2.0 * (b2 + b3) + b4)
+                    for a, b1, b2, b3, b4 in zip(x, k1, k2, k3, k4)))
+        if left is None and (x.u < 0.0 or x.v < 0.0):
+            left = (i + 1) * h
+        if not all(abs(c) <= 1e6 for c in x):
+            return None, None, (i + 1) * h, left
+        states.append(x)
+    derivs.append(rhs(x, 2 * n))
+    return np.array(states), np.array(derivs), None, left
+
+
+_RAMP = HistorySpec.sampled([-2.0, 0.0], [[0.9, 1.1], [1.01, 0.99]])
+
+
+@pytest.mark.parametrize("s, hist, t_end, spd", [
+    (2.02, _flat(1.01, 0.99), 120.0, 20),
+    (2.02, _flat(1.01, 0.99), 120.0, 37),
+    (2.02, _flat(1.05, 0.95), 101.3, 50),
+    (2.02, _flat(1.05, 0.95), 0.7, 50),
+    (0.0, _flat(1.05, 0.95), 250.0, 20),
+    (2.0, _RAMP, 60.0, 50),
+    (2.0, _flat(1e3, 1e3), 10.0, 50),
+    (2.0, _flat(1.0, -0.05), 20.0, 50),
+], ids=["spd20", "spd37", "partial-last-block", "t_end-below-s", "s0-past-block-cap",
+        "ramp-history", "diverging-start", "negative-v-start"])
+def test_delay_blocks_match_per_step_rk4(s, hist, t_end, spd):
+    # the block loop evaluates the same expressions in the same order as
+    # a per-step loop, so states, dense rows and event times agree bit for bit
+    p = make_params(s)
+    want_states, want_derivs, want_time, want_left = _per_step_rk4(p, hist, t_end, spd)
+    if want_time is not None:
+        with pytest.raises(SimulationDiverged) as exc:
+            simulate(p, hist, t_end, spd)
+        assert exc.value.time == want_time
+        assert exc.value.left_positive_orthant_at == want_left
+        return
+    traj = simulate(p, hist, t_end, spd)
+    assert np.array_equal(traj.states, want_states)
+    assert np.array_equal(traj.dense_coeffs, want_derivs)
+    assert traj.left_positive_orthant_at == want_left
+    if s == 0.0:
+        assert len(traj.states) - 1 > _MAX_BLOCK
+
+
+def test_left_positive_orthant_before_divergence():
+    # past the end of the bounded cycle u turns negative about 20 time
+    # units before the 1e6 bound trips
+    with pytest.raises(SimulationDiverged) as exc:
+        simulate(make_params(S_STAR + 0.02), _flat(1.01, 0.99), 700.0, 200)
+    left, time = exc.value.left_positive_orthant_at, exc.value.time
+    assert left is not None and left < time
+    assert abs(left - 605.6) < 0.5 and abs(time - 628.1) < 0.5
+
+
+def test_sustained_cycle_stays_in_positive_orthant(cycle_run):
+    traj, _ = cycle_run
+    assert traj.left_positive_orthant_at is None
+    assert traj.states[:, :2].min() > 0.0
+
+
+@pytest.mark.parametrize("rows", [1, _CSV_CHUNK - 1, _CSV_CHUNK, _CSV_CHUNK + 1])
+def test_to_csv_matches_savetxt(tmp_path, rows):
+    rng = np.random.default_rng(rows)
+    states = rng.normal(size=(rows, 3)) * 10.0 ** rng.integers(-3, 6, size=(rows, 3))
+    states[0] = (-0.0, 5e-324, -1e5 * math.pi)
+    states[-1, 1:] = (-2.2250738585072014e-308 / 3.0, 123456.789)
+    traj = Trajectory(t0=-12.375, t_end=-12.375 + 0.0101 * (rows - 1), step=0.0101,
+                      states=states, dense_coeffs=np.zeros_like(states))
+    traj.to_csv(tmp_path / "chunked.csv")
+    np.savetxt(tmp_path / "savetxt.csv", np.column_stack([traj.times, traj.states]),
+               fmt="%.17g", delimiter=",", header="t,u,v,w", comments="")
+    assert (tmp_path / "chunked.csv").read_bytes() == (tmp_path / "savetxt.csv").read_bytes()
 
 
 def test_csv_round_trip(tmp_path):

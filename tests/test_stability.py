@@ -18,6 +18,7 @@ from infodelay import (
     s0,
     transversality_sign,
 )
+from infodelay.stability import GCubic, near_double_root
 from conftest import OMEGA_STAR, S_STAR, draw_params, draw_with_candidates, make_params
 
 
@@ -190,3 +191,38 @@ def test_candidates_sorted_by_base_delay():
         bases = [c.delays[0] for c in cands]
         assert bases == sorted(bases)
         assert all(b >= 0 for b in bases)
+
+
+def _cubic_with_roots(a, b, c):
+    return GCubic(m=-(a + b + c), n=a * b + a * c + b * c, h=-a * b * c)
+
+
+def test_near_double_root_flags_unresolved_pairs():
+    # a positive pair closer than 1e-7 relative may come back real or
+    # complex; either way it must be flagged, near the pair
+    rng = np.random.default_rng(5)
+    checked = 0
+    while checked < 2000:
+        r = rng.uniform(0.1, 5.0)
+        r3 = rng.uniform(-5.0, 5.0)
+        if abs(r3 - r) < 0.1 * r:
+            continue
+        gap = r * 10.0 ** rng.uniform(-10.0, -7.0)
+        got = near_double_root(_cubic_with_roots(r, r + gap, r3))
+        assert got is not None and abs(got - r) <= 1e-6 * r, (r, gap, r3, got)
+        checked += 1
+    assert near_double_root(_cubic_with_roots(1.0, 1.0, 4.0)) == 1.0
+
+
+def test_near_double_root_ignores_separated_roots():
+    rng = np.random.default_rng(6)
+    for _ in range(2000):
+        r = rng.uniform(0.1, 5.0)
+        gap = r * 10.0 ** rng.uniform(-4.0, 0.0)
+        r3 = rng.choice([-1.0, 1.0]) * (r + gap + r * 10.0 ** rng.uniform(-4.0, 0.0))
+        assert near_double_root(_cubic_with_roots(r, r + gap, r3)) is None, (r, gap, r3)
+    # a close pair with negative real part is no crossing
+    assert near_double_root(_cubic_with_roots(-2.0, -2.0 * (1 + 1e-9), 1.0)) is None
+    # the reference cubic has one positive root, far from the others
+    cc = char_coeffs(make_params(2.0), coexistence(make_params(2.0)))
+    assert near_double_root(g_cubic(cc)) is None
