@@ -36,7 +36,8 @@ from .integrator import (
     simulate,
 )
 from .model import Equilibrium, ModelParams, State, equilibria
-from .normal_form import NormalForm, ResonanceError, compute_normal_form
+from .normal_form import (NormalForm, ResonanceError, compute_normal_form, eigen_residuals,
+                          linearize)
 from .plots import trajectory_plots
 from .stability import (CharCoeffs, GCubic, HopfCandidate, char_coeffs, g_cubic, h1_holds,
                         hopf_candidates, near_double_root)
@@ -61,6 +62,9 @@ _ALL_KEYS = _FLOAT_KEYS + _INT_KEYS + _STR_KEYS
 
 _DEFAULT_STEPS_PER_DELAY = 200
 _DEFAULT_TRANSIENT_FRACTION = 0.5
+# CycleMetrics fields in the order the Simulate report writes them
+_CYCLE_KEYS = ("classification", "amplitude", "period", "n_periods_measured",
+               "spacing_cv", "envelope_ratio", "max_deviation")
 
 
 class Command(str, Enum):
@@ -235,6 +239,9 @@ class AnalysisReport:
     candidates: list[HopfCandidate] | None = None
     s0: float | None = None
     normal_form: NormalForm | None = None
+    # residuals of the normal form's eigenvector equations, written as
+    # normal_form.self_checks
+    normal_form_checks: dict | None = None
     simulation: dict | None = None
     sweep: dict | None = None
     notes: list[str] | None = None
@@ -257,6 +264,8 @@ class AnalysisReport:
                 "chi2": f.chi2,
                 "direction": f.direction,
             }
+            if self.normal_form_checks is not None:
+                nf["self_checks"] = self.normal_form_checks
         eqs = None
         if self.equilibria is not None:
             eqs = [{
@@ -373,10 +382,15 @@ def _analysis_sections(report: AnalysisReport, params: ModelParams,
                          "stability switch")
     if want_direction:
         try:
-            report.normal_form = compute_normal_form(params)
-            report.s0 = report.normal_form.s_star
+            nf = report.normal_form = compute_normal_form(params)
         except (ValueError, ResonanceError) as exc:
             notes.append(f"bifurcation direction not computed: {exc}")
+        else:
+            report.s0 = nf.s_star
+            rc, rd = eigen_residuals(linearize(params, estar), nf.omega_star, nf.s_star,
+                                     nf.c_vec, nf.d_vec)
+            report.normal_form_checks = {"right_eigenvector_residual": rc,
+                                         "left_eigenvector_residual": rd}
 
 
 def _run_simulate(report: AnalysisReport, config: RunConfig, params: ModelParams,
@@ -384,6 +398,8 @@ def _run_simulate(report: AnalysisReport, config: RunConfig, params: ModelParams
     report.equilibria = equilibria(params)
     estar = report.equilibria[3]
     history = HistorySpec.constant(config.u0, config.v0, config.w0)
+    # every outcome writes these keys in this order; null where a
+    # diverged run or a missing equilibrium leaves nothing to report
     sim = {
         "t_end_requested": config.t_end,
         "steps_per_delay": config.steps_per_delay,
@@ -393,6 +409,10 @@ def _run_simulate(report: AnalysisReport, config: RunConfig, params: ModelParams
         "diverged": False,
         "diverged_at": None,
         "left_positive_orthant_at": None,
+        "t_end": None,
+        "step": None,
+        "final_state": None,
+        **dict.fromkeys(_CYCLE_KEYS),
     }
     report.simulation = sim
     try:
@@ -402,10 +422,6 @@ def _run_simulate(report: AnalysisReport, config: RunConfig, params: ModelParams
         sim["diverged_at"] = exc.time
         sim["left_positive_orthant_at"] = exc.left_positive_orthant_at
         sim["classification"] = "Diverges"
-        sim["amplitude"] = None
-        sim["period"] = None
-        sim["n_periods_measured"] = None
-        sim["final_state"] = None
         report.notes.append(f"simulation diverged at t = {exc.time:g}; "
                             "no trajectory written")
         return
@@ -416,15 +432,8 @@ def _run_simulate(report: AnalysisReport, config: RunConfig, params: ModelParams
     traj.to_csv(out_dir / "trajectory.csv")
     if estar.exists:
         metrics = cycle_metrics(traj, estar.point, config.transient_fraction)
-        sim["classification"] = metrics.classification
-        sim["amplitude"] = None if metrics.amplitude is None else list(metrics.amplitude)
-        sim["period"] = metrics.period
-        sim["n_periods_measured"] = metrics.n_periods_measured
+        sim.update({key: getattr(metrics, key) for key in _CYCLE_KEYS})
     else:
-        sim["classification"] = None
-        sim["amplitude"] = None
-        sim["period"] = None
-        sim["n_periods_measured"] = None
         report.notes.append("coexistence equilibrium does not exist; "
                             "cycle metrics skipped")
     if plot:

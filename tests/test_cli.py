@@ -130,6 +130,10 @@ def test_analyze_report(tmp_path):
     assert abs(nf["linear_period"] - 2 * math.pi / nf["omega_star"]) < 1e-12
     assert len(d["candidates"]) == 1
     assert d["notes"] == []
+    checks = nf["self_checks"]
+    assert list(checks) == ["right_eigenvector_residual", "left_eigenvector_residual"]
+    assert 0.0 <= checks["right_eigenvector_residual"] < 1e-9
+    assert 0.0 <= checks["left_eigenvector_residual"] < 1e-9
     assert (tmp_path / "report.json").exists()
     assert (tmp_path / "report.csv").exists()
 
@@ -142,6 +146,7 @@ def test_critical_and_direction_sections(tmp_path):
     assert dirn["candidates"] is None
     assert dirn["normal_form"] is not None
     assert dirn["s0"] is not None
+    assert max(dirn["normal_form"]["self_checks"].values()) < 1e-9
 
 
 def test_analyze_without_coexistence_point(tmp_path):
@@ -210,6 +215,13 @@ def test_simulate_outputs(tmp_path):
     assert lines[0] == "t,u,v,w"
     assert len(lines) == 1 + math.ceil(50 / (2.0 / 50)) + 1
     assert sim["classification"] in ("ConvergesToEquilibrium", "Inconclusive")
+    # the numbers behind the verdict
+    assert sim["max_deviation"] > 0.0 and sim["envelope_ratio"] > 0.0
+    assert sim["spacing_cv"] is None or sim["spacing_cv"] >= 0.0
+    with open(tmp_path / "report.csv", newline="") as fh:
+        rows = dict(csv.reader(fh))
+    assert float(rows["simulation.max_deviation"]) == sim["max_deviation"]
+    assert float(rows["simulation.envelope_ratio"]) == sim["envelope_ratio"]
 
 
 def test_simulate_explicit_w0(tmp_path):
@@ -233,6 +245,11 @@ def test_simulate_divergence_stays_in_band(tmp_path):
     assert sim["classification"] == "Diverges"
     assert not (tmp_path / "out" / "trajectory.csv").exists()
     assert any("diverged" in note for note in doc["notes"])
+    # a finished run writes the same keys in the same order
+    extra = "t_end = 5\nu0 = 1.05\nv0 = 0.95\nsteps_per_delay = 50\n"
+    finished = run(parse_config(cfg("Simulate", extra=extra)), tmp_path / "ok")
+    assert list(sim) == list(finished.to_dict()["simulation"])
+    assert sim["t_end"] is None and sim["step"] is None and sim["final_state"] is None
 
 
 def test_simulate_reports_orthant_exit_before_divergence(tmp_path):

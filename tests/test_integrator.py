@@ -22,7 +22,7 @@ from infodelay import (
     simulate_distributed,
 )
 import infodelay
-from infodelay.integrator import _CSV_CHUNK, _MAX_BLOCK, _prominent_peaks
+from infodelay.integrator import _CSV_CHUNK, _KERNEL_SPAN, _MAX_BLOCK, _Run, _prominent_peaks
 from infodelay.model import State, reduced_rhs
 from conftest import ESTAR, S_STAR, draw_params, make_params, screen_for_flip
 
@@ -363,6 +363,104 @@ def test_distributed_ignores_w0_policy():
     assert np.array_equal(a.states, b.states)
 
 
+def _direct_quadrature(p, hist, t_end, spd):
+    """simulate_distributed with the memory sum formed by a dot product
+    over the whole window at every RK stage that needs it.
+
+    Returns a Trajectory, or the SimulationDiverged it would raise.
+    """
+    run = _Run(p, hist, t_end, spd)
+    lagged, h, n = run.lagged, run.h, run.n
+    r1, a1, r2, a2 = p.r1, p.a1, p.r2, p.a2
+    br1, br2, mr = p.b1 * p.r1, p.b2 * p.r2, p.mu + p.r
+    qstep = 0.5 * h
+    ns = int(math.ceil(_KERNEL_SPAN / (mr * qstep)))
+    tw = np.full(ns + 1, qstep)
+    tw[0] = tw[-1] = 0.5 * qstep
+    wk = tw * np.exp(-mr * qstep * np.arange(ns + 1))
+    wk_past = np.ascontiguousarray(wk[:0:-1])
+    w0_tail = float(wk[0])
+    # products u*v at spacing qstep; index g <-> time (g - ns)*qstep
+    q = np.empty(ns + 2 * n + 1)
+    qu, qv = hist.at(np.arange(-ns, 1) * qstep)
+    q[:ns + 1] = qu * qv
+    half, sixth, eighth = 0.5 * h, h / 6.0, 0.125 * h
+    u, v = run.states[0, :2].tolist()
+    w_cur = run.states[0, 2] = float(wk_past @ q[0:ns]) + w0_tail * q[ns]
+    for i0, forcing in run.blocks():
+        rows = []
+        for i, (f1, fm, f4) in enumerate(forcing, i0):
+            base = ns + 2 * i
+            if not lagged:
+                f1 = br1 * u * v
+            sn = float(wk_past @ q[2 * i: 2 * i + ns])
+            k1u = r1 * u * (1.0 - a1 * u) - f1
+            k1v = r2 * v * (1.0 - a2 * v) + br2 * (sn + w0_tail * u * v)
+            k1w = u * v - mr * w_cur
+            if i:
+                um = 0.5 * (pu + u) + eighth * (pku - k1u)
+                vm = 0.5 * (pv + v) + eighth * (pkv - k1v)
+                q[base - 1] = um * vm
+            pu, pv, pku, pkv = u, v, k1u, k1v
+            sh = float(wk_past @ q[2 * i + 1: 2 * i + 1 + ns])
+            u2, v2 = u + half * k1u, v + half * k1v
+            if not lagged:
+                fm = br1 * u2 * v2
+            k2u = r1 * u2 * (1.0 - a1 * u2) - fm
+            k2v = r2 * v2 * (1.0 - a2 * v2) + br2 * (sh + w0_tail * u2 * v2)
+            u3, v3 = u + half * k2u, v + half * k2v
+            if not lagged:
+                fm = br1 * u3 * v3
+            k3u = r1 * u3 * (1.0 - a1 * u3) - fm
+            k3v = r2 * v3 * (1.0 - a2 * v3) + br2 * (sh + w0_tail * u3 * v3)
+            q[base + 1] = 0.5 * (u2 * v2 + u3 * v3)
+            sn1 = float(wk_past @ q[2 * i + 2: 2 * i + 2 + ns])
+            u4, v4 = u + h * k3u, v + h * k3v
+            if not lagged:
+                f4 = br1 * u4 * v4
+            k4u = r1 * u4 * (1.0 - a1 * u4) - f4
+            k4v = r2 * v4 * (1.0 - a2 * v4) + br2 * (sn1 + w0_tail * u4 * v4)
+            u += sixth * (k1u + 2.0 * (k2u + k3u) + k4u)
+            v += sixth * (k1v + 2.0 * (k2v + k3v) + k4v)
+            q[base + 2] = u * v
+            w_cur = sn1 + w0_tail * u * v
+            if not (abs(u) <= 1e6 and abs(v) <= 1e6 and abs(w_cur) <= 1e6):
+                return run.diverged(i0, rows, State(u, v, w_cur))
+            rows.extend((k1u, k1v, k1w, u, v, w_cur))
+        run.close(i0, rows, State(u, v, w_cur))
+    return run.trajectory()
+
+
+@pytest.mark.parametrize("s, hist, t_end, spd, overrides", [
+    (2.0, _flat(1.01, 0.99), 50.0, 400, {}),
+    (0.0, _flat(1.05, 0.95), 250.0, 20, {}),
+    (2.0, _RAMP, 60.0, 50, {}),
+    (2.02, _flat(1.05, 0.95), 101.3, 37, {}),
+    (3.0, _flat(1.01, 0.99), 20.0, 20, {"mu": 8.0}),
+    (2.0, _flat(1e3, 1e3), 10.0, 50, {}),
+], ids=["reference-pair", "s0", "clamped-ramp-history", "spd37-partial-last-block",
+        "window-shorter-than-block", "diverging-start"])
+def test_memory_recurrence_matches_direct_quadrature(s, hist, t_end, spd, overrides):
+    # the sliding-window recurrence is the same truncated trapezoid sum
+    # as the dot product over the window, summed in another order
+    p = make_params(s, **overrides)
+    want = _direct_quadrature(p, hist, t_end, spd)
+    if isinstance(want, SimulationDiverged):
+        with pytest.raises(SimulationDiverged) as exc:
+            simulate_distributed(p, hist, t_end, spd)
+        assert exc.value.time == want.time
+        assert exc.value.left_positive_orthant_at == want.left_positive_orthant_at
+        return
+    got = simulate_distributed(p, hist, t_end, spd)
+    assert got.states.shape == want.states.shape
+    assert np.abs(got.states - want.states).max() <= 1e-10
+    assert np.abs(got.dense_coeffs - want.dense_coeffs).max() <= 1e-10
+    assert got.left_positive_orthant_at == want.left_positive_orthant_at
+    if overrides:  # the mu = 8 window spans fewer half-steps than one block
+        ns = math.ceil(_KERNEL_SPAN / ((p.mu + p.r) * 0.5 * got.step))
+        assert ns < 2 * spd
+
+
 # --------------------------------------------------------------------------
 # classification of synthetic signals
 
@@ -389,6 +487,9 @@ def test_metrics_sustained_signal():
     assert abs(m.amplitude[0] - 0.3) < 5e-3
     assert abs(m.period - 17.0) < 0.2
     assert m.n_periods_measured >= 20
+    assert m.spacing_cv < 0.01
+    assert 0.5 <= m.envelope_ratio <= 4.0
+    assert abs(m.max_deviation - 0.3) < 5e-3
 
 
 def test_metrics_growing_signal():
@@ -396,6 +497,7 @@ def test_metrics_growing_signal():
     u = 1.0 + 1e-3 * np.exp(t / 100.0) * np.sin(2 * np.pi * t / 17.0)
     m = cycle_metrics(_synthetic(t, u), (1.0, 1.0, 1.0))
     assert m.classification is Classification.DIVERGES
+    assert m.envelope_ratio >= 10.0
 
 
 def test_metrics_drifting_signal_is_inconclusive():
@@ -403,6 +505,11 @@ def test_metrics_drifting_signal_is_inconclusive():
     u = 1.0 + 0.002 + 1e-4 * t / 1000.0
     m = cycle_metrics(_synthetic(t, u), (1.0, 1.0, 1.0))
     assert m.classification is Classification.INCONCLUSIVE
+    # the evidence says why: no peaks, too far out to have settled, and
+    # an envelope that creeps up too slowly to count as diverging
+    assert m.spacing_cv is None and m.n_periods_measured == 0
+    assert m.max_deviation >= 1e-3
+    assert 1.0 < m.envelope_ratio < 10.0
 
 
 def test_metrics_short_window_is_inconclusive():
@@ -412,6 +519,7 @@ def test_metrics_short_window_is_inconclusive():
     assert m.classification is Classification.INCONCLUSIVE
     assert m.amplitude is None and m.period is None
     assert m.n_periods_measured == 0
+    assert m.spacing_cv is None and m.envelope_ratio is None and m.max_deviation is None
 
 
 def test_metrics_transient_fraction_validation(settle_run):
