@@ -26,16 +26,16 @@ blocks only bound the length of the row list.
 
 simulate advances the three-variable reduced system in which the memory
 variable w obeys its own ODE. simulate_distributed instead evaluates
-the memory integral by quadrature: a trapezoid sum over the
-exponentially weighted product history at the same h/2 spacing,
-truncated where the kernel has decayed to exp(-30). Because the kernel
-is exponential, the sum is updated in O(1) per half-step by a
-sliding-window recurrence (the linear-chain property behind the
-reduction; MacDonald, Time Lags in Biological Models, 1978) and only
-the last window of products is kept. Agreement between the two
-integrators validates the chain reduction. Both report the first node
-at which u or v turns negative, where the model leaves its meaningful
-region; the 1e6 divergence bound is only a backstop.
+the memory integral by quadrature: a trapezoid sum over the whole
+exponentially weighted product history at the same h/2 spacing.
+Because the kernel is exponential, that sum is carried as one number
+and updated in O(1) per half-step (the linear-chain property behind
+the reduction; MacDonald, Time Lags in Biological Models, 1978), and
+the clamped history before its first sample adds a geometric series.
+Agreement between the two integrators validates the chain reduction.
+Both report the first node at which u or v turns negative, where the
+model leaves its meaningful region; the 1e6 divergence bound is only a
+backstop.
 
 cycle_metrics classifies the tail of a trajectory (settled, oscillating,
 growing), measures amplitude and period of a limit cycle, and returns
@@ -45,7 +45,6 @@ rests on.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from itertools import repeat
@@ -80,8 +79,6 @@ _ENVELOPE_CHUNKS = 8
 # collapses or keeps growing, and must not count as sustained
 _ENVELOPE_SETTLED = (0.5, 4.0)
 _DIVERGE_GROWTH = 10.0
-# the memory kernel is truncated once it has decayed below exp(-30)
-_KERNEL_SPAN = 30.0
 # most steps per block; with s = 0 (nothing delayed) this only bounds
 # the row list
 _MAX_BLOCK = 4096
@@ -421,23 +418,18 @@ def simulate_distributed(params: ModelParams, history: HistorySpec, t_end: float
     """Integrate with the memory integral evaluated by quadrature.
 
     The exponentially weighted product history is summed by the
-    trapezoid rule on a grid of half the RK step, truncated where the
-    kernel has decayed to exp(-30) (ns intervals). Half-grid products
-    come from the Hermite midpoints of the steps; the newest half-step
-    product is seeded from the inner RK stages and replaced by its
-    Hermite value one step later, which only ever touches one
-    quadrature weight.
+    trapezoid rule on a grid of half the RK step over the whole past,
+    where before its first sample the history is clamped to that
+    sample. Half-grid products come from the Hermite midpoints of the
+    steps; the newest half-step product is seeded from the inner RK
+    stages and replaced by its Hermite value one step later, which only
+    ever touches one quadrature weight.
 
-    The sum over the window is not re-formed per step. The kernel is
-    exponential, so moving the window by one sample scales every inner
-    weight by E = exp(-(mu+r)*h/2): the new sum is E times the old one,
-    minus the two samples that leave or change weight at the far end,
-    plus the newest sample. The products are kept in a ring of the last
-    ns + 1 samples. This is the same truncated trapezoid sum as a dot
-    product over the window, summed in another order, so the two differ
-    only by rounding, and E < 1 damps the rounding of earlier updates:
-    the states of a 1e5-step run (s = 2, spd 400, t_end 500) agree to
-    5e-14.
+    The sum over every sample but the newest is carried as one number
+    S. The kernel is exponential, so a new sample scales every older
+    weight by E = exp(-(mu+r)*h/2): S becomes E*S plus the previous
+    newest sample at its weight E*h/2, and the Hermite replacement adds
+    E*h/2 times the change. Nothing of the product history is kept.
 
     The returned w column is the quadrature value of the memory
     integral; the history's w0 is ignored because the history itself
@@ -454,28 +446,27 @@ def simulate_distributed(params: ModelParams, history: HistorySpec, t_end: float
     mr = params.mu + params.r
 
     qstep = 0.5 * h
-    # the update below needs a far end apart from the newest sample; a
-    # one-interval window would need (mu+r)*h >= 60
-    ns = max(2, math.ceil(_KERNEL_SPAN / (mr * qstep)))
-    tw = np.full(ns + 1, qstep)
-    tw[0] = tw[-1] = 0.5 * qstep
-    wk = tw * np.exp(-mr * qstep * np.arange(ns + 1))
-    w0_tail, w1, w_far1, w_far = wk[[0, 1, ns - 1, ns]].tolist()
     decay = math.exp(-mr * qstep)
+    w0_tail, w1 = 0.5 * qstep, qstep * decay
 
-    # products u*v at spacing qstep back to ns samples before t = 0;
-    # ring[-1] is the newest, ring[0] the one ns samples before it
-    qu, qv = history.at(np.arange(-ns, 1) * qstep)
-    q_hist = qu * qv
-    ring = deque(q_hist.tolist(), maxlen=ns + 1)
-    # S: the weighted sum over the ns samples before the newest one
-    S = float(wk[:0:-1] @ q_hist[:ns])
+    # S: the weighted sum over every sample before the newest one. The
+    # samples reach back K half-steps, to the first at or before the
+    # history's start t0; the clamped q(t0) before that adds a geometric
+    # series. Weights more than 745/(mu+r) back underflow to zero.
+    t0 = max(history.sample_times[0], -745.0 / mr)
+    K = math.ceil(-t0 / qstep)
+    k = np.arange(1, K + 1)
+    qu, qv = history.at(-qstep * k)
+    ut0, vt0 = history.at(t0)
+    S = float(qstep * (np.exp(-mr * qstep * k) @ (qu * qv))
+              + qstep * ut0 * vt0 * decay ** (K + 1) / -math.expm1(-mr * qstep))
 
     half, sixth, eighth = 0.5 * h, h / 6.0, 0.125 * h
     bound = _DIVERGENCE_BOUND
 
     u, v = run.states[0, :2].tolist()
-    w_cur = run.states[0, 2] = S + w0_tail * ring[-1]
+    uv = u * v
+    w_cur = run.states[0, 2] = S + w0_tail * uv
 
     for i0, forcing in run.blocks():
         rows = []
@@ -489,11 +480,9 @@ def simulate_distributed(params: ModelParams, history: HistorySpec, t_end: float
                 # replace last step's seeded half product with its Hermite value
                 um = 0.5 * (pu + u) + eighth * (pku - k1u)
                 vm = 0.5 * (pv + v) + eighth * (pkv - k1v)
-                qm = um * vm
-                S += w1 * (qm - ring[-2])
-                ring[-2] = qm
+                S += w1 * (um * vm - q_seed)
             pu, pv, pku, pkv = u, v, k1u, k1v
-            S = w1 * ring[-1] + decay * (S - w_far1 * ring[1] - w_far * ring[0]) + w_far * ring[1]
+            S = decay * S + w1 * uv
             u2, v2 = u + half * k1u, v + half * k1v
             if not lagged:
                 fm = br1 * u2 * v2
@@ -504,8 +493,8 @@ def simulate_distributed(params: ModelParams, history: HistorySpec, t_end: float
                 fm = br1 * u3 * v3
             k3u = r1 * u3 * (1.0 - a1 * u3) - fm
             k3v = r2 * v3 * (1.0 - a2 * v3) + br2 * (S + w0_tail * u3 * v3)
-            ring.append(0.5 * (u2 * v2 + u3 * v3))
-            S = w1 * ring[-1] + decay * (S - w_far1 * ring[1] - w_far * ring[0]) + w_far * ring[1]
+            q_seed = 0.5 * (u2 * v2 + u3 * v3)
+            S = decay * S + w1 * q_seed
             u4, v4 = u + h * k3u, v + h * k3v
             if not lagged:
                 f4 = br1 * u4 * v4
@@ -514,7 +503,6 @@ def simulate_distributed(params: ModelParams, history: HistorySpec, t_end: float
             u += sixth * (k1u + 2.0 * (k2u + k3u) + k4u)
             v += sixth * (k1v + 2.0 * (k2v + k3v) + k4v)
             uv = u * v
-            ring.append(uv)
             w_cur = S + w0_tail * uv
             if not (abs(u) <= bound and abs(v) <= bound and abs(w_cur) <= bound):
                 raise run.diverged(i0, rows, State(u, v, w_cur))

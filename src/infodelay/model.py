@@ -29,7 +29,9 @@ __all__ = [
     "Stability",
     "Equilibrium",
     "WOracleResult",
+    "coexistence",
     "equilibria",
+    "estar_exists",
     "reduced_rhs",
     "distributed_w_oracle",
 ]

@@ -22,8 +22,8 @@ from infodelay import (
     simulate_distributed,
 )
 import infodelay
-from infodelay.integrator import _CSV_CHUNK, _KERNEL_SPAN, _MAX_BLOCK, _Run, _prominent_peaks
-from infodelay.model import State, reduced_rhs
+from infodelay.integrator import _CSV_CHUNK, _MAX_BLOCK, _Run, _prominent_peaks
+from infodelay.model import State, distributed_w_oracle, reduced_rhs
 from conftest import ESTAR, S_STAR, draw_params, make_params, screen_for_flip
 
 
@@ -363,9 +363,14 @@ def test_distributed_ignores_w0_policy():
     assert np.array_equal(a.states, b.states)
 
 
+# the direct quadrature truncates the memory kernel once it has decayed
+# below exp(-30)
+_KERNEL_SPAN = 30.0
+
+
 def _direct_quadrature(p, hist, t_end, spd):
     """simulate_distributed with the memory sum formed by a dot product
-    over the whole window at every RK stage that needs it.
+    over a window truncated at exp(-30) at every RK stage that needs it.
 
     Returns a Trajectory, or the SimulationDiverged it would raise.
     """
@@ -441,8 +446,9 @@ def _direct_quadrature(p, hist, t_end, spd):
 ], ids=["reference-pair", "s0", "clamped-ramp-history", "spd37-partial-last-block",
         "window-shorter-than-block", "diverging-start"])
 def test_memory_recurrence_matches_direct_quadrature(s, hist, t_end, spd, overrides):
-    # the sliding-window recurrence is the same truncated trapezoid sum
-    # as the dot product over the window, summed in another order
+    # the recurrence carries the untruncated trapezoid sum; the dot
+    # product over the truncated window differs from it by about e^-30
+    # relative plus rounding
     p = make_params(s, **overrides)
     want = _direct_quadrature(p, hist, t_end, spd)
     if isinstance(want, SimulationDiverged):
@@ -459,6 +465,36 @@ def test_memory_recurrence_matches_direct_quadrature(s, hist, t_end, spd, overri
     if overrides:  # the mu = 8 window spans fewer half-steps than one block
         ns = math.ceil(_KERNEL_SPAN / ((p.mu + p.r) * 0.5 * got.step))
         assert ns < 2 * spd
+
+
+def _oracle_w0(p, hist, qstep):
+    """distributed_w_oracle on the history sampled at qstep back to 40/(mu+r)."""
+    n = math.ceil(40.0 / ((p.mu + p.r) * qstep))
+    times = np.arange(-n, 1) * qstep
+    u, v = hist.at(times)
+    return distributed_w_oracle(times, u, v, p).value
+
+
+_T20 = np.linspace(-20.0, 0.0, 81)
+
+
+@pytest.mark.parametrize("hist", [
+    HistorySpec.sampled(_T20, np.column_stack([1.0 + 0.1 * np.sin(_T20), 0.9 + 0.005 * _T20])),
+    _flat(1.05, 0.95),
+], ids=["sampled-from-minus-20", "constant"])
+def test_distributed_w0_on_slow_kernel(hist):
+    # e-fold time 10: a history reaching back to t = -20 leaves about
+    # e^-2 of the kernel's weight to the clamped value before it
+    p = make_params(2.0, mu=0.0, r=0.1)
+    traj = simulate_distributed(p, hist, 1.0, 20)
+    qstep = 0.5 * traj.step
+    w0 = traj.states[0, 2]
+    assert abs(w0 - _oracle_w0(p, hist, qstep)) <= 1e-12 * abs(w0)
+    if len(hist.sample_times) == 1:
+        u0, v0 = hist.sample_values[0]
+        E = math.exp(-(p.mu + p.r) * qstep)
+        closed = qstep * u0 * v0 * (0.5 + E / (1.0 - E))
+        assert abs(w0 - closed) <= 1e-12 * abs(w0)
 
 
 # --------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Equilibria, existence predicate, zero-delay verdicts, memory oracle."""
 
+import importlib
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import infodelay
 from infodelay import (
     EquilibriumLabel,
     HistorySpec,
@@ -168,3 +170,15 @@ def test_w_oracle_matches_distributed_memory_column():
     # history before t = 0 was constant (1.05, 0.95); the oracle window
     # starts at t = 0, so allow the truncation bound plus quadrature slack
     assert abs(res.value - traj.states[-1, 2]) < 5e-3 * abs(res.value)
+
+
+def test_package_exports_are_module_exports():
+    # each re-exported name is public where it is defined, and every
+    # module lists only names it has
+    unlisted = [name for name in infodelay.__all__ if name != "__version__"
+                and name not in importlib.import_module(getattr(infodelay, name).__module__).__all__]
+    assert not unlisted, f"re-exported but not in their module's __all__: {unlisted}"
+    for sub in ("model", "cubic", "stability", "normal_form", "integrator", "plots", "cli"):
+        module = importlib.import_module(f"infodelay.{sub}")
+        missing = [name for name in module.__all__ if not hasattr(module, name)]
+        assert not missing, f"infodelay.{sub}.__all__ lists missing {missing}"
