@@ -4,7 +4,8 @@ A run is described by a flat key = value file (# starts a comment).
 The command key selects what happens:
 
     Critical   equilibria, crossing candidates and the first switch s0
-    Direction  the above plus the amplitude-equation classification
+    Direction  the above plus the amplitude-equation classification and
+               the cycle it predicts at the configured s
     Analyze    both of the above in one report
     Simulate   time integration from a constant history, with metrics
     Sweep      s0 / chi1 / chi2 / direction along one parameter axis
@@ -35,12 +36,13 @@ from .integrator import (
     cycle_metrics,
     simulate,
 )
-from .model import Equilibrium, ModelParams, State, equilibria
-from .normal_form import (NormalForm, ResonanceError, compute_normal_form, eigen_residuals,
-                          linearize)
+from .model import Equilibrium, ModelParams, ParamGrid, State, equilibria
+from .normal_form import (Direction, NormalForm, NormalForms, ResonanceError, classify,
+                          compute_normal_form, eigen_residuals, linearize, normal_forms,
+                          predicted_amplitude, predicted_component_amplitudes, predicted_period)
 from .plots import trajectory_plots
-from .stability import (CharCoeffs, GCubic, HopfCandidate, char_coeffs, g_cubic, h1_holds,
-                        hopf_candidates, near_double_root)
+from .stability import (CharCoeffs, GCubic, HopfCandidate, char_coeffs, crossing_drift, g_cubic,
+                        h1_holds, hopf_candidates, near_double_root)
 
 __all__ = [
     "Command",
@@ -62,6 +64,10 @@ _ALL_KEYS = _FLOAT_KEYS + _INT_KEYS + _STR_KEYS
 
 _DEFAULT_STEPS_PER_DELAY = 200
 _DEFAULT_TRANSIENT_FRACTION = 0.5
+# points per normal_forms call in a Sweep: large enough to amortize the
+# per-call overhead, small enough that a block's stacked arrays stay a
+# few MB at any sweep_count
+_SWEEP_BLOCK = 512
 # CycleMetrics fields in the order the Simulate report writes them
 _CYCLE_KEYS = ("classification", "amplitude", "period", "n_periods_measured",
                "spacing_cv", "envelope_ratio", "max_deviation")
@@ -239,8 +245,11 @@ class AnalysisReport:
     candidates: list[HopfCandidate] | None = None
     s0: float | None = None
     normal_form: NormalForm | None = None
-    # residuals of the normal form's eigenvector equations, written as
-    # normal_form.self_checks
+    # the cycle the normal form predicts at the configured s, written as
+    # normal_form.prediction
+    normal_form_prediction: dict | None = None
+    # residuals of the normal form's eigenvector equations and of Gamma1
+    # against the crossing root's drift, written as normal_form.self_checks
     normal_form_checks: dict | None = None
     simulation: dict | None = None
     sweep: dict | None = None
@@ -263,6 +272,7 @@ class AnalysisReport:
                 "chi1": f.chi1,
                 "chi2": f.chi2,
                 "direction": f.direction,
+                "prediction": self.normal_form_prediction,
             }
             if self.normal_form_checks is not None:
                 nf["self_checks"] = self.normal_form_checks
@@ -387,10 +397,28 @@ def _analysis_sections(report: AnalysisReport, params: ModelParams,
             notes.append(f"bifurcation direction not computed: {exc}")
         else:
             report.s0 = nf.s_star
+            report.normal_form_prediction = _prediction(nf, params.s - nf.s_star)
             rc, rd = eigen_residuals(linearize(params, estar), nf.omega_star, nf.s_star,
                                      nf.c_vec, nf.d_vec)
-            report.normal_form_checks = {"right_eigenvector_residual": rc,
-                                         "left_eigenvector_residual": rd}
+            drift = 1j * nf.omega_star + nf.s_star * crossing_drift(
+                nf.omega_star, nf.s_star, coeffs)
+            report.normal_form_checks = {
+                "right_eigenvector_residual": rc,
+                "left_eigenvector_residual": rd,
+                "gamma1_drift_residual": float(abs(nf.Gamma1 - drift) / abs(nf.Gamma1)),
+            }
+
+
+def _prediction(nf: NormalForm, delta: float) -> dict | None:
+    """The cycle the amplitude equation predicts at s = s* + delta; the
+    period is None where no cycle exists on that side of the switch."""
+    if nf.direction is Direction.DEGENERATE:
+        return None
+    amplitude = predicted_amplitude(nf, delta)
+    return {"delta": delta,
+            "amplitude": amplitude,
+            "component_amplitudes": predicted_component_amplitudes(nf, delta),
+            "period": predicted_period(nf, delta) if amplitude > 0 else None}
 
 
 def _run_simulate(report: AnalysisReport, config: RunConfig, params: ModelParams,
@@ -440,33 +468,29 @@ def _run_simulate(report: AnalysisReport, config: RunConfig, params: ModelParams
         trajectory_plots(traj, out_dir)
 
 
-def _sweep_row(config: RunConfig, value: float) -> dict:
-    row = {"value": value, "s0": None, "chi1": None, "chi2": None, "direction": None}
-    try:
-        params = config.model_params(**{config.sweep.param: value})
-    except ValueError:
-        return row
-    eq = equilibria(params)
-    if not eq[3].exists:
-        return row
-    cands = hopf_candidates(char_coeffs(params, eq[3]))
-    if not cands:
-        return row
-    row["s0"] = cands[0].delays[0]
-    try:
-        nf = compute_normal_form(params)
-    except (ValueError, ResonanceError):
-        return row
-    row["chi1"] = nf.chi1
-    row["chi2"] = nf.chi2
-    row["direction"] = nf.direction.value
-    return row
+def _sweep_rows(values: np.ndarray, nfs: NormalForms) -> list[dict]:
+    """Sweep rows of one block: s0 where the point has a switch, chi1,
+    chi2 and direction where its normal form was computed."""
+    rows = []
+    for i, value in enumerate(values.tolist()):
+        row = {"value": value, "s0": None, "chi1": None, "chi2": None, "direction": None}
+        if not math.isnan(nfs.s0[i]):
+            row["s0"] = float(nfs.s0[i])
+        if nfs.ok[i]:
+            chi1, chi2 = float(nfs.Gamma1[i].real), float(nfs.Gamma2[i].real)
+            row.update(chi1=chi1, chi2=chi2, direction=classify(chi1, chi2).value)
+        rows.append(row)
+    return rows
 
 
 def _run_sweep(report: AnalysisReport, config: RunConfig, out_dir: Path) -> None:
     opts = config.sweep
     grid = np.linspace(opts.lo, opts.hi, opts.count)
-    rows = [_sweep_row(config, float(v)) for v in grid]
+    rows = []
+    for start in range(0, opts.count, _SWEEP_BLOCK):
+        values = grid[start:start + _SWEEP_BLOCK]
+        rows += _sweep_rows(values, normal_forms(ParamGrid.of(
+            {**config.param_values, opts.param: values})))
     report.sweep = {"param": opts.param, "min": opts.lo, "max": opts.hi,
                     "count": opts.count, "rows": rows}
     with open(out_dir / "sweep.csv", "w", newline="", encoding="utf-8") as fh:

@@ -1,4 +1,4 @@
-"""Roots of a monic real cubic: one real root by Newton, then deflation.
+"""Roots of monic real cubics: one real root by Newton, then deflation.
 
 Following Kahan ("To Solve a Real Cubic Equation", 1986), one real root
 is found by Newton's method from a starting point beside the inflection
@@ -13,12 +13,17 @@ come back exactly. Two roots that agree to about 1e-7 relative are at
 the limit of double precision: the rounding of the deflated
 discriminant decides whether they come back as a real or a conjugate
 pair, but they always come back as a pair.
+
+``cubic_roots_array`` solves N cubics at once: coefficient arrays of
+shape (N,) give an (N, 3) root array, and each cubic's Newton iterates
+stop on their own while the others go on. ``cubic_roots`` and
+``real_positive_roots`` are its one-cubic case.
 """
 from __future__ import annotations
 
-import math
+import numpy as np
 
-__all__ = ["cubic_roots", "real_positive_roots"]
+__all__ = ["cubic_roots", "cubic_roots_array", "real_positive_mask", "real_positive_roots"]
 
 # Kahan's widening factor for the start beside the inflection point
 _START_FACTOR = 1.324718
@@ -29,8 +34,7 @@ _STEP_SHRINK = 1.000000000000001
 _MAX_NEWTON = 200
 
 
-def _eval(x: float, m: float, n: float, h: float
-          ) -> tuple[float, float, float, float]:
+def _eval(x, m, n, h):
     """Cubic value and slope at x, plus the deflated quadratic's b and c.
 
     Horner's scheme gives z^3 + m z^2 + n z + h = (z - x)(z^2 + b z + c)
@@ -41,63 +45,90 @@ def _eval(x: float, m: float, n: float, h: float
     return c * x + h, (x + b) * x + c, b, c
 
 
-def _quadratic_roots(b: float, c: float) -> tuple[complex, complex]:
-    """Both roots of z^2 + b z + c, free of cancellation."""
+def _quadratic_roots(b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Both roots of each z^2 + b z + c, free of cancellation, as (N, 2).
+
+    Runs under the caller's errstate: c / r is only kept where r != 0.
+    """
     half = -0.5 * b
     disc = half * half - c
-    if disc < 0.0:
-        im = math.sqrt(-disc)
-        return complex(half, -im), complex(half, im)
-    r = half + math.copysign(math.sqrt(disc), half)
-    if r == 0.0:
-        return complex(c), complex(-c)
-    return complex(c / r), complex(r)
+    pair = disc < 0.0
+    root = np.sqrt(np.abs(disc))
+    r = half + np.copysign(root, half)
+    flat = r == 0.0
+    out = np.empty(b.shape + (2,), dtype=complex)
+    out.real[:, 0] = np.where(pair, half, np.where(flat, c, c / r))
+    out.real[:, 1] = np.where(pair, half, np.where(flat, -c, r))
+    out.imag[:, 0] = np.where(pair, -root, 0.0)
+    out.imag[:, 1] = np.where(pair, root, 0.0)
+    return out
+
+
+def cubic_roots_array(m, n, h) -> np.ndarray:
+    """All three roots of z**3 + m*z**2 + n*z + h for each coefficient set.
+
+    m, n and h broadcast to one axis of N cubics; the result has shape
+    (N, 3). Each row is ordered by ascending real part, ties by
+    imaginary part. Real roots have imaginary part exactly zero; a
+    complex pair is exactly conjugate.
+    """
+    m, n, h = np.broadcast_arrays(*(np.atleast_1d(np.asarray(a, dtype=float))
+                                    for a in (m, n, h)))
+    with np.errstate(all="ignore"):
+        # h = 0 starts on the root z = 0, where the first value is 0 and
+        # Newton never moves
+        x = np.where(h == 0.0, 0.0, -m / 3.0)
+        value, slope, _, _ = _eval(x, m, n, h)
+        sign = np.where(value != 0.0, np.copysign(1.0, value), 0.0)
+        reach = np.abs(value) ** (1.0 / 3.0)
+        reach = np.where(slope < 0.0,
+                         _START_FACTOR * np.maximum(reach, np.sqrt(-slope)), reach)
+        nxt = x - sign * reach
+        newton = nxt != x
+        moving = newton.copy()
+        for _ in range(_MAX_NEWTON):
+            if not moving.any():
+                break
+            np.copyto(x, nxt, where=moving)
+            value, slope, _, _ = _eval(x, m, n, h)
+            nxt = x - value / slope / _STEP_SHRINK
+            np.copyto(nxt, x, where=slope == 0.0)
+            moving &= ~(sign * nxt <= sign * x)
+        # each x is the last point evaluated, so its b and c are the
+        # deflated quadratic's; for a large root, deflate through the
+        # constant term instead
+        _, _, b, c = _eval(x, m, n, h)
+        big = newton & (np.abs(x) * x * x > np.abs(h))
+        c = np.where(big, -h / x, c)
+        b = np.where(big, (c - n) / x, b)
+        roots = np.empty(x.shape + (3,), dtype=complex)
+        roots[:, 0] = x
+        roots[:, 1:] = _quadratic_roots(b, c)
+    return np.sort(roots, axis=1)
 
 
 def cubic_roots(m: float, n: float, h: float) -> list[complex]:
     """All three roots of z**3 + m*z**2 + n*z + h.
 
-    Roots are ordered by ascending real part, ties by imaginary part.
-    Real roots come out with imaginary part exactly zero; a complex pair
-    is exactly conjugate.
+    The one-cubic case of ``cubic_roots_array``, as a list.
     """
-    if h == 0.0:
-        x, b, c = 0.0, m, n
-    else:
-        x = -m / 3.0
-        value, slope, b, c = _eval(x, m, n, h)
-        sign = math.copysign(1.0, value) if value != 0.0 else 0.0
-        reach = abs(value) ** (1.0 / 3.0)
-        if slope < 0.0:
-            reach = _START_FACTOR * max(reach, math.sqrt(-slope))
-        nxt = x - sign * reach
-        if nxt != x:
-            for _ in range(_MAX_NEWTON):
-                x = nxt
-                value, slope, b, c = _eval(x, m, n, h)
-                nxt = x if slope == 0.0 else x - value / slope / _STEP_SHRINK
-                if sign * nxt <= sign * x:
-                    break
-            # for a large root, deflate through the constant term instead
-            if abs(x) * x * x > abs(h):
-                c = -h / x
-                b = (c - n) / x
-    roots = [complex(x), *_quadratic_roots(b, c)]
-    roots.sort(key=lambda z: (z.real, z.imag))
-    return roots
+    return [complex(z) for z in cubic_roots_array(m, n, h)[0]]
 
 
-def real_positive_roots(m: float, n: float, h: float,
-                        rel_imag: float = 1e-9,
-                        min_real: float = 1e-9) -> list[float]:
-    """Real positive roots of the cubic, ascending.
+def real_positive_mask(roots: np.ndarray, rel_imag: float = 1e-9,
+                       min_real: float = 1e-9) -> np.ndarray:
+    """Which entries of a root array are real and positive.
 
     A root is accepted when its imaginary part is below ``rel_imag``
     relative to its modulus (guards against spurious complex pairs that
     merely graze the real axis) and its real part exceeds ``min_real``.
     """
-    out = []
-    for z in cubic_roots(m, n, h):
-        if abs(z.imag) <= rel_imag * abs(z) and z.real > min_real:
-            out.append(z.real)
-    return out
+    return (np.abs(roots.imag) <= rel_imag * np.abs(roots)) & (roots.real > min_real)
+
+
+def real_positive_roots(m: float, n: float, h: float,
+                        rel_imag: float = 1e-9,
+                        min_real: float = 1e-9) -> list[float]:
+    """Real positive roots of the cubic, ascending (see ``real_positive_mask``)."""
+    roots = cubic_roots_array(m, n, h)[0]
+    return roots.real[real_positive_mask(roots, rel_imag, min_real)].tolist()

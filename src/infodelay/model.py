@@ -12,6 +12,11 @@ With the unnormalized weight kernel exp(-(mu+r)*tau) the w-equation is
 the exact reduction of the distributed form; ``distributed_w_oracle``
 evaluates that integral directly so the reduction can be cross-checked
 against quadrature instead of trusted blindly.
+
+``ParamGrid`` carries the parameters of N points as arrays, for the
+analysis chain that evaluates many points at once; ``params_valid`` and
+``coexistence_points`` are its forms of ModelParams' checks and of the
+coexistence point.
 """
 from __future__ import annotations
 
@@ -28,10 +33,13 @@ __all__ = [
     "EquilibriumLabel",
     "Stability",
     "Equilibrium",
+    "ParamGrid",
     "WOracleResult",
     "coexistence",
+    "coexistence_points",
     "equilibria",
     "estar_exists",
+    "params_valid",
     "reduced_rhs",
     "distributed_w_oracle",
 ]
@@ -70,17 +78,60 @@ class ModelParams:
     s: float
 
     def __post_init__(self) -> None:
-        for name in _PARAM_FIELDS:
-            value = getattr(self, name)
-            if not isinstance(value, (int, float)) or not math.isfinite(value):
-                raise ValueError(f"{name} must be a finite number, got {value!r}")
-        for name in ("r1", "r2", "a1", "a2", "r"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)!r}")
-        if not self.mu >= 0:
-            raise ValueError(f"mu must be nonnegative, got {self.mu!r}")
-        if not self.s >= 0:
-            raise ValueError(f"s must be nonnegative, got {self.s!r}")
+        for names, holds, what in _RULES:
+            for name in names:
+                value = getattr(self, name)
+                if not (isinstance(value, (int, float)) and holds(value)):
+                    raise ValueError(f"{name} {what}, got {value!r}")
+
+
+# the rules ModelParams enforces, in the order it checks them: the
+# fields a rule covers, its test, and the end of its error message
+_RULES = (
+    (_PARAM_FIELDS, np.isfinite, "must be a finite number"),
+    (("r1", "r2", "a1", "a2", "r"), lambda x: x > 0, "must be positive"),
+    (("mu", "s"), lambda x: x >= 0, "must be nonnegative"),
+)
+
+
+class ParamGrid(NamedTuple):
+    """ModelParams fields as arrays over one axis of N points.
+
+    Nothing is checked on construction: ``params_valid`` gives the
+    per-point mask of the rules ModelParams enforces.
+    """
+
+    r1: np.ndarray
+    r2: np.ndarray
+    a1: np.ndarray
+    a2: np.ndarray
+    b1: np.ndarray
+    b2: np.ndarray
+    mu: np.ndarray
+    r: np.ndarray
+    s: np.ndarray
+
+    @classmethod
+    def of(cls, values) -> ParamGrid:
+        """Broadcast a ModelParams, or a field -> number or 1-D array
+        mapping, to one point axis (N = 1 for all numbers)."""
+        if isinstance(values, ModelParams):
+            values = {name: getattr(values, name) for name in _PARAM_FIELDS}
+        return cls(*np.broadcast_arrays(
+            *(np.atleast_1d(np.asarray(values[name], dtype=float)) for name in _PARAM_FIELDS)))
+
+    def take(self, which) -> ParamGrid:
+        """The points an index array or boolean mask selects."""
+        return ParamGrid(*(a[which] for a in self))
+
+
+def params_valid(p: ParamGrid) -> np.ndarray:
+    """Per-point mask: True where ModelParams would accept the values."""
+    ok = np.ones(np.shape(p.r1), dtype=bool)
+    for names, holds, _ in _RULES:
+        for name in names:
+            ok &= holds(getattr(p, name))
+    return ok
 
 
 class EquilibriumLabel(str, Enum):
@@ -125,10 +176,26 @@ def estar_exists(params: ModelParams) -> bool:
     ``equilibria``; in particular it forces the shared denominator
     a1*a2*(mu+r) + b1*b2 to be positive.
     """
-    mr = params.mu + params.r
-    return (params.b1 < params.a2
-            and params.a1 * params.a2 * mr > max(-params.b1 * params.b2,
-                                                 -params.a2 * params.b2))
+    return bool(coexistence_points(params)[0])
+
+
+def coexistence_points(p) -> tuple[np.ndarray, State]:
+    """Existence mask and closed-form coexistence point, elementwise.
+
+    Works on a ModelParams or a ParamGrid. Where the shared denominator
+    a1*a2*(mu+r) + b1*b2 vanishes the point is NaN; existence forces it
+    positive.
+    """
+    mr = p.mu + p.r
+    exists = (p.b1 < p.a2) & (p.a1 * p.a2 * mr > np.maximum(-p.b1 * p.b2, -p.a2 * p.b2))
+    den = p.a1 * p.a2 * mr + p.b1 * p.b2
+    flat = den == 0.0
+    den = np.where(flat, 1.0, den)
+    u_star = np.where(flat, math.nan, (p.a2 - p.b1) * mr / den)
+    v_star = np.where(flat, math.nan, (p.a1 * mr + p.b2) / den)
+    # w* = u*v*/(mu+r) by construction; identical to the closed form
+    # (a2-b1)(a1(mu+r)+b2)/den^2 after the mr factor cancels.
+    return exists, State(u_star, v_star, u_star * v_star / mr)
 
 
 def equilibria(params: ModelParams) -> list[Equilibrium]:
@@ -162,18 +229,8 @@ def equilibria(params: ModelParams) -> list[Equilibrium]:
     out.append(Equilibrium(EquilibriumLabel.E2, State(0.0, 1.0 / params.a2, 0.0),
                            True, e2_stab))
 
-    exists = estar_exists(params)
-    den = params.a1 * params.a2 * mr + params.b1 * params.b2
-    if den != 0.0:
-        u_star = (params.a2 - params.b1) * mr / den
-        v_star = (params.a1 * mr + params.b2) / den
-        # w* = u*v*/(mu+r) by construction; identical to the closed form
-        # (a2-b1)(a1(mu+r)+b2)/den^2 after the mr factor cancels.
-        point = State(u_star, v_star, u_star * v_star / mr)
-    else:
-        # degenerate shared denominator: no coexistence point to report
-        point = State(math.nan, math.nan, math.nan)
-    out.append(Equilibrium(EquilibriumLabel.ESTAR, point, exists,
+    exists, point = coexistence_points(params)
+    out.append(Equilibrium(EquilibriumLabel.ESTAR, State(*map(float, point)), bool(exists),
                            Stability.UNDETERMINED))
     return out
 

@@ -27,22 +27,34 @@ which tends to 2*pi/omega only as delta -> 0.
 All vectors are computed by solving the defining linear systems
 directly; closed-form component ratios only appear in tests as cross
 checks.
+
+The chain runs on stacks of N crossings: Linearization matrices of
+shape (N, 3, 3), frequencies and delays of shape (N,), vectors of
+shape (N, 3). One SVD of each crossing matrix gives both null vectors,
+and the second-order eigenvalue checks and solves are stacked LAPACK
+calls. ``normal_forms`` evaluates a whole parameter grid. Failures are
+per point: a failing point is left out of the results and its
+exception recorded, not raised. ``right_eigvec``, ``left_eigvec``,
+``second_order``, ``gammas`` and ``compute_normal_form`` are the
+one-point case and raise that exception.
 """
 from __future__ import annotations
 
-import cmath
+import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
-from .model import Equilibrium, EquilibriumLabel, ModelParams, coexistence
-from .stability import _jacobian, char_coeffs, hopf_candidates
+from .model import Equilibrium, EquilibriumLabel, ModelParams, ParamGrid, State
+from .stability import _jacobian, first_switches
 
 __all__ = [
     "Direction",
     "Linearization",
     "NormalForm",
+    "NormalForms",
     "ResonanceError",
     "linearize",
     "right_eigvec",
@@ -53,13 +65,16 @@ __all__ = [
     "classify",
     "predicted_amplitude",
     "predicted_component_amplitudes",
+    "predicted_period",
     "compute_normal_form",
+    "normal_forms",
 ]
 
 # eigenvalue-distance floor below which the second-order solves are
 # rejected as resonant instead of returning garbage
 _RESONANCE_TOL = 1e-8
 _DEGENERATE_PRODUCT = 1e-12
+_EYE = np.eye(3)
 
 
 class Direction(str, Enum):
@@ -80,7 +95,8 @@ class Linearization:
     F_quadratic holds the four nonzero quadratic coefficients of the
     right-hand side: keys "u2" (u^2, instantaneous), "uv_delayed"
     (product of delayed u and v), "v2" (v^2), "uv" (instantaneous u*v
-    feeding the memory variable).
+    feeding the memory variable). For a stack of N equilibria A and As
+    have shape (N, 3, 3) and the coefficients shape (N,).
     """
 
     A: np.ndarray
@@ -103,21 +119,21 @@ class NormalForm:
     direction: Direction | None = None
 
 
-def linearize(params: ModelParams, estar: Equilibrium) -> Linearization:
-    if estar.label is not EquilibriumLabel.ESTAR or not estar.exists:
-        raise ValueError("linearize requires the existing coexistence equilibrium")
-    u, v = estar.point.u, estar.point.v
-    ju, jv, mr, br2, bv, bu = _jacobian(params, estar)
-    a = np.array([
-        [ju, 0.0, 0.0],
-        [0.0, jv, br2],
-        [v, u, -mr],
-    ])
-    a_s = np.array([
-        [-bv, -bu, 0.0],
-        [0.0, 0.0, 0.0],
-        [0.0, 0.0, 0.0],
-    ])
+def _linearize(params, point: State) -> Linearization:
+    """Linearization at the coexistence point; floats give (3, 3)
+    matrices, (N,) arrays a stack of N."""
+    ju, jv, mr, br2, bv, bu = _jacobian(params, point)
+    shape = np.broadcast(ju, jv, mr, br2, bv, bu).shape
+    a = np.zeros(shape + (3, 3))
+    a[..., 0, 0] = ju
+    a[..., 1, 1] = jv
+    a[..., 1, 2] = br2
+    a[..., 2, 0] = point.v
+    a[..., 2, 1] = point.u
+    a[..., 2, 2] = -mr
+    a_s = np.zeros(shape + (3, 3))
+    a_s[..., 0, 0] = -bv
+    a_s[..., 0, 1] = -bu
     fq = {
         "u2": -params.a1 * params.r1,
         "uv_delayed": -params.b1 * params.r1,
@@ -127,69 +143,121 @@ def linearize(params: ModelParams, estar: Equilibrium) -> Linearization:
     return Linearization(A=a, As=a_s, F_quadratic=fq)
 
 
-def _cross_matrix(lin: Linearization, omega: float, s: float) -> np.ndarray:
-    """A + As*exp(-i*omega*s) - i*omega*I, singular exactly at a crossing."""
-    e = cmath.exp(-1j * omega * s)
-    return lin.A + lin.As * e - 1j * omega * np.eye(3)
+def linearize(params: ModelParams, estar: Equilibrium) -> Linearization:
+    if estar.label is not EquilibriumLabel.ESTAR or not estar.exists:
+        raise ValueError("linearize requires the existing coexistence equilibrium")
+    return _linearize(params, estar.point)
+
+
+def _stack(lin: Linearization) -> Linearization:
+    """One linearization as a stack of one."""
+    return Linearization(A=np.asarray(lin.A)[None], As=np.asarray(lin.As)[None],
+                         F_quadratic=lin.F_quadratic)
+
+
+def _one(x) -> np.ndarray:
+    """A number or a vector as a stack of one."""
+    return np.asarray(x)[None]
+
+
+def _raise_first(errors: dict[int, Exception]) -> None:
+    if errors:
+        raise errors[0]
+
+
+def _cross_matrix(lin: Linearization, omega: np.ndarray, s: np.ndarray):
+    """A + As*E - i*omega*I with E = exp(-i*omega*s), singular exactly at
+    a crossing: the (N, 3, 3) stack and E."""
+    e = np.exp(-1j * omega * s)
+    return lin.A + lin.As * e[:, None, None] - 1j * omega[:, None, None] * _EYE, e
+
+
+def _matvec(m: np.ndarray, x: np.ndarray) -> np.ndarray:
+    return (m * x[:, None, :]).sum(axis=2)
+
+
+def _inf_norm(x: np.ndarray) -> np.ndarray:
+    return np.abs(x).max(axis=1)
+
+
+def _null_vectors(lin: Linearization, omega: np.ndarray, s: np.ndarray,
+                  c_given: np.ndarray | None = None
+                  ) -> tuple[np.ndarray, np.ndarray, dict[int, Exception], dict[int, Exception]]:
+    """Right and left null vectors of N crossing matrices, one SVD each.
+
+    c is pinned to middle component 1, which fixes the free phase: the
+    middle component never vanishes at a genuine crossing of this model
+    (it is coupled to both others). d has the bilinear normalization
+    d*(I + s*As*E)*c = 1 against c_given, or against c when none is
+    given; the factor is the lambda-derivative of the characteristic
+    matrix sandwiched between the null vectors and vanishes only at a
+    double root. Returns c, d, then the failures of the crossing test,
+    the middle component and the residual (right), and those of the
+    crossing test and the normalization (left).
+    """
+    n, e = _cross_matrix(lin, omega, s)
+    u, sig, vh = np.linalg.svd(n)
+    c = vh[:, -1, :].conj()
+    mid = c[:, 1]
+    flat = np.abs(mid) < 1e-12 * np.linalg.norm(c, axis=1)
+    c = c / np.where(flat, 1.0, mid)[:, None]
+    resid = _inf_norm(_matvec(n, c)) / _inf_norm(c)
+    c_norm = c if c_given is None else c_given
+    d = u[:, :, -1].conj()
+    den = (d * _matvec(_EYE + s[:, None, None] * lin.As * e[:, None, None], c_norm)).sum(axis=1)
+    degenerate = np.abs(den) < _DEGENERATE_PRODUCT * np.maximum(
+        1.0, np.linalg.norm(c_norm, axis=1))
+    d = d / np.where(degenerate, 1.0, den)[:, None]
+
+    right: dict[int, Exception] = {}
+    left: dict[int, Exception] = {}
+    for i in np.flatnonzero(sig[:, -1] > 1e-6 * sig[:, 0]).tolist():
+        right[i] = left[i] = ValueError(
+            f"(omega={float(omega[i])!r}, s={float(s[i])!r}) is not a crossing: smallest "
+            f"singular value {sig[i, -1]:.3e} vs largest {sig[i, 0]:.3e}")
+    for i in np.flatnonzero(flat).tolist():
+        right.setdefault(i, ValueError(
+            "eigenvector middle component vanishes; cannot normalize"))
+    for i in np.flatnonzero(resid > 1e-8).tolist():
+        right.setdefault(i, ValueError(f"right eigenvector residual {resid[i]:.3e} too large"))
+    for i in np.flatnonzero(degenerate).tolist():
+        left.setdefault(i, ValueError("degenerate crossing: normalization product vanishes "
+                                      "(double characteristic root)"))
+    return c, d, right, left
 
 
 def right_eigvec(lin: Linearization, omega: float, s: float) -> np.ndarray:
     """Right null vector of the crossing matrix, middle component 1.
 
-    The middle component never vanishes at a genuine crossing of this
-    model (it is coupled to both others), so pinning it fixes the free
-    phase deterministically.
+    The one-point case of ``_null_vectors``.
     """
-    n = _cross_matrix(lin, omega, s)
-    _, sig, vh = np.linalg.svd(n)
-    if sig[-1] > 1e-6 * sig[0]:
-        raise ValueError(
-            f"(omega={omega!r}, s={s!r}) is not a crossing: smallest singular "
-            f"value {sig[-1]:.3e} vs largest {sig[0]:.3e}")
-    c = vh[-1].conj()
-    if abs(c[1]) < 1e-12 * np.linalg.norm(c):
-        raise ValueError("eigenvector middle component vanishes; cannot normalize")
-    c = c / c[1]
-    resid = np.linalg.norm(n @ c, np.inf) / np.linalg.norm(c, np.inf)
-    if resid > 1e-8:
-        raise ValueError(f"right eigenvector residual {resid:.3e} too large")
-    return c
+    c, _, errors, _ = _null_vectors(_stack(lin), _one(omega), _one(s))
+    _raise_first(errors)
+    return c[0]
 
 
 def left_eigvec(lin: Linearization, omega: float, s: float, c: np.ndarray) -> np.ndarray:
     """Left null vector d with the bilinear normalization d*(I + s*As*E)*c = 1.
 
-    The normalizing factor is the lambda-derivative of the characteristic
-    matrix sandwiched between the eigenvectors; it vanishes only at a
-    double root, which is rejected as degenerate.
+    The one-point case of ``_null_vectors``; a double root is rejected
+    as degenerate.
     """
-    n = _cross_matrix(lin, omega, s)
-    u, sig, _ = np.linalg.svd(n)
-    if sig[-1] > 1e-6 * sig[0]:
-        raise ValueError(
-            f"(omega={omega!r}, s={s!r}) is not a crossing: smallest singular "
-            f"value {sig[-1]:.3e} vs largest {sig[0]:.3e}")
-    d = u[:, -1].conj()
-    e = cmath.exp(-1j * omega * s)
-    den = d @ (np.eye(3) + s * lin.As * e) @ c
-    if abs(den) < _DEGENERATE_PRODUCT * max(1.0, float(np.linalg.norm(c))):
-        raise ValueError("degenerate crossing: normalization product vanishes "
-                         "(double characteristic root)")
-    return d / den
+    _, d, _, errors = _null_vectors(_stack(lin), _one(omega), _one(s), _one(c))
+    _raise_first(errors)
+    return d[0]
 
 
 def eigen_residuals(lin: Linearization, omega: float, s: float,
                     c: np.ndarray, d: np.ndarray) -> tuple[float, float]:
     """Scaled residuals of the right and left eigenvector equations."""
-    n = _cross_matrix(lin, omega, s)
+    n = _cross_matrix(_stack(lin), _one(omega), _one(s))[0][0]
     rc = np.linalg.norm(n @ c, np.inf) / np.linalg.norm(c, np.inf)
     rd = np.linalg.norm(d @ n, np.inf) / np.linalg.norm(d, np.inf)
     return float(rc), float(rd)
 
 
-def _quad_products(fq: dict[str, float], c: np.ndarray, e2: complex
-                   ) -> tuple[np.ndarray, np.ndarray]:
-    """Quadratic forcing at twice the crossing frequency and at zero.
+def _quad_products(fq: dict, c: np.ndarray, e2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Quadratic forcing at twice the crossing frequency and at zero, (N, 3).
 
     The first-order wave c*exp(i*omega*t) squares into a double-frequency
     part (coefficient of H^2) and a constant part (coefficient of
@@ -197,49 +265,90 @@ def _quad_products(fq: dict[str, float], c: np.ndarray, e2: complex
     factors pick up exp(-i*omega*s) per delayed slot: e2 at double
     frequency, unit modulus squared (nothing) at zero.
     """
-    c1, c2 = c[0], c[1]
-    p2 = np.array([
+    c1, c2 = c[:, 0], c[:, 1]
+    p2 = np.stack(np.broadcast_arrays(
         fq["u2"] * c1 * c1 + fq["uv_delayed"] * c1 * c2 * e2,
         fq["v2"] * c2 * c2,
-        fq["uv"] * c1 * c2,
-    ])
+        fq["uv"] * c1 * c2), axis=1)
     cross = 2.0 * (c1 * np.conj(c2)).real
-    p0 = np.array([
-        2.0 * fq["u2"] * abs(c1) ** 2 + fq["uv_delayed"] * cross,
-        2.0 * fq["v2"] * abs(c2) ** 2,
-        fq["uv"] * cross,
-    ])
+    p0 = np.stack(np.broadcast_arrays(
+        2.0 * fq["u2"] * np.abs(c1) ** 2 + fq["uv_delayed"] * cross,
+        2.0 * fq["v2"] * np.abs(c2) ** 2,
+        fq["uv"] * cross), axis=1)
     return p2, p0
+
+
+def _solve(m: np.ndarray, rhs: np.ndarray, skip: np.ndarray) -> np.ndarray:
+    """Stacked solve of m x = rhs; rows marked skip solve I x = rhs
+    instead, so one singular matrix cannot fail the whole stack."""
+    m = np.where(skip[:, None, None], _EYE, m)
+    return np.linalg.solve(m, rhs[..., None])[..., 0]
+
+
+def _second_order(lin: Linearization, omega: np.ndarray, s: np.ndarray, c: np.ndarray
+                  ) -> tuple[np.ndarray, np.ndarray, dict[int, Exception]]:
+    """Second-order response vectors of N crossings, and their failures.
+
+    If 2i*omega*s sits within _RESONANCE_TOL of the spectrum of
+    s*(A + As*E^2) the double frequency is itself a characteristic root
+    (2:1 resonance), and if s*(A + As) has an eigenvalue that close to
+    zero the constant shift is indeterminate. Either case invalidates
+    the expansion at that point, which gets a ResonanceError instead of
+    an ill-conditioned solve.
+    """
+    e2 = np.exp(-2j * omega * s)
+    p2, p0 = _quad_products(lin.F_quadratic, c, e2)
+    shift = 2j * omega * s
+
+    m2 = s[:, None, None] * (lin.A + lin.As * e2[:, None, None])
+    gap2 = np.abs(np.linalg.eigvals(m2) - shift[:, None]).min(axis=1)
+    res2 = gap2 < _RESONANCE_TOL
+    e_vec = _solve(shift[:, None, None] * _EYE - m2, s[:, None] * p2, res2)
+
+    m0 = s[:, None, None] * (lin.A + lin.As)
+    gap0 = np.abs(np.linalg.eigvals(m0)).min(axis=1)
+    res0 = gap0 < _RESONANCE_TOL
+    f_vec = _solve(-m0, s[:, None] * p0.real, res0)
+
+    errors: dict[int, Exception] = {}
+    for i in np.flatnonzero(res2).tolist():
+        errors[i] = ResonanceError(
+            f"2:1 resonance: double frequency within {gap2[i]:.3e} of the spectrum")
+    for i in np.flatnonzero(res0).tolist():
+        errors.setdefault(i, ResonanceError(
+            f"zero eigenvalue: constant-shift matrix within {gap0[i]:.3e} of singular"))
+    return e_vec, f_vec, errors
 
 
 def second_order(lin: Linearization, omega: float, s: float, c: np.ndarray
                  ) -> tuple[np.ndarray, np.ndarray]:
     """Second-order response vectors: e at frequency 2*omega, f at zero.
 
-    Both solves are guarded: if 2i*omega*s sits within _RESONANCE_TOL of
-    the spectrum of s*(A + As*E^2) the double frequency is itself a
-    characteristic root (2:1 resonance), and if s*(A + As) has an
-    eigenvalue that close to zero the constant shift is indeterminate.
-    Either case invalidates the expansion, so it aborts instead of
-    returning an ill-conditioned solve.
+    The one-point case of ``_second_order``: raises ResonanceError at a
+    2:1 resonance or a zero eigenvalue instead of returning an
+    ill-conditioned solve.
     """
-    e2 = cmath.exp(-2j * omega * s)
-    p2, p0 = _quad_products(lin.F_quadratic, c, e2)
+    e_vec, f_vec, errors = _second_order(_stack(lin), _one(omega), _one(s), _one(c))
+    _raise_first(errors)
+    return e_vec[0], f_vec[0]
 
-    m2 = s * (lin.A + lin.As * e2)
-    gap2 = np.min(np.abs(np.linalg.eigvals(m2) - 2j * omega * s))
-    if gap2 < _RESONANCE_TOL:
-        raise ResonanceError(
-            f"2:1 resonance: double frequency within {gap2:.3e} of the spectrum")
-    e_vec = np.linalg.solve(2j * omega * s * np.eye(3) - m2, s * p2)
 
-    m0 = s * (lin.A + lin.As)
-    gap0 = np.min(np.abs(np.linalg.eigvals(m0)))
-    if gap0 < _RESONANCE_TOL:
-        raise ResonanceError(
-            f"zero eigenvalue: constant-shift matrix within {gap0:.3e} of singular")
-    f_vec = np.linalg.solve(-m0, s * p0.real)
-    return e_vec, f_vec
+def _gammas(lin: Linearization, omega: np.ndarray, s: np.ndarray, c: np.ndarray,
+            d: np.ndarray, e_vec: np.ndarray, f_vec: np.ndarray
+            ) -> tuple[np.ndarray, np.ndarray]:
+    ex = np.exp(-1j * omega * s)
+    gamma1 = np.einsum("ni,nij,nj->n", d, lin.A + lin.As * ex[:, None, None], c)
+
+    fq = lin.F_quadratic
+    c1, c2 = c[:, 0], c[:, 1]
+    e1, e2c = e_vec[:, 0], e_vec[:, 1]
+    f1, f2 = f_vec[:, 0], f_vec[:, 1]
+    mix_uv = c1 * f2 + np.conj(c1) * e2c + c2 * f1 + np.conj(c2) * e1
+    m_vec = np.stack(np.broadcast_arrays(
+        2.0 * fq["u2"] * (c1 * f1 + np.conj(c1) * e1) + fq["uv_delayed"] * ex * mix_uv,
+        2.0 * fq["v2"] * (c2 * f2 + np.conj(c2) * e2c),
+        fq["uv"] * mix_uv), axis=1)
+    return gamma1, -s * np.einsum("ni,ni->n", d, m_vec)
 
 
 def gammas(lin: Linearization, omega: float, s: float, c: np.ndarray,
@@ -254,21 +363,9 @@ def gammas(lin: Linearization, omega: float, s: float, c: np.ndarray,
     assembled from the component products, delayed slots weighted by E
     (the net delay factor of a wave at frequency +omega).
     """
-    ex = cmath.exp(-1j * omega * s)
-    gamma1 = d @ (lin.A + lin.As * ex) @ c
-
-    fq = lin.F_quadratic
-    c1, c2 = c[0], c[1]
-    e1, e2c, _ = e_vec
-    f1, f2, _ = f_vec
-    mix_uv = c1 * f2 + np.conj(c1) * e2c + c2 * f1 + np.conj(c2) * e1
-    m_vec = np.array([
-        2.0 * fq["u2"] * (c1 * f1 + np.conj(c1) * e1) + fq["uv_delayed"] * ex * mix_uv,
-        2.0 * fq["v2"] * (c2 * f2 + np.conj(c2) * e2c),
-        fq["uv"] * mix_uv,
-    ])
-    gamma2 = -s * (d @ m_vec)
-    return complex(gamma1), complex(gamma2)
+    g1, g2 = _gammas(_stack(lin), _one(omega), _one(s), _one(c), _one(d),
+                     _one(e_vec), _one(f_vec))
+    return complex(g1[0]), complex(g2[0])
 
 
 def classify(chi1: float, chi2: float) -> Direction:
@@ -278,6 +375,11 @@ def classify(chi1: float, chi2: float) -> Direction:
     return Direction.SUPERCRITICAL if prod > 0 else Direction.SUBCRITICAL
 
 
+def _require_direction(nf: NormalForm) -> None:
+    if nf.direction is None or nf.direction is Direction.DEGENERATE:
+        raise ValueError("bifurcation direction is degenerate or not computed")
+
+
 def predicted_amplitude(nf: NormalForm, delta: float) -> float:
     """Radius of the bifurcating cycle at delay s* + delta (0 if none).
 
@@ -285,8 +387,7 @@ def predicted_amplitude(nf: NormalForm, delta: float) -> float:
     rho^2 = delta*chi1/chi2; a negative right side means no cycle on
     that side of the switch.
     """
-    if nf.direction is None or nf.direction is Direction.DEGENERATE:
-        raise ValueError("bifurcation direction is degenerate or not computed")
+    _require_direction(nf)
     rho2 = delta * nf.chi1 / nf.chi2
     return float(np.sqrt(rho2)) if rho2 > 0 else 0.0
 
@@ -297,34 +398,96 @@ def predicted_component_amplitudes(nf: NormalForm, delta: float) -> np.ndarray:
     return 2.0 * rho * np.abs(nf.c_vec)
 
 
+def predicted_period(nf: NormalForm, delta: float) -> float:
+    """Period in t of the cycle at delay s = s* + delta: the module
+    docstring's T(delta) = 2*pi*s / (omega*s* + delta*(Im Gamma1 -
+    Im Gamma2*chi1/chi2)). Meaningful where predicted_amplitude > 0."""
+    _require_direction(nf)
+    drift = delta * (nf.Gamma1.imag - nf.Gamma2.imag * nf.chi1 / nf.chi2)
+    return 2.0 * math.pi * (nf.s_star + delta) / (nf.omega_star * nf.s_star + drift)
+
+
+class NormalForms(NamedTuple):
+    """``compute_normal_form`` over N parameter sets, point axis first.
+
+    s0 is the first switch, NaN where there is none. ok marks the
+    points whose normal form was computed; the other fields are NaN
+    elsewhere. errors maps each other point that passes ModelParams'
+    rules to the exception ``compute_normal_form`` raises there.
+    """
+
+    s0: np.ndarray
+    omega_star: np.ndarray
+    c_vec: np.ndarray
+    d_vec: np.ndarray
+    e_vec: np.ndarray
+    f_vec: np.ndarray
+    Gamma1: np.ndarray
+    Gamma2: np.ndarray
+    ok: np.ndarray
+    errors: dict[int, Exception]
+
+
+def normal_forms(p: ParamGrid) -> NormalForms:
+    """Normal form at the first switch of every point of a parameter grid.
+
+    Uses the smallest crossing delay over all candidate ladders. A
+    point without the coexistence equilibrium, without a crossing, or
+    where a step of the reduction fails gets no normal form.
+    """
+    n = len(p.r1)
+    sw = first_switches(p)
+    errors = dict(sw.errors)
+    none = sw.valid.copy()
+    none[list(errors)] = False
+    none[sw.idx] = False
+    errors.update({i: ValueError("no imaginary-axis crossings: stability never switches")
+                   for i in np.flatnonzero(none).tolist()})
+
+    omega, s = sw.omega, sw.s0
+    lin = _linearize(sw.params, sw.point)
+    c, d, right, left = _null_vectors(lin, omega, s)
+    e_vec, f_vec, resonant = _second_order(lin, omega, s, c)
+    gamma1, gamma2 = _gammas(lin, omega, s, c, d, e_vec, f_vec)
+    # the first failure of each point, in the order of the steps
+    failed = {**resonant, **left, **right}
+    errors.update({int(sw.idx[i]): exc for i, exc in failed.items()})
+    good = np.ones(len(sw.idx), dtype=bool)
+    good[list(failed)] = False
+
+    ok = np.zeros(n, dtype=bool)
+    ok[sw.idx[good]] = True
+
+    def scatter(values: np.ndarray) -> np.ndarray:
+        out = np.full((n,) + values.shape[1:], np.nan, dtype=values.dtype)
+        out[ok] = values[good]
+        return out
+
+    s0 = np.full(n, np.nan)
+    s0[sw.idx] = s
+    return NormalForms(
+        s0=s0, omega_star=scatter(omega), c_vec=scatter(c), d_vec=scatter(d),
+        e_vec=scatter(e_vec), f_vec=scatter(f_vec), Gamma1=scatter(gamma1),
+        Gamma2=scatter(gamma2), ok=ok, errors=errors)
+
+
 def compute_normal_form(params: ModelParams) -> NormalForm:
     """Full pipeline from parameters to classified amplitude equation.
 
-    Uses the smallest crossing delay over all candidate ladders. Raises
-    when the coexistence equilibrium is missing or no crossing exists.
+    The one-point case of ``normal_forms``. Raises when the coexistence
+    equilibrium is missing, no crossing exists, or a step fails.
     """
-    estar = coexistence(params)
-    if not estar.exists:
-        raise ValueError("coexistence equilibrium does not exist for these parameters")
-    coeffs = char_coeffs(params, estar)
-    cands = hopf_candidates(coeffs)
-    if not cands:
-        raise ValueError("no imaginary-axis crossings: stability never switches")
-    omega, s_star = cands[0].omega, cands[0].delays[0]
-
-    lin = linearize(params, estar)
-    c = right_eigvec(lin, omega, s_star)
-    d = left_eigvec(lin, omega, s_star, c)
-    e_vec, f_vec = second_order(lin, omega, s_star, c)
-    gamma1, gamma2 = gammas(lin, omega, s_star, c, d, e_vec, f_vec)
+    nfs = normal_forms(ParamGrid.of(params))
+    _raise_first(nfs.errors)
+    gamma1, gamma2 = complex(nfs.Gamma1[0]), complex(nfs.Gamma2[0])
     chi1, chi2 = gamma1.real, gamma2.real
     return NormalForm(
-        omega_star=omega,
-        s_star=s_star,
-        c_vec=c,
-        d_vec=d,
-        e_vec=e_vec,
-        f_vec=f_vec,
+        omega_star=float(nfs.omega_star[0]),
+        s_star=float(nfs.s0[0]),
+        c_vec=nfs.c_vec[0],
+        d_vec=nfs.d_vec[0],
+        e_vec=nfs.e_vec[0],
+        f_vec=nfs.f_vec[0],
         Gamma1=gamma1,
         Gamma2=gamma2,
         chi1=chi1,

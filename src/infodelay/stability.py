@@ -12,25 +12,42 @@ root carries a ladder of delays s_k^(j) at which the crossing happens,
 and the sign of G'(z) gives the crossing direction of the root pair's
 real part as s grows. The smallest ladder element over all roots is the
 first stability switch s0.
+
+The chain from parameters to s0 runs on arrays with one leading axis
+of N points: ``char_coeffs``' arithmetic, ``g_cubic`` and the Jacobian
+entries take (N,) arrays as written, ``crossing_candidates`` gives the
+(N, 3) candidates of N equations (one column per root of G), and
+``first_switches`` the smallest base delay of N parameter sets, point
+by point. ``hopf_candidates``, ``transversality_sign`` and ``s0`` are
+their one-point case.
 """
 from __future__ import annotations
 
 import cmath
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
+from typing import NamedTuple
 
-from .cubic import cubic_roots, real_positive_roots
-from .model import Equilibrium, EquilibriumLabel, ModelParams, coexistence
+import numpy as np
+
+from .cubic import cubic_roots, cubic_roots_array, real_positive_mask
+from .model import (Equilibrium, EquilibriumLabel, ModelParams, ParamGrid, State,
+                    coexistence_points, params_valid)
 
 __all__ = [
     "CharCoeffs",
+    "Crossings",
     "GCubic",
     "Transversality",
     "HopfCandidate",
+    "Switches",
     "char_coeffs",
     "char_value",
+    "crossing_candidates",
+    "crossing_drift",
+    "first_switches",
     "h1_holds",
     "g_cubic",
     "hopf_candidates",
@@ -106,15 +123,15 @@ class HopfCandidate:
     transversality_sign: Transversality
 
 
-def _jacobian(params: ModelParams, estar: Equilibrium
-              ) -> tuple[float, float, float, float, float, float]:
+def _jacobian(params, point: State) -> tuple:
     """The nonzero Jacobian entries at the coexistence point (u*, v*).
 
     Returns ju and jv, the slopes of the two logistic terms; mr = mu + r;
     br2 = b2*r2, the feed of w into v; and b1*r1*v*, b1*r1*u*, the
     slopes of the delayed loss term in delayed u and delayed v.
+    Elementwise: params and point may hold floats or (N,) arrays.
     """
-    u, v = estar.point.u, estar.point.v
+    u, v = point.u, point.v
     br1 = params.b1 * params.r1
     return (params.r1 * (1.0 - 2.0 * params.a1 * u),
             params.r2 * (1.0 - 2.0 * params.a2 * v),
@@ -124,12 +141,9 @@ def _jacobian(params: ModelParams, estar: Equilibrium
             br1 * u)
 
 
-def char_coeffs(params: ModelParams, estar: Equilibrium) -> CharCoeffs:
-    """The six characteristic coefficients at the coexistence equilibrium."""
-    if estar.label is not EquilibriumLabel.ESTAR or not estar.exists:
-        raise ValueError("char_coeffs requires the existing coexistence equilibrium")
-    ju, jv, mr, br2, q2, _ = _jacobian(params, estar)
-    bu = br2 * estar.point.u
+def _coeffs_at(params, point: State) -> CharCoeffs:
+    ju, jv, mr, br2, q2, _ = _jacobian(params, point)
+    bu = br2 * point.u
     return CharCoeffs(
         p0=ju * jv * mr + bu * ju,
         p1=ju * jv - (ju + jv) * mr - bu,
@@ -140,12 +154,40 @@ def char_coeffs(params: ModelParams, estar: Equilibrium) -> CharCoeffs:
     )
 
 
+def char_coeffs(params: ModelParams, estar: Equilibrium) -> CharCoeffs:
+    """The six characteristic coefficients at the coexistence equilibrium."""
+    if estar.label is not EquilibriumLabel.ESTAR or not estar.exists:
+        raise ValueError("char_coeffs requires the existing coexistence equilibrium")
+    return _coeffs_at(params, estar.point)
+
+
 def char_value(lam: complex, s: float, coeffs: CharCoeffs) -> complex:
     """Characteristic function value at (lambda, s)."""
     c = coeffs
     p = ((lam + c.p2) * lam + c.p1) * lam + c.p0
     q = (c.q2 * lam + c.q1) * lam + c.q0
     return p + q * cmath.exp(-lam * s)
+
+
+def _char_derivatives(omega, s, c: CharCoeffs):
+    """Characteristic function F and its partials F_lambda, F_s at
+    (lambda = i*omega, s), elementwise."""
+    lam = 1j * omega
+    ex = np.exp(-lam * s)
+    q = (c.q2 * lam + c.q1) * lam + c.q0
+    f = (((lam + c.p2) * lam + c.p1) * lam + c.p0) + q * ex
+    df_dlam = (3.0 * lam + 2.0 * c.p2) * lam + c.p1 + ((2.0 * c.q2 * lam + c.q1) - s * q) * ex
+    return f, df_dlam, -lam * q * ex
+
+
+def crossing_drift(omega, s, coeffs: CharCoeffs):
+    """dlambda/ds = -F_s/F_lambda of the root lambda = i*omega at delay s.
+
+    The implicit-function derivative of the crossing root; elementwise.
+    Its real part moves with the transversality sign.
+    """
+    _, df_dlam, df_ds = _char_derivatives(omega, s, coeffs)
+    return -df_ds / df_dlam
 
 
 def h1_holds(coeffs: CharCoeffs) -> bool:
@@ -185,6 +227,22 @@ def near_double_root(g: GCubic) -> float | None:
     return None
 
 
+def _g_slope(z, g: GCubic):
+    """Whether z fails G's root residual, and G'(z); elementwise."""
+    off = abs(((z + g.m) * z + g.n) * z + g.h) > 1e-6 * np.maximum(1.0, abs(z) ** 3)
+    return off, (3.0 * z + 2.0 * g.m) * z + g.n
+
+
+def _direction(gp: float) -> Transversality:
+    if abs(gp) < _DEGENERATE_GPRIME:
+        return Transversality.DEGENERATE
+    return Transversality.POSITIVE if gp > 0 else Transversality.NEGATIVE
+
+
+def _not_a_root(z: float) -> ValueError:
+    return ValueError(f"z = {float(z)!r} is not a root of G for these coefficients")
+
+
 def transversality_sign(z: float, coeffs: CharCoeffs) -> Transversality:
     """Crossing direction of the root pair at z = omega^2.
 
@@ -192,98 +250,186 @@ def transversality_sign(z: float, coeffs: CharCoeffs) -> Transversality:
     G'(z), so a Positive sign means eigenvalues march rightward as the
     delay grows through the ladder.
     """
-    g = g_cubic(coeffs)
-    if abs(((z + g.m) * z + g.n) * z + g.h) > 1e-6 * max(1.0, abs(z) ** 3):
-        raise ValueError(f"z = {z!r} is not a root of G for these coefficients")
-    gp = (3.0 * z + 2.0 * g.m) * z + g.n
-    if abs(gp) < _DEGENERATE_GPRIME:
-        return Transversality.DEGENERATE
-    return Transversality.POSITIVE if gp > 0 else Transversality.NEGATIVE
+    off, gp = _g_slope(z, g_cubic(coeffs))
+    if off:
+        raise _not_a_root(z)
+    return _direction(gp)
 
 
-def _polish_pair(omega: float, s: float, coeffs: CharCoeffs) -> tuple[float, float]:
+def _polish_pair(omega, s, coeffs: CharCoeffs):
     """One Newton step on (omega, s) for char_value(i*omega, s) = 0.
 
     The closed-form recovery is already accurate to rounding for well
     separated roots of G; this step repairs the cases where G is poorly
-    conditioned (nearly multiple roots) without iterating.
+    conditioned (nearly multiple roots) without iterating. Elementwise;
+    an entry keeps its (omega, s) where the step is singular or larger
+    than a tenth of 1 + |omega| or 1 + |s|.
     """
-    c = coeffs
-    lam = 1j * omega
-    ex = cmath.exp(-lam * s)
-    q = (c.q2 * lam + c.q1) * lam + c.q0
-    f = (((lam + c.p2) * lam + c.p1) * lam + c.p0) + q * ex
-    # derivatives of the characteristic function
-    df_dlam = (3.0 * lam + 2.0 * c.p2) * lam + c.p1 + ((2.0 * c.q2 * lam + c.q1) - s * q) * ex
+    f, df_dlam, df_ds = _char_derivatives(omega, s, coeffs)
     df_domega = 1j * df_dlam
-    df_ds = -lam * q * ex
-    jac = [[df_domega.real, df_ds.real], [df_domega.imag, df_ds.imag]]
-    det = jac[0][0] * jac[1][1] - jac[0][1] * jac[1][0]
-    if det == 0.0 or not math.isfinite(det):
-        return omega, s
-    d_omega = (f.real * jac[1][1] - f.imag * jac[0][1]) / det
-    d_s = (f.imag * jac[0][0] - f.real * jac[1][0]) / det
-    if abs(d_omega) > 0.1 * (1.0 + abs(omega)) or abs(d_s) > 0.1 * (1.0 + abs(s)):
-        return omega, s
-    return omega - d_omega, s - d_s
+    det = df_domega.real * df_ds.imag - df_ds.real * df_domega.imag
+    step = (det != 0.0) & np.isfinite(det)
+    det = np.where(step, det, 1.0)
+    d_omega = (f.real * df_ds.imag - f.imag * df_ds.real) / det
+    d_s = (f.imag * df_domega.real - f.real * df_domega.imag) / det
+    step &= ~((abs(d_omega) > 0.1 * (1.0 + abs(omega))) | (abs(d_s) > 0.1 * (1.0 + abs(s))))
+    return np.where(step, omega - d_omega, omega), np.where(step, s - d_s, s)
+
+
+class Crossings(NamedTuple):
+    """Crossing candidates of N characteristic equations, each (N, 3).
+
+    Column k belongs to the k-th root of G (ascending real part). kept
+    marks the positive real roots whose (sin, cos) recovery is regular;
+    the other entries hold no candidate. off_g marks a kept omega^2
+    that fails G's root residual, where ``transversality_sign`` raises.
+    """
+
+    omega: np.ndarray
+    s_base: np.ndarray
+    g_slope: np.ndarray
+    off_g: np.ndarray
+    kept: np.ndarray
+
+
+def _columns(obj):
+    """A CharCoeffs or GCubic of (N,) arrays as (N, 1) columns."""
+    return type(obj)(*(np.asarray(getattr(obj, f.name))[:, None] for f in fields(obj)))
+
+
+def crossing_candidates(coeffs: CharCoeffs) -> Crossings:
+    """Imaginary-axis crossing candidates of N equations at once.
+
+    coeffs holds (N,) arrays. For each positive root z of G,
+    omega = sqrt(z) and the pair (sin(omega*s), cos(omega*s)) is
+    recovered by solving the linear 2x2 system obtained from the real
+    and imaginary parts of the characteristic equation. The
+    two-argument angle then fixes the base delay in [0, 2*pi/omega),
+    which dodges the sign loss a bare arccos would suffer on half the
+    parameter space. A candidate whose recovery system is numerically
+    singular is dropped with one logged warning.
+    """
+    g = g_cubic(coeffs)
+    roots = cubic_roots_array(g.m, g.n, g.h)
+    positive = real_positive_mask(roots)
+    c = _columns(coeffs)
+    # placeholder z = 1 keeps the arithmetic of non-candidates finite
+    z = np.where(positive, roots.real, 1.0)
+    omega = np.sqrt(z)
+    # real part:  A*cos + B*sin = R;  imaginary part:  B*cos - A*sin = I
+    a = c.q0 - c.q2 * z
+    b = c.q1 * omega
+    rr = c.p2 * z - c.p0
+    ii = omega * z - c.p1 * omega
+    det = a * a + b * b
+    dropped = positive & (det < _MIN_DET)
+    for i, k in zip(*np.nonzero(dropped)):
+        logger.warning(
+            "dropping crossing candidate at omega=%g: delayed part vanishes "
+            "on the imaginary axis (recovery determinant %g)",
+            float(omega[i, k]), float(det[i, k]))
+    kept = positive & ~dropped
+    det = np.where(kept, det, 1.0)
+    cos_v = (a * rr + b * ii) / det
+    sin_v = (b * rr - a * ii) / det
+    theta = np.arctan2(sin_v, cos_v) % (2.0 * math.pi)
+    omega, s_base = _polish_pair(omega, theta / omega, c)
+    s_base = np.where(s_base < 0, s_base + 2.0 * math.pi / omega, s_base)
+    off_g, slope = _g_slope(omega * omega, _columns(g))
+    return Crossings(omega, s_base, slope, off_g & kept, kept)
 
 
 def hopf_candidates(coeffs: CharCoeffs, j_max: int = DEFAULT_J_MAX) -> list[HopfCandidate]:
     """Imaginary-axis crossing candidates with their delay ladders.
 
-    For each positive root z of G, omega = sqrt(z) and the pair
-    (sin(omega*s), cos(omega*s)) is recovered by solving the linear 2x2
-    system obtained from the real and imaginary parts of the
-    characteristic equation. The two-argument angle then fixes the base
-    delay in [0, 2*pi/omega), which dodges the sign loss a bare arccos
-    would suffer on half the parameter space. Candidates whose recovery
-    system is numerically singular are dropped with a diagnostic.
+    The one-equation case of ``crossing_candidates``, sorted by base
+    delay. Raises when a candidate's omega^2 fails G's root residual.
     """
     if j_max < 0:
         raise ValueError("j_max must be nonnegative")
-    g = g_cubic(coeffs)
-    out = []
-    for z in real_positive_roots(g.m, g.n, g.h):
-        omega = math.sqrt(z)
-        # real part:  A*cos + B*sin = R;  imaginary part:  B*cos - A*sin = I
-        a = coeffs.q0 - coeffs.q2 * z
-        b = coeffs.q1 * omega
-        rr = coeffs.p2 * z - coeffs.p0
-        ii = omega * z - coeffs.p1 * omega
-        det = a * a + b * b
-        if det < _MIN_DET:
-            logger.warning(
-                "dropping crossing candidate at omega=%g: delayed part vanishes "
-                "on the imaginary axis (recovery determinant %g)", omega, det)
-            continue
-        cos_v = (a * rr + b * ii) / det
-        sin_v = (b * rr - a * ii) / det
-        theta = math.atan2(sin_v, cos_v) % (2.0 * math.pi)
-        omega, s_base = _polish_pair(omega, theta / omega, coeffs)
-        if s_base < 0:
-            s_base += 2.0 * math.pi / omega
-        delays = tuple(s_base + 2.0 * math.pi * j / omega for j in range(j_max + 1))
-        out.append(HopfCandidate(
-            z=omega * omega,
-            omega=omega,
-            delays=delays,
-            transversality_sign=transversality_sign(omega * omega, coeffs),
-        ))
+    x = crossing_candidates(CharCoeffs(*(np.array([getattr(coeffs, f.name)])
+                                         for f in fields(coeffs))))
+    out = [_candidate(x, 0, k, j_max) for k in np.flatnonzero(x.kept[0])]
     out.sort(key=lambda cand: cand.delays[0])
     return out
+
+
+def _candidate(x: Crossings, i: int, k: int, j_max: int = DEFAULT_J_MAX) -> HopfCandidate:
+    omega, s_base = float(x.omega[i, k]), float(x.s_base[i, k])
+    if x.off_g[i, k]:
+        raise _not_a_root(omega * omega)
+    delays = tuple(s_base + 2.0 * math.pi * j / omega for j in range(j_max + 1))
+    return HopfCandidate(z=omega * omega, omega=omega, delays=delays,
+                         transversality_sign=_direction(x.g_slope[i, k]))
+
+
+class Switches(NamedTuple):
+    """First stability switches of N parameter sets.
+
+    valid is the (N,) mask of ModelParams' rules. idx lists, ascending,
+    the points that have a switch; the fields after it hold one entry
+    per listed point: the parameters, the coexistence point, the
+    candidates, and the column ``first`` of the candidate with the
+    smallest base delay s0, at frequency omega. errors maps a valid
+    point without a switch to the exception ``s0`` raises there; a
+    valid point in neither has no crossing at all.
+    """
+
+    valid: np.ndarray
+    idx: np.ndarray
+    params: ParamGrid
+    point: State
+    crossings: Crossings
+    first: np.ndarray
+    omega: np.ndarray
+    s0: np.ndarray
+    errors: dict[int, Exception]
+
+
+_NO_COEXISTENCE = "coexistence equilibrium does not exist for these parameters"
+
+
+def first_switches(p: ParamGrid) -> Switches:
+    """The first stability switch of every point of a parameter grid.
+
+    The smallest base delay over each point's candidates, which is the
+    smallest element of all its ladders. Points that break a
+    ModelParams rule, lack the coexistence point, or have no crossing
+    have none.
+    """
+    errors: dict[int, Exception] = {}
+    valid = params_valid(p)
+    idx = np.flatnonzero(valid)
+    p = p.take(idx)
+    exists, point = coexistence_points(p)
+    errors.update({i: ValueError(_NO_COEXISTENCE) for i in idx[~exists].tolist()})
+    idx, p, point = idx[exists], p.take(exists), State(*(a[exists] for a in point))
+    x = crossing_candidates(_coeffs_at(p, point))
+    first = np.argmin(np.where(x.kept, x.s_base, np.inf), axis=1)
+    off = x.off_g.any(axis=1)
+    for i in np.flatnonzero(off):
+        omega = x.omega[i, x.off_g[i]][0]
+        errors[int(idx[i])] = _not_a_root(omega * omega)
+    has = x.kept.any(axis=1) & ~off
+    rows = np.arange(len(idx))
+    return Switches(
+        valid=valid, idx=idx[has], params=p.take(has), point=State(*(a[has] for a in point)),
+        crossings=Crossings(*(a[has] for a in x)), first=first[has],
+        omega=x.omega[rows, first][has], s0=x.s_base[rows, first][has], errors=errors)
 
 
 def s0(params: ModelParams) -> tuple[float, HopfCandidate] | None:
     """First stability switch: the smallest delay over all ladders.
 
-    Returns None when no crossing candidates exist (the equilibrium then
-    keeps its zero-delay verdict for every delay). Raises when the
-    coexistence equilibrium itself is missing.
+    The one-point case of ``first_switches``. Returns None when no
+    crossing candidates exist (the equilibrium then keeps its zero-delay
+    verdict for every delay). Raises when the coexistence equilibrium
+    itself is missing.
     """
-    estar = coexistence(params)
-    if not estar.exists:
-        raise ValueError("coexistence equilibrium does not exist for these parameters")
-    cands = hopf_candidates(char_coeffs(params, estar))
-    if not cands:
+    sw = first_switches(ParamGrid.of(params))
+    if 0 in sw.errors:
+        raise sw.errors[0]
+    if not sw.idx.size:
         return None
-    return cands[0].delays[0], cands[0]
+    cand = _candidate(sw.crossings, 0, int(sw.first[0]))
+    return cand.delays[0], cand

@@ -11,13 +11,14 @@ import pytest
 from infodelay import (
     Command,
     ConfigError,
+    ResonanceError,
     coexistence,
     compute_normal_form,
     parse_config,
     run,
     s0,
 )
-from infodelay.cli import main
+from infodelay.cli import RunConfig, SweepOpts, main
 from conftest import REFERENCE, S_STAR, make_params
 
 MODEL_LINES = "\n".join(f"{k} = {v}" for k, v in REFERENCE.items())
@@ -131,10 +132,36 @@ def test_analyze_report(tmp_path):
     assert len(d["candidates"]) == 1
     assert d["notes"] == []
     checks = nf["self_checks"]
-    assert list(checks) == ["right_eigenvector_residual", "left_eigenvector_residual"]
+    assert list(checks) == ["right_eigenvector_residual", "left_eigenvector_residual",
+                            "gamma1_drift_residual"]
     assert 0.0 <= checks["right_eigenvector_residual"] < 1e-9
     assert 0.0 <= checks["left_eigenvector_residual"] < 1e-9
+    assert 0.0 <= checks["gamma1_drift_residual"] < 1e-10
+    # s = 2.0 lies below the supercritical switch: no cycle, no period
+    pred = nf["prediction"]
+    assert list(pred) == ["delta", "amplitude", "component_amplitudes", "period"]
+    assert abs(pred["delta"] - (2.0 - S_STAR)) < 1e-15
+    assert pred["amplitude"] == 0.0
+    assert pred["component_amplitudes"] == [0.0, 0.0, 0.0]
+    assert pred["period"] is None
     assert (tmp_path / "report.json").exists()
+
+
+def test_analyze_report_predicts_the_cycle(tmp_path):
+    # the README config, just past the switch
+    d = run(parse_config(cfg("Analyze", s="2.02")), tmp_path).to_dict()
+    nf = d["normal_form"]
+    pred = nf["prediction"]
+    assert abs(pred["delta"] - 0.0047985) < 1e-7
+    assert abs(pred["amplitude"] - 0.0092524) < 1e-7
+    assert np.allclose(pred["component_amplitudes"], [0.4608, 0.0185, 0.0796], atol=1e-4)
+    # T(delta) as criterion 5 writes it inline
+    g1, g2 = nf["Gamma1"], nf["Gamma2"]
+    drift = pred["delta"] * (g1["im"] - g2["im"] * nf["chi1"] / nf["chi2"])
+    want = 2.0 * math.pi * 2.02 / (nf["omega_star"] * nf["s_star"] + drift)
+    assert abs(pred["period"] - want) < 1e-12 * want
+    assert nf["linear_period"] < pred["period"]
+    assert nf["self_checks"]["gamma1_drift_residual"] < 1e-10
     assert (tmp_path / "report.csv").exists()
 
 
@@ -313,6 +340,62 @@ def test_sweep_rows_match_direct_computation(tmp_path):
         assert float(chi1) == nf.chi1
         assert float(chi2) == nf.chi2
         assert direction == nf.direction.value
+
+
+def _chain_row(params):
+    """A sweep row from the one-point public chain: stability.s0, then
+    compute_normal_form; cells stay empty where either has nothing."""
+    row = {"s0": None, "chi1": None, "chi2": None, "direction": None, "nf": None}
+    try:
+        p = make_params(**params)
+        got = s0(p)
+    except ValueError:
+        return row
+    if got is None:
+        return row
+    row["s0"] = got[0]
+    try:
+        nf = compute_normal_form(p)
+    except (ValueError, ResonanceError):
+        return row
+    row.update(chi1=nf.chi1, chi2=nf.chi2, direction=nf.direction.value, nf=nf)
+    return row
+
+
+# (swept key, min, max, count): the counts straddle the 512-point block
+# (one point, one block minus one, exactly one, one more, two blocks and
+# a partial third); the grids cover every kind of row. parse_config
+# rejects an invalid sweep_min, so the r1 grid goes in as a RunConfig.
+_SWEEP_GRIDS = {
+    "invalid r1 <= 0, then supercritical": ("r1", -0.5, 0.5, 513),
+    "no coexistence, super- and subcritical": ("a2", 0.9, 1.5, 512),
+    "subcritical, supercritical, no coexistence": ("b1", 0.5, 1.3, 511),
+    "no crossing near b1 = 0, subcritical": ("b1", -0.3, 0.3, 1100),
+    "one point": ("mu", 2.5, 2.5, 1),
+}
+
+
+@pytest.mark.parametrize("param, lo, hi, count", list(_SWEEP_GRIDS.values()),
+                         ids=list(_SWEEP_GRIDS))
+def test_sweep_rows_equal_the_one_point_chain(tmp_path, param, lo, hi, count):
+    config = RunConfig(command=Command.SWEEP, param_values={**REFERENCE, "s": 2.0},
+                       sweep=SweepOpts(param=param, lo=lo, hi=hi, count=count))
+    rows = run(config, tmp_path).sweep["rows"]
+    assert len(rows) == count
+    kinds = set()
+    for row in rows:
+        want = _chain_row({"s": 2.0, param: row["value"]})
+        for key in ("s0", "chi1", "chi2", "direction"):
+            assert (row[key] is None) == (want[key] is None), (row, want)
+        assert row["direction"] == want["direction"]
+        kinds.add(row["direction"] or ("no chi" if row["s0"] else "empty"))
+        if want["s0"] is not None:
+            assert abs(row["s0"] - want["s0"]) <= 1e-12 * want["s0"]
+        if want["nf"] is not None:
+            nf = want["nf"]
+            assert abs(row["chi1"] - nf.chi1) <= 1e-12 * abs(nf.Gamma1)
+            assert abs(row["chi2"] - nf.chi2) <= 1e-12 * abs(nf.Gamma2)
+    assert count == 1 or len(kinds) >= 2, kinds
 
 
 def test_sweep_reports_empty_cells_when_analysis_is_inapplicable(tmp_path):

@@ -4,7 +4,8 @@ import numpy as np
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from infodelay.cubic import cubic_roots, real_positive_roots
+from infodelay.cubic import (cubic_roots, cubic_roots_array, real_positive_mask,
+                            real_positive_roots)
 
 _f = dict(allow_nan=False, allow_infinity=False)
 coeff = st.floats(-20.0, 20.0, **_f)
@@ -89,3 +90,21 @@ def test_real_positive_filter():
     assert len(got) == 2
     assert np.isclose(got[0], 1e-8 / 3.0, rtol=1e-6, atol=0.0)
     assert np.isclose(got[1], 3.0, rtol=1e-6, atol=0.0)
+
+
+def test_array_rows_equal_one_cubic_calls():
+    # each row of a batch is exactly the one-cubic answer, whichever rows
+    # stop their Newton iterates early: h = 0, a start on the root,
+    # multiple roots, a complex pair, a large root, random cubics
+    rng = np.random.default_rng(3)
+    coeffs = [(3.0, 1e-8, 0.0), (-6.0, 12.0, -8.0), (-6.0, 9.0, -4.0),
+              (-4.0, 14.0, -20.0), (0.0, 0.0, 0.0), (-3.0, 0.0, 1.0),
+              (1e6, 1.0, -1.0), (-2.0, -5.0, 6.0)]
+    coeffs += [tuple(row) for row in rng.uniform(-20.0, 20.0, size=(200, 3))]
+    m, n, h = (np.array(col) for col in zip(*coeffs))
+    roots = cubic_roots_array(m, n, h)
+    assert roots.shape == (len(coeffs), 3)
+    keep = real_positive_mask(roots)
+    for row, mask, (mi, ni, hi) in zip(roots, keep, coeffs):
+        assert row.tolist() == cubic_roots(mi, ni, hi)
+        assert row.real[mask].tolist() == real_positive_roots(mi, ni, hi)

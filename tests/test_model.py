@@ -13,15 +13,18 @@ from infodelay import (
     EquilibriumLabel,
     HistorySpec,
     ModelParams,
+    ParamGrid,
     Stability,
     State,
     coexistence,
     distributed_w_oracle,
     equilibria,
     estar_exists,
+    params_valid,
     reduced_rhs,
     simulate_distributed,
 )
+from infodelay.model import coexistence_points
 from conftest import ESTAR, make_params
 
 _f = dict(allow_nan=False, allow_infinity=False)
@@ -124,6 +127,36 @@ def test_param_validation_names_offending_field():
         kw[field] = value
         with pytest.raises(ValueError, match=field):
             ModelParams(**kw)
+
+
+def test_params_valid_applies_the_model_params_rules():
+    # one grid point per rule violation plus valid ones: the mask is True
+    # exactly where ModelParams accepts the values
+    kw = dict(r1=0.5, r2=0.5, a1=0.05, a2=1.0, b1=0.5, b2=0.3, mu=2.0, r=4.0, s=1.0)
+    bad = [("r1", 0.0), ("r2", -1.0), ("a1", 0.0), ("a2", -0.5), ("r", 0.0),
+           ("mu", -0.1), ("s", -1.0), ("b1", float("nan")), ("mu", float("inf")),
+           ("b2", -5.0), ("mu", 0.0), ("s", 0.0)]
+    points = [dict(kw, **{field: value}) for field, value in bad] + [kw]
+    grid = ParamGrid.of({k: np.array([pt[k] for pt in points]) for k in kw})
+    want = []
+    for pt in points:
+        try:
+            ModelParams(**pt)
+        except ValueError:
+            want.append(False)
+        else:
+            want.append(True)
+    assert params_valid(grid).tolist() == want
+    assert want.count(True) == 4
+
+
+@given(wide_params())
+@settings(max_examples=100)
+def test_coexistence_points_match_equilibria(p):
+    exists, point = coexistence_points(ParamGrid.of(p))
+    est = coexistence(p)
+    assert bool(exists[0]) is est.exists
+    assert [float(x[0]) for x in point] == list(est.point)
 
 
 def test_zero_delay_is_allowed():

@@ -1,6 +1,7 @@
 """Eigenvectors, amplitude-equation coefficients, direction, amplitudes."""
 
 import cmath
+import math
 
 import numpy as np
 import pytest
@@ -18,11 +19,15 @@ from infodelay import (
     linearize,
     predicted_amplitude,
     predicted_component_amplitudes,
+    predicted_period,
     right_eigvec,
     second_order,
     transversality_sign,
 )
-from conftest import OMEGA_STAR, S_STAR, draw_with_candidates, make_params
+from infodelay.model import ParamGrid
+from infodelay.normal_form import _second_order, _stack, normal_forms
+from infodelay.stability import crossing_drift
+from conftest import REFERENCE, OMEGA_STAR, S_STAR, draw_with_candidates, make_params
 
 # frozen values for the reference set, computed once from the assembled
 # linear systems and cross-checked against the closed-form component
@@ -117,6 +122,7 @@ def test_gamma1_equals_delay_drift_of_crossing_root(reference_lin):
     dl = _dlambda_ds(cc, OMEGA_STAR, S_STAR)
     assert abs(dl - DLAMBDA_DS) < 1e-10
     assert abs(GAMMA1 - (1j * OMEGA_STAR + S_STAR * dl)) < 1e-10
+    assert abs(crossing_drift(OMEGA_STAR, S_STAR, cc) - dl) < 1e-15
 
 
 def test_conjugate_frequency_gives_conjugate_vectors(reference_lin):
@@ -184,6 +190,75 @@ def test_predicted_amplitudes():
     assert np.allclose(comps, 2.0 * rho * np.abs(nf.c_vec), atol=1e-15)
     # supercritical: no cycle below the switch
     assert predicted_amplitude(nf, -delta) == 0.0
+
+
+def test_predicted_period_is_criterion_5_formula():
+    nf = compute_normal_form(make_params(2.0))
+    for delta in (0.001, 0.0047985, 0.01):
+        drift = delta * (nf.Gamma1.imag - nf.Gamma2.imag * nf.chi1 / nf.chi2)
+        want = 2.0 * math.pi * (nf.s_star + delta) / (nf.omega_star * nf.s_star + drift)
+        assert abs(predicted_period(nf, delta) - want) < 1e-12 * want
+    assert predicted_period(nf, 0.0) == 2.0 * math.pi / nf.omega_star
+    broken = type(nf)(omega_star=nf.omega_star, s_star=nf.s_star,
+                      c_vec=nf.c_vec, d_vec=nf.d_vec, direction=Direction.DEGENERATE)
+    with pytest.raises(ValueError, match="degenerate"):
+        predicted_period(broken, 0.01)
+
+
+def test_stacked_second_order_fails_per_point(reference_lin):
+    # a 2:1-resonant crossing in the middle of a stack leaves its
+    # neighbours' solves exactly as they are alone
+    _, ref = reference_lin
+    om = 0.5
+    res_as = np.array([[0.0, 2 * om, 0.0], [-2 * om, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    lins = [ref, Linearization(A=np.zeros((3, 3)), As=res_as,
+                               F_quadratic=dict.fromkeys(_FQ, 1.0)), ref]
+    stack = Linearization(
+        A=np.stack([lin.A for lin in lins]), As=np.stack([lin.As for lin in lins]),
+        F_quadratic={k: np.array([lin.F_quadratic[k] for lin in lins]) for k in _FQ})
+    c_ref = right_eigvec(ref, OMEGA_STAR, S_STAR)
+    c = np.stack([c_ref, [1.0 + 0j, 1.0 + 0j, 0.0 + 0j], c_ref])
+    omega = np.array([OMEGA_STAR, om, OMEGA_STAR])
+    s = np.array([S_STAR, np.pi / (2 * om), S_STAR])
+    e_vec, f_vec, errors = _second_order(stack, omega, s, c)
+    assert list(errors) == [1]
+    assert isinstance(errors[1], ResonanceError) and "2:1" in str(errors[1])
+    e_one, f_one = second_order(ref, OMEGA_STAR, S_STAR, c_ref)
+    for i in (0, 2):
+        assert e_vec[i].tolist() == e_one.tolist()
+        assert f_vec[i].tolist() == f_one.tolist()
+    assert _stack(ref).A.shape == (1, 3, 3)
+
+
+def test_normal_forms_keep_failures_per_point():
+    # a grid over b1 with points past b1 = a2 (no coexistence) and at
+    # b1 = 0 (no delayed coupling, no crossing) between regular ones
+    b1 = np.array([0.95, 1.2, 0.0, 0.5])
+    nfs = normal_forms(ParamGrid.of({**REFERENCE, "s": 2.0, "b1": b1}))
+    assert nfs.ok.tolist() == [True, False, False, True]
+    assert "coexistence" in str(nfs.errors[1]) and "crossing" in str(nfs.errors[2])
+    assert sorted(nfs.errors) == [1, 2]
+    assert np.isnan(nfs.s0[1:3]).all() and np.isnan(nfs.Gamma1[1:3]).all()
+    for i in (0, 3):
+        nf = compute_normal_form(make_params(2.0, b1=float(b1[i])))
+        assert nfs.s0[i] == nf.s_star
+        assert nfs.Gamma1[i] == nf.Gamma1 and nfs.Gamma2[i] == nf.Gamma2
+
+
+def test_normal_forms_record_step_failures(monkeypatch):
+    # with the resonance floor raised past every gap, each crossing point
+    # fails in the second-order step, exactly as the one-point call raises
+    import infodelay.normal_form as nf_module
+    monkeypatch.setattr(nf_module, "_RESONANCE_TOL", 1e3)
+    b1 = np.array([0.95, 1.2, 0.5])
+    nfs = normal_forms(ParamGrid.of({**REFERENCE, "s": 2.0, "b1": b1}))
+    assert not nfs.ok.any()
+    assert not np.isnan(nfs.s0[[0, 2]]).any()
+    for i in (0, 2):
+        with pytest.raises(ResonanceError) as raised:
+            compute_normal_form(make_params(2.0, b1=float(b1[i])))
+        assert isinstance(nfs.errors[i], ResonanceError)
+        assert str(nfs.errors[i]) == str(raised.value)
 
 
 def test_predicted_amplitude_requires_clean_direction():

@@ -18,7 +18,7 @@ from infodelay import (
     s0,
     transversality_sign,
 )
-from infodelay.stability import GCubic, near_double_root
+from infodelay.stability import GCubic, crossing_candidates, near_double_root
 from conftest import OMEGA_STAR, S_STAR, draw_params, draw_with_candidates, make_params
 
 
@@ -130,6 +130,33 @@ def test_near_common_root_yields_no_candidate():
     # spurious candidate may come out of it.
     cc = CharCoeffs(p0=1.0, p1=1.0, p2=1.0, q0=1.0, q1=1e-8, q2=1.0)
     assert hopf_candidates(cc) == []
+
+
+def test_dropped_candidates_log_one_warning_each(caplog):
+    # G = (z - 1)^2 (z - 4) comes back exactly as [1, 1, 4]; at z = 1 the
+    # delayed part vanishes, so both copies of that root are dropped
+    cc = CharCoeffs(p0=0.0, p1=1.0, p2=0.0, q0=2.0, q1=0.0, q2=2.0)
+    with caplog.at_level("WARNING", logger="infodelay.stability"):
+        (cand,) = hopf_candidates(cc)
+    dropped = [r for r in caplog.records if "dropping crossing candidate" in r.getMessage()]
+    assert len(dropped) == 2
+    assert cand.omega == 2.0 and cand.z == 4.0
+    assert abs(cand.delays[0] - math.pi / 4) < 1e-15
+
+    # the array core: one warning per dropped candidate, same message,
+    # with the reference equation beside it dropping nothing
+    ref = char_coeffs(make_params(2.0), coexistence(make_params(2.0)))
+    both = CharCoeffs(*(np.array([getattr(cc, k), getattr(ref, k)])
+                        for k in ("p0", "p1", "p2", "q0", "q1", "q2")))
+    caplog.clear()
+    with caplog.at_level("WARNING", logger="infodelay.stability"):
+        x = crossing_candidates(both)
+    messages = [r.getMessage() for r in caplog.records]
+    assert messages == [r.getMessage() for r in dropped]
+    assert x.kept.sum(axis=1).tolist() == [1, 1]
+    assert x.omega[0, x.kept[0]].tolist() == [2.0]
+    assert x.s_base[0, x.kept[0]].tolist() == [cand.delays[0]]
+    assert abs(x.omega[1, x.kept[1]][0] - OMEGA_STAR) < 1e-12
 
 
 def test_h1_matches_eigenvalues_of_zero_delay_cubic():
