@@ -12,7 +12,9 @@ The command key selects what happens:
 
 Every run writes report.json and report.csv (the same content, nested
 vs. flattened); Simulate adds trajectory.csv and, with --plot, five SVG
-figures; Sweep adds sweep.csv. Outputs are byte-stable for identical
+figures; Sweep adds sweep.csv. run() returns the document report.json
+holds: an ordered dict of the _REPORT_KEYS, each section filled in by
+the command that computes it. Outputs are byte-stable for identical
 inputs. Exit codes: 0 on success (including analytically degenerate
 cases, which are reported in-band), 1 for an invalid config, 2 for
 filesystem trouble.
@@ -24,32 +26,26 @@ import csv
 import json
 import math
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, is_dataclass
 from enum import Enum
 from pathlib import Path
 
 import numpy as np
 
-from .integrator import (
-    HistorySpec,
-    SimulationDiverged,
-    cycle_metrics,
-    simulate,
-)
-from .model import Equilibrium, ModelParams, ParamGrid, State, equilibria
+from .integrator import CycleMetrics, HistorySpec, SimulationDiverged, cycle_metrics, simulate
+from .model import ModelParams, ParamGrid, State, equilibria
 from .normal_form import (Direction, NormalForm, NormalForms, ResonanceError, classify,
                           compute_normal_form, eigen_residuals, linearize, normal_forms,
                           predicted_amplitude, predicted_component_amplitudes, predicted_period)
 from .plots import trajectory_plots
-from .stability import (CharCoeffs, GCubic, HopfCandidate, char_coeffs, crossing_drift, g_cubic,
-                        h1_holds, hopf_candidates, near_double_root)
+from .stability import (char_coeffs, crossing_drift, g_cubic, h1_holds, hopf_candidates,
+                        near_double_root)
 
 __all__ = [
     "Command",
     "ConfigError",
     "SweepOpts",
     "RunConfig",
-    "AnalysisReport",
     "parse_config",
     "run",
     "main",
@@ -68,9 +64,11 @@ _DEFAULT_TRANSIENT_FRACTION = 0.5
 # per-call overhead, small enough that a block's stacked arrays stay a
 # few MB at any sweep_count
 _SWEEP_BLOCK = 512
-# CycleMetrics fields in the order the Simulate report writes them
-_CYCLE_KEYS = ("classification", "amplitude", "period", "n_periods_measured",
-               "spacing_cv", "envelope_ratio", "max_deviation")
+# report.json's top-level keys, in order
+_REPORT_KEYS = ("command", "params", "equilibria", "h1_holds", "char_coeffs", "g_coeffs",
+                "candidates", "s0", "normal_form", "simulation", "sweep", "notes")
+# the Simulate report writes the CycleMetrics fields in their order
+_CYCLE_KEYS = tuple(f.name for f in fields(CycleMetrics))
 
 
 class Command(str, Enum):
@@ -232,104 +230,28 @@ def parse_config(text: str) -> RunConfig:
     )
 
 
-@dataclass(eq=False)
-class AnalysisReport:
-    """Everything one run computed, in report.json order."""
-
-    command: Command
-    params: dict[str, float]
-    equilibria: list[Equilibrium] | None = None
-    h1_holds: bool | None = None
-    char_coeffs: CharCoeffs | None = None
-    g_coeffs: GCubic | None = None
-    candidates: list[HopfCandidate] | None = None
-    s0: float | None = None
-    normal_form: NormalForm | None = None
-    # the cycle the normal form predicts at the configured s, written as
-    # normal_form.prediction
-    normal_form_prediction: dict | None = None
-    # residuals of the normal form's eigenvector equations and of Gamma1
-    # against the crossing root's drift, written as normal_form.self_checks
-    normal_form_checks: dict | None = None
-    simulation: dict | None = None
-    sweep: dict | None = None
-    notes: list[str] | None = None
-
-    def to_dict(self) -> dict:
-        nf = None
-        if self.normal_form is not None:
-            f = self.normal_form
-            nf = {
-                "omega_star": f.omega_star,
-                "s_star": f.s_star,
-                "linear_period": 2.0 * math.pi / f.omega_star,
-                "c_vec": f.c_vec,
-                "d_vec": f.d_vec,
-                "e_vec": f.e_vec,
-                "f_vec": f.f_vec,
-                "Gamma1": f.Gamma1,
-                "Gamma2": f.Gamma2,
-                "chi1": f.chi1,
-                "chi2": f.chi2,
-                "direction": f.direction,
-                "prediction": self.normal_form_prediction,
-            }
-            if self.normal_form_checks is not None:
-                nf["self_checks"] = self.normal_form_checks
-        eqs = None
-        if self.equilibria is not None:
-            eqs = [{
-                "label": e.label,
-                "point": {"u": e.point.u, "v": e.point.v, "w": e.point.w},
-                "exists": e.exists,
-                "local_stability": e.local_stability,
-            } for e in self.equilibria]
-        cands = None
-        if self.candidates is not None:
-            cands = [{
-                "z": c.z,
-                "omega": c.omega,
-                "delays": list(c.delays),
-                "transversality_sign": c.transversality_sign,
-            } for c in self.candidates]
-        raw = {
-            "command": self.command,
-            "params": dict(self.params),
-            "equilibria": eqs,
-            "h1_holds": self.h1_holds,
-            "char_coeffs": self.char_coeffs,
-            "g_coeffs": self.g_coeffs,
-            "candidates": cands,
-            "s0": self.s0,
-            "normal_form": nf,
-            "simulation": self.simulation,
-            "sweep": self.sweep,
-            "notes": list(self.notes or []),
-        }
-        return _jsonify(raw)
-
-
 def _jsonify(obj):
     """JSON-ready copy: complex split into re/im, non-finite floats to
-    null, enums to their values, arrays to lists, fixed key order."""
-    if obj is None or isinstance(obj, (bool, int, str)):
-        return obj
+    null, enums to their values, arrays to lists, a dataclass to its
+    fields and a State to u, v, w, all in declaration order."""
     if isinstance(obj, Enum):
         return obj.value
+    if obj is None or isinstance(obj, (bool, int, str)):
+        return obj
     if isinstance(obj, (float, np.floating)):
         return float(obj) if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {str(k): _jsonify(v) for k, v in obj.items()}
+    if isinstance(obj, State):
+        return _jsonify(obj._asdict())
+    if isinstance(obj, (list, tuple, np.ndarray)):
+        return [_jsonify(v) for v in obj]
     if isinstance(obj, (complex, np.complexfloating)):
         return {"re": _jsonify(obj.real), "im": _jsonify(obj.imag)}
     if isinstance(obj, np.integer):
         return int(obj)
-    if isinstance(obj, State):
-        return {"u": _jsonify(obj.u), "v": _jsonify(obj.v), "w": _jsonify(obj.w)}
-    if isinstance(obj, (CharCoeffs, GCubic)):
+    if is_dataclass(obj):
         return {f.name: _jsonify(getattr(obj, f.name)) for f in fields(obj)}
-    if isinstance(obj, dict):
-        return {str(k): _jsonify(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple, np.ndarray)):
-        return [_jsonify(v) for v in obj]
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
@@ -355,8 +277,7 @@ def _csv_cell(value) -> str:
     return json.dumps(value)
 
 
-def _write_report(report: AnalysisReport, out_dir: Path) -> None:
-    doc = report.to_dict()
+def _write_report(doc: dict, out_dir: Path) -> None:
     (out_dir / "report.json").write_text(
         json.dumps(doc, indent=2) + "\n", encoding="utf-8")
     with open(out_dir / "report.csv", "w", newline="", encoding="utf-8") as fh:
@@ -366,47 +287,63 @@ def _write_report(report: AnalysisReport, out_dir: Path) -> None:
             writer.writerow([key, _csv_cell(value)])
 
 
-def _analysis_sections(report: AnalysisReport, params: ModelParams,
+def _analysis_sections(report: dict, params: ModelParams,
                        want_critical: bool, want_direction: bool) -> None:
-    notes = report.notes
-    report.equilibria = equilibria(params)
-    estar = report.equilibria[3]
+    notes = report["notes"]
+    eqs = report["equilibria"] = equilibria(params)
+    estar = eqs[3]
     if not estar.exists:
         notes.append("coexistence equilibrium does not exist; "
                      "delay analysis is not applicable")
         return
     coeffs = char_coeffs(params, estar)
     if want_critical:
-        report.h1_holds = h1_holds(coeffs)
-        report.char_coeffs = coeffs
-        report.g_coeffs = g_cubic(coeffs)
-        report.candidates = hopf_candidates(coeffs)
-        pair_at = near_double_root(report.g_coeffs)
+        g = g_cubic(coeffs)
+        candidates = hopf_candidates(coeffs)
+        report.update(h1_holds=h1_holds(coeffs), char_coeffs=coeffs, g_coeffs=g,
+                      candidates=candidates)
+        pair_at = near_double_root(g)
         if pair_at is not None:
             notes.append(f"G has two roots near z = {pair_at:.9g} closer than double precision "
                          "resolves; two crossings may have been added or dropped there")
-        if report.candidates:
-            report.s0 = report.candidates[0].delays[0]
+        if candidates:
+            report["s0"] = candidates[0].delays[0]
         else:
             notes.append("no imaginary-axis crossings: no delay-induced "
                          "stability switch")
     if want_direction:
         try:
-            nf = report.normal_form = compute_normal_form(params)
+            nf = compute_normal_form(params)
         except (ValueError, ResonanceError) as exc:
             notes.append(f"bifurcation direction not computed: {exc}")
-        else:
-            report.s0 = nf.s_star
-            report.normal_form_prediction = _prediction(nf, params.s - nf.s_star)
-            rc, rd = eigen_residuals(linearize(params, estar), nf.omega_star, nf.s_star,
-                                     nf.c_vec, nf.d_vec)
-            drift = 1j * nf.omega_star + nf.s_star * crossing_drift(
-                nf.omega_star, nf.s_star, coeffs)
-            report.normal_form_checks = {
+            return
+        report["s0"] = nf.s_star
+        rc, rd = eigen_residuals(linearize(params, estar), nf.omega_star, nf.s_star,
+                                 nf.c_vec, nf.d_vec)
+        drift = 1j * nf.omega_star + nf.s_star * crossing_drift(nf.omega_star, nf.s_star, coeffs)
+        report["normal_form"] = {
+            "omega_star": nf.omega_star,
+            "s_star": nf.s_star,
+            "linear_period": 2.0 * math.pi / nf.omega_star,
+            "c_vec": nf.c_vec,
+            "d_vec": nf.d_vec,
+            "e_vec": nf.e_vec,
+            "f_vec": nf.f_vec,
+            "Gamma1": nf.Gamma1,
+            "Gamma2": nf.Gamma2,
+            "chi1": nf.chi1,
+            "chi2": nf.chi2,
+            "direction": nf.direction,
+            # the cycle the amplitude equation predicts at the configured s
+            "prediction": _prediction(nf, params.s - nf.s_star),
+            # residuals of the eigenvector equations and of Gamma1 against
+            # the crossing root's drift
+            "self_checks": {
                 "right_eigenvector_residual": rc,
                 "left_eigenvector_residual": rd,
                 "gamma1_drift_residual": float(abs(nf.Gamma1 - drift) / abs(nf.Gamma1)),
-            }
+            },
+        }
 
 
 def _prediction(nf: NormalForm, delta: float) -> dict | None:
@@ -421,14 +358,14 @@ def _prediction(nf: NormalForm, delta: float) -> dict | None:
             "period": predicted_period(nf, delta) if amplitude > 0 else None}
 
 
-def _run_simulate(report: AnalysisReport, config: RunConfig, params: ModelParams,
+def _run_simulate(report: dict, config: RunConfig, params: ModelParams,
                   out_dir: Path, plot: bool) -> None:
-    report.equilibria = equilibria(params)
-    estar = report.equilibria[3]
+    eqs = report["equilibria"] = equilibria(params)
+    estar = eqs[3]
     history = HistorySpec.constant(config.u0, config.v0, config.w0)
     # every outcome writes these keys in this order; null where a
     # diverged run or a missing equilibrium leaves nothing to report
-    sim = {
+    sim = report["simulation"] = {
         "t_end_requested": config.t_end,
         "steps_per_delay": config.steps_per_delay,
         "transient_fraction": config.transient_fraction,
@@ -442,7 +379,6 @@ def _run_simulate(report: AnalysisReport, config: RunConfig, params: ModelParams
         "final_state": None,
         **dict.fromkeys(_CYCLE_KEYS),
     }
-    report.simulation = sim
     try:
         traj = simulate(params, history, config.t_end, config.steps_per_delay)
     except SimulationDiverged as exc:
@@ -450,8 +386,8 @@ def _run_simulate(report: AnalysisReport, config: RunConfig, params: ModelParams
         sim["diverged_at"] = exc.time
         sim["left_positive_orthant_at"] = exc.left_positive_orthant_at
         sim["classification"] = "Diverges"
-        report.notes.append(f"simulation diverged at t = {exc.time:g}; "
-                            "no trajectory written")
+        report["notes"].append(f"simulation diverged at t = {exc.time:g}; "
+                               "no trajectory written")
         return
     sim["left_positive_orthant_at"] = traj.left_positive_orthant_at
     sim["t_end"] = traj.t_end
@@ -462,8 +398,8 @@ def _run_simulate(report: AnalysisReport, config: RunConfig, params: ModelParams
         metrics = cycle_metrics(traj, estar.point, config.transient_fraction)
         sim.update({key: getattr(metrics, key) for key in _CYCLE_KEYS})
     else:
-        report.notes.append("coexistence equilibrium does not exist; "
-                            "cycle metrics skipped")
+        report["notes"].append("coexistence equilibrium does not exist; "
+                               "cycle metrics skipped")
     if plot:
         trajectory_plots(traj, out_dir)
 
@@ -483,7 +419,7 @@ def _sweep_rows(values: np.ndarray, nfs: NormalForms) -> list[dict]:
     return rows
 
 
-def _run_sweep(report: AnalysisReport, config: RunConfig, out_dir: Path) -> None:
+def _run_sweep(report: dict, config: RunConfig, out_dir: Path) -> None:
     opts = config.sweep
     grid = np.linspace(opts.lo, opts.hi, opts.count)
     rows = []
@@ -491,8 +427,8 @@ def _run_sweep(report: AnalysisReport, config: RunConfig, out_dir: Path) -> None
         values = grid[start:start + _SWEEP_BLOCK]
         rows += _sweep_rows(values, normal_forms(ParamGrid.of(
             {**config.param_values, opts.param: values})))
-    report.sweep = {"param": opts.param, "min": opts.lo, "max": opts.hi,
-                    "count": opts.count, "rows": rows}
+    report["sweep"] = {"param": opts.param, "min": opts.lo, "max": opts.hi,
+                       "count": opts.count, "rows": rows}
     with open(out_dir / "sweep.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["param", "value", "s0", "chi1", "chi2", "direction"])
@@ -507,18 +443,20 @@ def _run_sweep(report: AnalysisReport, config: RunConfig, out_dir: Path) -> None
             ])
 
 
-def run(config: RunConfig, output_dir=".", plot: bool = False) -> AnalysisReport:
+def run(config: RunConfig, output_dir=".", plot: bool = False) -> dict:
     """Execute one validated run and write its outputs.
 
-    Returns the in-memory report. Filesystem errors propagate as OSError
-    for the entry point to translate; analytic dead ends (no coexistence
-    point, no crossings, a diverging run) are recorded in the report and
-    its notes instead of raised.
+    Returns the report document, equal to what report.json holds: the
+    _REPORT_KEYS in order, null where the command computed nothing.
+    Filesystem errors propagate as OSError for the entry point to
+    translate; analytic dead ends (no coexistence point, no crossings, a
+    diverging run) are recorded in the report and its notes instead of
+    raised.
     """
     out_dir = Path(output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    report = AnalysisReport(command=config.command,
-                            params=dict(config.param_values), notes=[])
+    report = dict.fromkeys(_REPORT_KEYS)
+    report.update(command=config.command, params=config.param_values, notes=[])
     if config.command is Command.SWEEP:
         _run_sweep(report, config, out_dir)
     else:
@@ -531,8 +469,9 @@ def run(config: RunConfig, output_dir=".", plot: bool = False) -> AnalysisReport
                 want_critical=config.command in (Command.ANALYZE, Command.CRITICAL),
                 want_direction=config.command in (Command.ANALYZE, Command.DIRECTION),
             )
-    _write_report(report, out_dir)
-    return report
+    doc = _jsonify(report)
+    _write_report(doc, out_dir)
+    return doc
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -564,7 +503,7 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: cannot write outputs: {exc}", file=sys.stderr)
         return 2
-    for note in report.notes:
+    for note in report["notes"]:
         print(f"note: {note}")
     print(f"{config.command.value} finished; outputs in {args.output_dir}")
     return 0

@@ -32,6 +32,10 @@ _STEP_SHRINK = 1.000000000000001
 # a monotone Newton sequence in floats ends long before this; it only
 # bounds the loop should a non-finite coefficient stop it from ending
 _MAX_NEWTON = 200
+# a root counts as real and positive when |imag| <= _REL_IMAG * |root|
+# and real > _MIN_REAL
+_REL_IMAG = 1e-9
+_MIN_REAL = 1e-9
 
 
 def _eval(x, m, n, h):
@@ -115,20 +119,17 @@ def cubic_roots(m: float, n: float, h: float) -> list[complex]:
     return [complex(z) for z in cubic_roots_array(m, n, h)[0]]
 
 
-def real_positive_mask(roots: np.ndarray, rel_imag: float = 1e-9,
-                       min_real: float = 1e-9) -> np.ndarray:
+def real_positive_mask(roots: np.ndarray) -> np.ndarray:
     """Which entries of a root array are real and positive.
 
-    A root is accepted when its imaginary part is below ``rel_imag``
+    A root is accepted when its imaginary part is below ``_REL_IMAG``
     relative to its modulus (guards against spurious complex pairs that
-    merely graze the real axis) and its real part exceeds ``min_real``.
+    merely graze the real axis) and its real part exceeds ``_MIN_REAL``.
     """
-    return (np.abs(roots.imag) <= rel_imag * np.abs(roots)) & (roots.real > min_real)
+    return (np.abs(roots.imag) <= _REL_IMAG * np.abs(roots)) & (roots.real > _MIN_REAL)
 
 
-def real_positive_roots(m: float, n: float, h: float,
-                        rel_imag: float = 1e-9,
-                        min_real: float = 1e-9) -> list[float]:
+def real_positive_roots(m: float, n: float, h: float) -> list[float]:
     """Real positive roots of the cubic, ascending (see ``real_positive_mask``)."""
     roots = cubic_roots_array(m, n, h)[0]
-    return roots.real[real_positive_mask(roots, rel_imag, min_real)].tolist()
+    return roots.real[real_positive_mask(roots)].tolist()

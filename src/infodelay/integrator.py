@@ -120,10 +120,7 @@ class HistorySpec:
 
     @classmethod
     def constant(cls, u0: float, v0: float, w0: float | None = None) -> "HistorySpec":
-        value = (float(u0), float(v0))
-        if not all(math.isfinite(x) for x in value):
-            raise ValueError(f"constant_value must be finite, got {value!r}")
-        return cls(np.zeros(1), np.array([value]), w0)
+        return cls(np.zeros(1), np.array([(float(u0), float(v0))]), w0)
 
     @classmethod
     def sampled(cls, times, values, w0: float | None = None) -> "HistorySpec":

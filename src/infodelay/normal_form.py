@@ -35,8 +35,8 @@ and the second-order eigenvalue checks and solves are stacked LAPACK
 calls. ``normal_forms`` evaluates a whole parameter grid. Failures are
 per point: a failing point is left out of the results and its
 exception recorded, not raised. ``right_eigvec``, ``left_eigvec``,
-``second_order``, ``gammas`` and ``compute_normal_form`` are the
-one-point case and raise that exception.
+``second_order`` and ``compute_normal_form`` are the one-point case
+and raise that exception.
 """
 from __future__ import annotations
 
@@ -61,7 +61,6 @@ __all__ = [
     "left_eigvec",
     "eigen_residuals",
     "second_order",
-    "gammas",
     "classify",
     "predicted_amplitude",
     "predicted_component_amplitudes",
@@ -336,6 +335,16 @@ def second_order(lin: Linearization, omega: float, s: float, c: np.ndarray
 def _gammas(lin: Linearization, omega: np.ndarray, s: np.ndarray, c: np.ndarray,
             d: np.ndarray, e_vec: np.ndarray, f_vec: np.ndarray
             ) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficients of the amplitude equation H' = delta*Gamma1*H - Gamma2*H^2*conj(H),
+    one (N,) array each for a stack of N crossings.
+
+    Gamma1 = d*(A + As*E)*c equals i*omega + s*dlambda/ds, the per-unit-
+    delay drift of the crossing root. Gamma2 collects the cubic-order
+    secular forcing: the first-order wave beating against its own
+    second-order response. The resonant part of each quadratic term is
+    assembled from the component products, delayed slots weighted by E
+    (the net delay factor of a wave at frequency +omega).
+    """
     ex = np.exp(-1j * omega * s)
     gamma1 = np.einsum("ni,nij,nj->n", d, lin.A + lin.As * ex[:, None, None], c)
 
@@ -349,23 +358,6 @@ def _gammas(lin: Linearization, omega: np.ndarray, s: np.ndarray, c: np.ndarray,
         2.0 * fq["v2"] * (c2 * f2 + np.conj(c2) * e2c),
         fq["uv"] * mix_uv), axis=1)
     return gamma1, -s * np.einsum("ni,ni->n", d, m_vec)
-
-
-def gammas(lin: Linearization, omega: float, s: float, c: np.ndarray,
-           d: np.ndarray, e_vec: np.ndarray, f_vec: np.ndarray
-           ) -> tuple[complex, complex]:
-    """Coefficients of the amplitude equation H' = delta*Gamma1*H - Gamma2*H^2*conj(H).
-
-    Gamma1 = d*(A + As*E)*c equals i*omega + s*dlambda/ds, the per-unit-
-    delay drift of the crossing root. Gamma2 collects the cubic-order
-    secular forcing: the first-order wave beating against its own
-    second-order response. The resonant part of each quadratic term is
-    assembled from the component products, delayed slots weighted by E
-    (the net delay factor of a wave at frequency +omega).
-    """
-    g1, g2 = _gammas(_stack(lin), _one(omega), _one(s), _one(c), _one(d),
-                     _one(e_vec), _one(f_vec))
-    return complex(g1[0]), complex(g2[0])
 
 
 def classify(chi1: float, chi2: float) -> Direction:

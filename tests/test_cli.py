@@ -4,6 +4,7 @@ import csv
 import json
 import math
 import textwrap
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ import pytest
 from infodelay import (
     Command,
     ConfigError,
+    CycleMetrics,
     ResonanceError,
     coexistence,
     compute_normal_form,
@@ -118,8 +120,7 @@ def test_parse_sweep_over_swept_key_without_value():
 
 
 def test_analyze_report(tmp_path):
-    report = run(parse_config(cfg("Analyze")), tmp_path)
-    d = report.to_dict()
+    d = run(parse_config(cfg("Analyze")), tmp_path)
     assert list(d) == ["command", "params", "equilibria", "h1_holds",
                        "char_coeffs", "g_coeffs", "candidates", "s0",
                        "normal_form", "simulation", "sweep", "notes"]
@@ -149,7 +150,7 @@ def test_analyze_report(tmp_path):
 
 def test_analyze_report_predicts_the_cycle(tmp_path):
     # the README config, just past the switch
-    d = run(parse_config(cfg("Analyze", s="2.02")), tmp_path).to_dict()
+    d = run(parse_config(cfg("Analyze", s="2.02")), tmp_path)
     nf = d["normal_form"]
     pred = nf["prediction"]
     assert abs(pred["delta"] - 0.0047985) < 1e-7
@@ -166,10 +167,10 @@ def test_analyze_report_predicts_the_cycle(tmp_path):
 
 
 def test_critical_and_direction_sections(tmp_path):
-    crit = run(parse_config(cfg("Critical")), tmp_path / "c").to_dict()
+    crit = run(parse_config(cfg("Critical")), tmp_path / "c")
     assert crit["candidates"] is not None
     assert crit["normal_form"] is None
-    dirn = run(parse_config(cfg("Direction")), tmp_path / "d").to_dict()
+    dirn = run(parse_config(cfg("Direction")), tmp_path / "d")
     assert dirn["candidates"] is None
     assert dirn["normal_form"] is not None
     assert dirn["s0"] is not None
@@ -178,7 +179,7 @@ def test_critical_and_direction_sections(tmp_path):
 
 def test_analyze_without_coexistence_point(tmp_path):
     text = cfg("Analyze").replace("b1 = 0.95", "b1 = 1.2")
-    d = run(parse_config(text), tmp_path).to_dict()
+    d = run(parse_config(text), tmp_path)
     assert d["equilibria"][3]["exists"] is False
     assert d["h1_holds"] is None
     assert d["candidates"] is None and d["s0"] is None
@@ -225,14 +226,38 @@ def test_report_csv_round_trips_json(tmp_path):
             assert got[key] == json.dumps(node), key
 
 
+_REPORT_KEYS = ["command", "params", "equilibria", "h1_holds", "char_coeffs", "g_coeffs",
+                "candidates", "s0", "normal_form", "simulation", "sweep", "notes"]
+_COMMAND_EXTRAS = {
+    "Analyze": "",
+    "Critical": "",
+    "Direction": "",
+    "Simulate": "t_end = 30\nu0 = 1.05\nv0 = 0.95\nsteps_per_delay = 50\n",
+    "Sweep": "sweep_param = mu\nsweep_min = 1.5\nsweep_max = 3.0\nsweep_count = 4\n",
+}
+
+
+@pytest.mark.parametrize("command", list(_COMMAND_EXTRAS))
+def test_run_returns_the_report_json_document(tmp_path, command):
+    doc = run(parse_config(cfg(command, extra=_COMMAND_EXTRAS[command])), tmp_path)
+    text = (tmp_path / "report.json").read_text()
+    assert doc == json.loads(text)
+    # same keys in the same order at every depth, plain JSON types only
+    assert json.dumps(doc, indent=2) + "\n" == text
+    assert list(doc) == _REPORT_KEYS
+    assert doc["command"] == command
+    if command == "Simulate":
+        cycle_keys = [f.name for f in fields(CycleMetrics)]
+        assert [k for k in doc["simulation"] if k in cycle_keys] == cycle_keys
+
+
 # --------------------------------------------------------------------------
 # simulate command
 
 
 def test_simulate_outputs(tmp_path):
     extra = "t_end = 50\nu0 = 1.05\nv0 = 0.95\nsteps_per_delay = 50\n"
-    report = run(parse_config(cfg("Simulate", extra=extra)), tmp_path)
-    sim = report.to_dict()["simulation"]
+    sim = run(parse_config(cfg("Simulate", extra=extra)), tmp_path)["simulation"]
     assert sim["diverged"] is False
     assert sim["left_positive_orthant_at"] is None
     assert sim["history"]["w0"] == 1.05 * 0.95 / 6.0
@@ -254,8 +279,7 @@ def test_simulate_outputs(tmp_path):
 def test_simulate_explicit_w0(tmp_path):
     extra = ("t_end = 5\nu0 = 1.05\nv0 = 0.95\nw0 = 0.2\n"
              "steps_per_delay = 50\n")
-    report = run(parse_config(cfg("Simulate", extra=extra)), tmp_path)
-    sim = report.to_dict()["simulation"]
+    sim = run(parse_config(cfg("Simulate", extra=extra)), tmp_path)["simulation"]
     assert sim["history"]["w0"] == 0.2
     assert sim["history"]["w0_policy"] == "Explicit"
 
@@ -275,7 +299,7 @@ def test_simulate_divergence_stays_in_band(tmp_path):
     # a finished run writes the same keys in the same order
     extra = "t_end = 5\nu0 = 1.05\nv0 = 0.95\nsteps_per_delay = 50\n"
     finished = run(parse_config(cfg("Simulate", extra=extra)), tmp_path / "ok")
-    assert list(sim) == list(finished.to_dict()["simulation"])
+    assert list(sim) == list(finished["simulation"])
     assert sim["t_end"] is None and sim["step"] is None and sim["final_state"] is None
 
 
@@ -295,10 +319,10 @@ def test_near_double_root_note(tmp_path, monkeypatch):
     import infodelay.cli as cli
     monkeypatch.setattr(cli, "near_double_root", lambda g: 0.04)
     for command in ("Analyze", "Critical"):
-        notes = run(parse_config(cfg(command)), tmp_path / command).to_dict()["notes"]
+        notes = run(parse_config(cfg(command)), tmp_path / command)["notes"]
         assert any("z = 0.04 " in note and "may have been added or dropped" in note
                    for note in notes), notes
-    notes = run(parse_config(cfg("Direction")), tmp_path / "Direction").to_dict()["notes"]
+    notes = run(parse_config(cfg("Direction")), tmp_path / "Direction")["notes"]
     assert notes == []
 
 
@@ -380,7 +404,7 @@ _SWEEP_GRIDS = {
 def test_sweep_rows_equal_the_one_point_chain(tmp_path, param, lo, hi, count):
     config = RunConfig(command=Command.SWEEP, param_values={**REFERENCE, "s": 2.0},
                        sweep=SweepOpts(param=param, lo=lo, hi=hi, count=count))
-    rows = run(config, tmp_path).sweep["rows"]
+    rows = run(config, tmp_path)["sweep"]["rows"]
     assert len(rows) == count
     kinds = set()
     for row in rows:
