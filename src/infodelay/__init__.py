@@ -5,120 +5,20 @@ their delay-free verdicts), stability (characteristic equation and
 critical delays), normal_form (direction and amplitude of the
 bifurcating cycle), integrator (time-domain validation), cli (config
 driven runs producing reports, tables and figures).
+
+The package namespace is the union of the modules' ``__all__`` lists,
+which are the one statement of the public API.
 """
-from .model import (
-    Equilibrium,
-    EquilibriumLabel,
-    ModelParams,
-    ParamGrid,
-    Stability,
-    State,
-    coexistence,
-    distributed_w_oracle,
-    equilibria,
-    estar_exists,
-    params_valid,
-    reduced_rhs,
-)
-from .stability import (
-    CharCoeffs,
-    GCubic,
-    HopfCandidate,
-    Transversality,
-    char_coeffs,
-    char_value,
-    g_cubic,
-    h1_holds,
-    hopf_candidates,
-    s0,
-    transversality_sign,
-)
-from .normal_form import (
-    Direction,
-    Linearization,
-    NormalForm,
-    NormalForms,
-    ResonanceError,
-    compute_normal_form,
-    classify,
-    eigen_residuals,
-    left_eigvec,
-    linearize,
-    normal_forms,
-    predicted_amplitude,
-    predicted_component_amplitudes,
-    predicted_period,
-    right_eigvec,
-    second_order,
-)
-from .integrator import (
-    Classification,
-    CycleMetrics,
-    HistorySpec,
-    SimulationDiverged,
-    Trajectory,
-    cycle_metrics,
-    fft_period,
-    simulate,
-    simulate_distributed,
-)
-from .cli import Command, ConfigError, RunConfig, parse_config, run
+from . import cli, cubic, integrator, model, normal_form, plots, stability
+from .model import *
+from .cubic import *
+from .stability import *
+from .normal_form import *
+from .integrator import *
+from .plots import *
+from .cli import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CharCoeffs",
-    "Classification",
-    "Command",
-    "ConfigError",
-    "CycleMetrics",
-    "Direction",
-    "Equilibrium",
-    "EquilibriumLabel",
-    "GCubic",
-    "HistorySpec",
-    "HopfCandidate",
-    "Linearization",
-    "ModelParams",
-    "NormalForm",
-    "NormalForms",
-    "ParamGrid",
-    "ResonanceError",
-    "RunConfig",
-    "SimulationDiverged",
-    "Stability",
-    "State",
-    "Trajectory",
-    "Transversality",
-    "char_coeffs",
-    "char_value",
-    "classify",
-    "coexistence",
-    "compute_normal_form",
-    "cycle_metrics",
-    "distributed_w_oracle",
-    "eigen_residuals",
-    "equilibria",
-    "estar_exists",
-    "fft_period",
-    "g_cubic",
-    "h1_holds",
-    "hopf_candidates",
-    "left_eigvec",
-    "linearize",
-    "normal_forms",
-    "params_valid",
-    "parse_config",
-    "predicted_amplitude",
-    "predicted_component_amplitudes",
-    "predicted_period",
-    "reduced_rhs",
-    "right_eigvec",
-    "run",
-    "s0",
-    "second_order",
-    "simulate",
-    "simulate_distributed",
-    "transversality_sign",
-    "__version__",
-]
+__all__ = [name for module in (model, cubic, stability, normal_form, integrator, plots, cli)
+           for name in module.__all__] + ["__version__"]

@@ -51,7 +51,7 @@ __all__ = [
     "main",
 ]
 
-_MODEL_KEYS = ("r1", "r2", "a1", "a2", "b1", "b2", "mu", "r", "s")
+_MODEL_KEYS = tuple(f.name for f in fields(ModelParams))
 _FLOAT_KEYS = _MODEL_KEYS + ("t_end", "transient_fraction", "u0", "v0", "w0",
                              "sweep_min", "sweep_max")
 _INT_KEYS = ("steps_per_delay", "sweep_count")
@@ -169,13 +169,14 @@ def parse_config(text: str) -> RunConfig:
         required += ["t_end", "u0", "v0"]
     if command is Command.SWEEP:
         required += ["sweep_param", "sweep_min", "sweep_max", "sweep_count"]
+    # the swept model key may be omitted; the grid supplies it
+    swept = values.get("sweep_param") if command is Command.SWEEP else None
+    missing = [k for k in required if k not in values and k != swept]
+    if missing:
+        raise ConfigError("missing required keys: " + ", ".join(missing))
 
     sweep = None
     if command is Command.SWEEP:
-        missing_sweep = [k for k in ("sweep_param", "sweep_min", "sweep_max", "sweep_count")
-                         if k not in values]
-        if missing_sweep:
-            raise ConfigError("missing required keys: " + ", ".join(missing_sweep))
         param = values["sweep_param"]
         if param not in _MODEL_KEYS:
             raise ConfigError(
@@ -187,12 +188,6 @@ def parse_config(text: str) -> RunConfig:
         if count < 1:
             raise ConfigError(f"line {lines['sweep_count']}: sweep_count must be >= 1, got {count!r}")
         sweep = SweepOpts(param=param, lo=lo, hi=hi, count=count)
-        # the swept model key may be omitted; the grid supplies it
-        required = [k for k in required if k != param]
-
-    missing = [k for k in required if k not in values]
-    if missing:
-        raise ConfigError("missing required keys: " + ", ".join(missing))
 
     param_values = {k: values[k] for k in _MODEL_KEYS if k in values}
     probe = dict(param_values)

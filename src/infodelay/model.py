@@ -21,7 +21,7 @@ coexistence point.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from typing import NamedTuple, Sequence
 
@@ -43,9 +43,6 @@ __all__ = [
     "reduced_rhs",
     "distributed_w_oracle",
 ]
-
-_PARAM_FIELDS = ("r1", "r2", "a1", "a2", "b1", "b2", "mu", "r", "s")
-
 
 class State(NamedTuple):
     """Point of the reduced system: densities u, v and memory variable w."""
@@ -85,6 +82,8 @@ class ModelParams:
                     raise ValueError(f"{name} {what}, got {value!r}")
 
 
+_PARAM_FIELDS = tuple(f.name for f in fields(ModelParams))
+
 # the rules ModelParams enforces, in the order it checks them: the
 # fields a rule covers, its test, and the end of its error message
 _RULES = (
@@ -116,7 +115,7 @@ class ParamGrid(NamedTuple):
         """Broadcast a ModelParams, or a field -> number or 1-D array
         mapping, to one point axis (N = 1 for all numbers)."""
         if isinstance(values, ModelParams):
-            values = {name: getattr(values, name) for name in _PARAM_FIELDS}
+            values = vars(values)
         return cls(*np.broadcast_arrays(
             *(np.atleast_1d(np.asarray(values[name], dtype=float)) for name in _PARAM_FIELDS)))
 

@@ -32,11 +32,13 @@ The chain runs on stacks of N crossings: Linearization matrices of
 shape (N, 3, 3), frequencies and delays of shape (N,), vectors of
 shape (N, 3). One SVD of each crossing matrix gives both null vectors,
 and the second-order eigenvalue checks and solves are stacked LAPACK
-calls. ``normal_forms`` evaluates a whole parameter grid. Failures are
-per point: a failing point is left out of the results and its
-exception recorded, not raised. ``right_eigvec``, ``left_eigvec``,
-``second_order`` and ``compute_normal_form`` are the one-point case
-and raise that exception.
+calls. ``normal_forms`` evaluates a whole parameter grid at the
+switches ``stability.first_switches`` finds, starting from the reasons
+it records for points without one. Failures are per point: a failing
+point is left out of the results and its exception recorded, not
+raised. ``right_eigvec``, ``left_eigvec``, ``second_order`` and
+``compute_normal_form`` are the one-point case and raise that
+exception.
 """
 from __future__ import annotations
 
@@ -109,13 +111,13 @@ class NormalForm:
     s_star: float
     c_vec: np.ndarray
     d_vec: np.ndarray
-    e_vec: np.ndarray | None = None
-    f_vec: np.ndarray | None = None
-    Gamma1: complex | None = None
-    Gamma2: complex | None = None
-    chi1: float | None = None
-    chi2: float | None = None
-    direction: Direction | None = None
+    e_vec: np.ndarray
+    f_vec: np.ndarray
+    Gamma1: complex
+    Gamma2: complex
+    chi1: float
+    chi2: float
+    direction: Direction
 
 
 def _linearize(params, point: State) -> Linearization:
@@ -368,8 +370,8 @@ def classify(chi1: float, chi2: float) -> Direction:
 
 
 def _require_direction(nf: NormalForm) -> None:
-    if nf.direction is None or nf.direction is Direction.DEGENERATE:
-        raise ValueError("bifurcation direction is degenerate or not computed")
+    if nf.direction is Direction.DEGENERATE:
+        raise ValueError("bifurcation direction is degenerate")
 
 
 def predicted_amplitude(nf: NormalForm, delta: float) -> float:
@@ -430,11 +432,6 @@ def normal_forms(p: ParamGrid) -> NormalForms:
     n = len(p.r1)
     sw = first_switches(p)
     errors = dict(sw.errors)
-    none = sw.valid.copy()
-    none[list(errors)] = False
-    none[sw.idx] = False
-    errors.update({i: ValueError("no imaginary-axis crossings: stability never switches")
-                   for i in np.flatnonzero(none).tolist()})
 
     omega, s = sw.omega, sw.s0
     lin = _linearize(sw.params, sw.point)

@@ -18,8 +18,8 @@ of N points: ``char_coeffs``' arithmetic, ``g_cubic`` and the Jacobian
 entries take (N,) arrays as written, ``crossing_candidates`` gives the
 (N, 3) candidates of N equations (one column per root of G), and
 ``first_switches`` the smallest base delay of N parameter sets, point
-by point. ``hopf_candidates``, ``transversality_sign`` and ``s0`` are
-their one-point case.
+by point. ``hopf_candidates`` and ``transversality_sign`` are their
+one-point case, and ``s0`` is the first of ``hopf_candidates``.
 """
 from __future__ import annotations
 
@@ -34,7 +34,7 @@ import numpy as np
 
 from .cubic import cubic_roots, cubic_roots_array, real_positive_mask
 from .model import (Equilibrium, EquilibriumLabel, ModelParams, ParamGrid, State,
-                    coexistence_points, params_valid)
+                    coexistence, coexistence_points, params_valid)
 
 __all__ = [
     "CharCoeffs",
@@ -349,44 +349,40 @@ def hopf_candidates(coeffs: CharCoeffs, j_max: int = DEFAULT_J_MAX) -> list[Hopf
         raise ValueError("j_max must be nonnegative")
     x = crossing_candidates(CharCoeffs(*(np.array([getattr(coeffs, f.name)])
                                          for f in fields(coeffs))))
-    out = [_candidate(x, 0, k, j_max) for k in np.flatnonzero(x.kept[0])]
+    out = []
+    for k in np.flatnonzero(x.kept[0]):
+        omega, s_base = float(x.omega[0, k]), float(x.s_base[0, k])
+        if x.off_g[0, k]:
+            raise _not_a_root(omega * omega)
+        delays = tuple(s_base + 2.0 * math.pi * j / omega for j in range(j_max + 1))
+        out.append(HopfCandidate(z=omega * omega, omega=omega, delays=delays,
+                                 transversality_sign=_direction(x.g_slope[0, k])))
     out.sort(key=lambda cand: cand.delays[0])
     return out
-
-
-def _candidate(x: Crossings, i: int, k: int, j_max: int = DEFAULT_J_MAX) -> HopfCandidate:
-    omega, s_base = float(x.omega[i, k]), float(x.s_base[i, k])
-    if x.off_g[i, k]:
-        raise _not_a_root(omega * omega)
-    delays = tuple(s_base + 2.0 * math.pi * j / omega for j in range(j_max + 1))
-    return HopfCandidate(z=omega * omega, omega=omega, delays=delays,
-                         transversality_sign=_direction(x.g_slope[i, k]))
 
 
 class Switches(NamedTuple):
     """First stability switches of N parameter sets.
 
-    valid is the (N,) mask of ModelParams' rules. idx lists, ascending,
-    the points that have a switch; the fields after it hold one entry
-    per listed point: the parameters, the coexistence point, the
-    candidates, and the column ``first`` of the candidate with the
-    smallest base delay s0, at frequency omega. errors maps a valid
-    point without a switch to the exception ``s0`` raises there; a
-    valid point in neither has no crossing at all.
+    idx lists, ascending, the points that have a switch; the fields
+    after it hold one entry per listed point: the parameters, the
+    coexistence point, and the frequency omega and base delay s0 of the
+    candidate with the smallest base delay. errors maps every other
+    point that passes ModelParams' rules to the reason it has no
+    switch: no coexistence point, a candidate off G's root residual,
+    or no crossing at all.
     """
 
-    valid: np.ndarray
     idx: np.ndarray
     params: ParamGrid
     point: State
-    crossings: Crossings
-    first: np.ndarray
     omega: np.ndarray
     s0: np.ndarray
     errors: dict[int, Exception]
 
 
 _NO_COEXISTENCE = "coexistence equilibrium does not exist for these parameters"
+_NO_CROSSING = "no imaginary-axis crossings: stability never switches"
 
 
 def first_switches(p: ParamGrid) -> Switches:
@@ -398,8 +394,7 @@ def first_switches(p: ParamGrid) -> Switches:
     have none.
     """
     errors: dict[int, Exception] = {}
-    valid = params_valid(p)
-    idx = np.flatnonzero(valid)
+    idx = np.flatnonzero(params_valid(p))
     p = p.take(idx)
     exists, point = coexistence_points(p)
     errors.update({i: ValueError(_NO_COEXISTENCE) for i in idx[~exists].tolist()})
@@ -410,26 +405,27 @@ def first_switches(p: ParamGrid) -> Switches:
     for i in np.flatnonzero(off):
         omega = x.omega[i, x.off_g[i]][0]
         errors[int(idx[i])] = _not_a_root(omega * omega)
-    has = x.kept.any(axis=1) & ~off
+    has = x.kept.any(axis=1)
+    errors.update({i: ValueError(_NO_CROSSING) for i in idx[~has].tolist()})
+    has &= ~off
     rows = np.arange(len(idx))
     return Switches(
-        valid=valid, idx=idx[has], params=p.take(has), point=State(*(a[has] for a in point)),
-        crossings=Crossings(*(a[has] for a in x)), first=first[has],
+        idx=idx[has], params=p.take(has), point=State(*(a[has] for a in point)),
         omega=x.omega[rows, first][has], s0=x.s_base[rows, first][has], errors=errors)
 
 
 def s0(params: ModelParams) -> tuple[float, HopfCandidate] | None:
     """First stability switch: the smallest delay over all ladders.
 
-    The one-point case of ``first_switches``. Returns None when no
-    crossing candidates exist (the equilibrium then keeps its zero-delay
-    verdict for every delay). Raises when the coexistence equilibrium
-    itself is missing.
+    The first of ``hopf_candidates``, which are sorted by base delay.
+    Returns None when no crossing candidates exist (the equilibrium
+    then keeps its zero-delay verdict for every delay). Raises when the
+    coexistence equilibrium itself is missing.
     """
-    sw = first_switches(ParamGrid.of(params))
-    if 0 in sw.errors:
-        raise sw.errors[0]
-    if not sw.idx.size:
+    estar = coexistence(params)
+    if not estar.exists:
+        raise ValueError(_NO_COEXISTENCE)
+    candidates = hopf_candidates(char_coeffs(params, estar))
+    if not candidates:
         return None
-    cand = _candidate(sw.crossings, 0, int(sw.first[0]))
-    return cand.delays[0], cand
+    return candidates[0].delays[0], candidates[0]

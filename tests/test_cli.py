@@ -99,6 +99,11 @@ def test_parse_sweep_requirements():
     assert c.sweep.param == "mu" and c.sweep.count == 5
     with pytest.raises(ConfigError, match="sweep"):
         parse_config(cfg("Sweep"))
+    # missing model and sweep keys are reported together
+    partial = cfg("Sweep", extra=extra.replace("sweep_count = 5\n", "")).replace(
+        "r1 = 0.5\n", "")
+    with pytest.raises(ConfigError, match="missing required keys: r1, sweep_count$"):
+        parse_config(partial)
     with pytest.raises(ConfigError, match="sweep_param"):
         parse_config(cfg("Sweep", extra=extra.replace("mu", "t_end")))
     with pytest.raises(ConfigError, match="sweep_min"):

@@ -24,7 +24,7 @@ from infodelay import (
     reduced_rhs,
     simulate_distributed,
 )
-from infodelay.model import coexistence_points
+from infodelay.model import _PARAM_FIELDS, coexistence_points
 from conftest import ESTAR, make_params
 
 _f = dict(allow_nan=False, allow_infinity=False)
@@ -148,6 +148,8 @@ def test_params_valid_applies_the_model_params_rules():
             want.append(True)
     assert params_valid(grid).tolist() == want
     assert want.count(True) == 4
+    # ParamGrid.of builds the grid positionally from the ModelParams fields
+    assert ParamGrid._fields == _PARAM_FIELDS
 
 
 @given(wide_params())
@@ -206,12 +208,19 @@ def test_w_oracle_matches_distributed_memory_column():
 
 
 def test_package_exports_are_module_exports():
-    # each re-exported name is public where it is defined, and every
-    # module lists only names it has
-    unlisted = [name for name in infodelay.__all__ if name != "__version__"
-                and name not in importlib.import_module(getattr(infodelay, name).__module__).__all__]
-    assert not unlisted, f"re-exported but not in their module's __all__: {unlisted}"
-    for sub in ("model", "cubic", "stability", "normal_form", "integrator", "plots", "cli"):
-        module = importlib.import_module(f"infodelay.{sub}")
+    # the package namespace is the module lists in import order, each
+    # name public where it is defined, and every module lists only
+    # names it has
+    modules = [importlib.import_module(f"infodelay.{sub}") for sub in
+               ("model", "cubic", "stability", "normal_form", "integrator", "plots", "cli")]
+    for module in modules:
         missing = [name for name in module.__all__ if not hasattr(module, name)]
-        assert not missing, f"infodelay.{sub}.__all__ lists missing {missing}"
+        assert not missing, f"{module.__name__}.__all__ lists missing {missing}"
+    listed = [name for module in modules for name in module.__all__]
+    assert infodelay.__all__ == listed + ["__version__"]
+    assert len(set(infodelay.__all__)) == len(infodelay.__all__)
+    unresolved = [name for name in infodelay.__all__ if not hasattr(infodelay, name)]
+    assert not unresolved, f"listed but not on the package: {unresolved}"
+    unlisted = [name for name in listed
+                if name not in importlib.import_module(getattr(infodelay, name).__module__).__all__]
+    assert not unlisted, f"re-exported but not in their module's __all__: {unlisted}"
