@@ -1,7 +1,9 @@
 """Config-driven command line front end.
 
 A run is described by a flat key = value file (# starts a comment).
-The command key selects what happens:
+A key the file leaves out takes its RunConfig field default; the range
+rules of the run keys are the _RUN_RULES table, those of the model keys
+ModelParams' own. The command key selects what happens:
 
     Critical   equilibria, crossing candidates and the first switch s0
     Direction  the above plus the amplitude-equation classification and
@@ -58,8 +60,6 @@ _INT_KEYS = ("steps_per_delay", "sweep_count")
 _STR_KEYS = ("command", "sweep_param")
 _ALL_KEYS = _FLOAT_KEYS + _INT_KEYS + _STR_KEYS
 
-_DEFAULT_STEPS_PER_DELAY = 200
-_DEFAULT_TRANSIENT_FRACTION = 0.5
 # points per normal_forms call in a Sweep: large enough to amortize the
 # per-call overhead, small enough that a block's stacked arrays stay a
 # few MB at any sweep_count
@@ -69,6 +69,8 @@ _REPORT_KEYS = ("command", "params", "equilibria", "h1_holds", "char_coeffs", "g
                 "candidates", "s0", "normal_form", "simulation", "sweep", "notes")
 # the Simulate report writes the CycleMetrics fields in their order
 _CYCLE_KEYS = tuple(f.name for f in fields(CycleMetrics))
+# the columns of a Sweep row, in sweep.csv's order after the param name
+_SWEEP_COLUMNS = ("value", "s0", "chi1", "chi2", "direction")
 
 
 class Command(str, Enum):
@@ -102,15 +104,24 @@ class RunConfig:
     command: Command
     param_values: dict[str, float]
     t_end: float | None = None
-    steps_per_delay: int = _DEFAULT_STEPS_PER_DELAY
-    transient_fraction: float = _DEFAULT_TRANSIENT_FRACTION
+    steps_per_delay: int = 200
+    transient_fraction: float = 0.5
     u0: float | None = None
     v0: float | None = None
     w0: float | None = None
     sweep: SweepOpts | None = None
 
-    def model_params(self, **overrides: float) -> ModelParams:
-        return ModelParams(**{**self.param_values, **overrides})
+    def model_params(self) -> ModelParams:
+        return ModelParams(**self.param_values)
+
+
+# range rules for the run keys, checked in this order on the keys the
+# config sets: the key, its test, and the end of its error message
+_RUN_RULES = (
+    ("steps_per_delay", lambda n: n >= 20, "must be >= 20"),
+    ("transient_fraction", lambda x: 0.0 <= x < 1.0, "must be in [0, 1)"),
+    ("t_end", lambda x: x > 0, "must be positive"),
+)
 
 
 def parse_config(text: str) -> RunConfig:
@@ -157,7 +168,7 @@ def parse_config(text: str) -> RunConfig:
     if "command" not in values:
         raise ConfigError("missing required keys: command")
     try:
-        command = Command(values["command"])
+        values["command"] = command = Command(values["command"])
     except ValueError:
         names = ", ".join(c.value for c in Command)
         raise ConfigError(
@@ -190,9 +201,7 @@ def parse_config(text: str) -> RunConfig:
         sweep = SweepOpts(param=param, lo=lo, hi=hi, count=count)
 
     param_values = {k: values[k] for k in _MODEL_KEYS if k in values}
-    probe = dict(param_values)
-    if sweep is not None:
-        probe[sweep.param] = sweep.lo
+    probe = {**param_values, sweep.param: sweep.lo} if sweep else param_values
     try:
         ModelParams(**probe)
     except ValueError as exc:
@@ -200,29 +209,14 @@ def parse_config(text: str) -> RunConfig:
         at = f"line {lines[bad]}: " if bad in lines else ""
         raise ConfigError(f"{at}{exc}") from None
 
-    spd = values.get("steps_per_delay", _DEFAULT_STEPS_PER_DELAY)
-    if spd < 20:
-        raise ConfigError(
-            f"line {lines['steps_per_delay']}: steps_per_delay must be >= 20, got {spd!r}")
-    tf = values.get("transient_fraction", _DEFAULT_TRANSIENT_FRACTION)
-    if not 0.0 <= tf < 1.0:
-        raise ConfigError(
-            f"line {lines['transient_fraction']}: transient_fraction must be in [0, 1), got {tf!r}")
-    t_end = values.get("t_end")
-    if t_end is not None and not (math.isfinite(t_end) and t_end > 0):
-        raise ConfigError(f"line {lines['t_end']}: t_end must be positive, got {t_end!r}")
+    for key, holds, what in _RUN_RULES:
+        if key in values and not holds(values[key]):
+            raise ConfigError(f"line {lines[key]}: {key} {what}, got {values[key]!r}")
 
-    return RunConfig(
-        command=command,
-        param_values=param_values,
-        t_end=t_end,
-        steps_per_delay=spd,
-        transient_fraction=tf,
-        u0=values.get("u0"),
-        v0=values.get("v0"),
-        w0=values.get("w0"),
-        sweep=sweep,
-    )
+    # a run key the config leaves out keeps its RunConfig default
+    run_keys = {f.name for f in fields(RunConfig)}
+    return RunConfig(param_values=param_values, sweep=sweep,
+                     **{k: v for k, v in values.items() if k in run_keys})
 
 
 def _jsonify(obj):
@@ -251,16 +245,11 @@ def _jsonify(obj):
 
 
 def _flatten(obj, prefix: str = "") -> list[tuple[str, object]]:
-    if isinstance(obj, dict):
-        out = []
-        for k, v in obj.items():
-            out.extend(_flatten(v, f"{prefix}.{k}" if prefix else str(k)))
-        return out
     if isinstance(obj, list):
-        out = []
-        for i, v in enumerate(obj):
-            out.extend(_flatten(v, f"{prefix}.{i}"))
-        return out
+        obj = dict(enumerate(obj))
+    if isinstance(obj, dict):
+        return [leaf for k, v in obj.items()
+                for leaf in _flatten(v, f"{prefix}.{k}" if prefix else str(k))]
     return [(prefix, obj)]
 
 
@@ -316,29 +305,21 @@ def _analysis_sections(report: dict, params: ModelParams,
         rc, rd = eigen_residuals(linearize(params, estar), nf.omega_star, nf.s_star,
                                  nf.c_vec, nf.d_vec)
         drift = 1j * nf.omega_star + nf.s_star * crossing_drift(nf.omega_star, nf.s_star, coeffs)
-        report["normal_form"] = {
-            "omega_star": nf.omega_star,
-            "s_star": nf.s_star,
-            "linear_period": 2.0 * math.pi / nf.omega_star,
-            "c_vec": nf.c_vec,
-            "d_vec": nf.d_vec,
-            "e_vec": nf.e_vec,
-            "f_vec": nf.f_vec,
-            "Gamma1": nf.Gamma1,
-            "Gamma2": nf.Gamma2,
-            "chi1": nf.chi1,
-            "chi2": nf.chi2,
-            "direction": nf.direction,
+        # the NormalForm fields in their order, the linear period after s_star
+        section = [(f.name, getattr(nf, f.name)) for f in fields(NormalForm)]
+        section.insert(2, ("linear_period", 2.0 * math.pi / nf.omega_star))
+        report["normal_form"] = dict(
+            section,
             # the cycle the amplitude equation predicts at the configured s
-            "prediction": _prediction(nf, params.s - nf.s_star),
+            prediction=_prediction(nf, params.s - nf.s_star),
             # residuals of the eigenvector equations and of Gamma1 against
             # the crossing root's drift
-            "self_checks": {
+            self_checks={
                 "right_eigenvector_residual": rc,
                 "left_eigenvector_residual": rd,
                 "gamma1_drift_residual": float(abs(nf.Gamma1 - drift) / abs(nf.Gamma1)),
             },
-        }
+        )
 
 
 def _prediction(nf: NormalForm, delta: float) -> dict | None:
@@ -377,17 +358,13 @@ def _run_simulate(report: dict, config: RunConfig, params: ModelParams,
     try:
         traj = simulate(params, history, config.t_end, config.steps_per_delay)
     except SimulationDiverged as exc:
-        sim["diverged"] = True
-        sim["diverged_at"] = exc.time
-        sim["left_positive_orthant_at"] = exc.left_positive_orthant_at
-        sim["classification"] = "Diverges"
+        sim.update(diverged=True, diverged_at=exc.time, classification="Diverges",
+                   left_positive_orthant_at=exc.left_positive_orthant_at)
         report["notes"].append(f"simulation diverged at t = {exc.time:g}; "
                                "no trajectory written")
         return
-    sim["left_positive_orthant_at"] = traj.left_positive_orthant_at
-    sim["t_end"] = traj.t_end
-    sim["step"] = traj.step
-    sim["final_state"] = list(traj.states[-1])
+    sim.update(left_positive_orthant_at=traj.left_positive_orthant_at, t_end=traj.t_end,
+               step=traj.step, final_state=list(traj.states[-1]))
     traj.to_csv(out_dir / "trajectory.csv")
     if estar.exists:
         metrics = cycle_metrics(traj, estar.point, config.transient_fraction)
@@ -404,7 +381,7 @@ def _sweep_rows(values: np.ndarray, nfs: NormalForms) -> list[dict]:
     chi2 and direction where its normal form was computed."""
     rows = []
     for i, value in enumerate(values.tolist()):
-        row = {"value": value, "s0": None, "chi1": None, "chi2": None, "direction": None}
+        row = dict(dict.fromkeys(_SWEEP_COLUMNS), value=value)
         if not math.isnan(nfs.s0[i]):
             row["s0"] = float(nfs.s0[i])
         if nfs.ok[i]:
@@ -426,16 +403,14 @@ def _run_sweep(report: dict, config: RunConfig, out_dir: Path) -> None:
                        "count": opts.count, "rows": rows}
     with open(out_dir / "sweep.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["param", "value", "s0", "chi1", "chi2", "direction"])
+        writer.writerow(["param", *_SWEEP_COLUMNS])
         for row in rows:
-            writer.writerow([
-                opts.param,
-                format(row["value"], ".17g"),
-                "" if row["s0"] is None else format(row["s0"], ".17g"),
-                "" if row["chi1"] is None else format(row["chi1"], ".17g"),
-                "" if row["chi2"] is None else format(row["chi2"], ".17g"),
-                "" if row["direction"] is None else row["direction"],
-            ])
+            writer.writerow([opts.param, *map(_sweep_cell, row.values())])
+
+
+def _sweep_cell(value) -> str:
+    # empty where the point has nothing, floats at 17 digits, words as is
+    return "" if value is None else format(value, ".17g") if isinstance(value, float) else value
 
 
 def run(config: RunConfig, output_dir=".", plot: bool = False) -> dict:

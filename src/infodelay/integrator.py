@@ -520,19 +520,22 @@ def fft_period(values, step: float) -> float | None:
         return None
     x = x - x.mean()
     mag = np.abs(np.fft.rfft(x))
-    if len(mag) < 3:
-        return None
+    # k >= 1, and mag[0] is at rounding level after the mean removal, so
+    # past the flatness guard mag[k] tops both neighbours and the vertex
+    # stays within half a bin of k
     k = 1 + int(np.argmax(mag[1:]))
     if mag[k] < 1e-12 * len(x) * max(1.0, float(np.abs(x).max())):
         return None
-    kk = float(k)
-    if 1 <= k < len(mag) - 1:
-        denom = mag[k - 1] - 2.0 * mag[k] + mag[k + 1]
-        if denom < 0:
-            kk += 0.5 * (mag[k - 1] - mag[k + 1]) / denom
-    if kk <= 0:
-        return None
-    return len(x) * step / kk
+    if k < len(mag) - 1:
+        return len(x) * step / (k + float(_vertex_shift(*mag[k - 1:k + 2])))
+    return len(x) * step / k
+
+
+def _vertex_shift(left, mid, right):
+    """Offset from the middle sample to the vertex of the parabola through
+    three equally spaced samples, in samples; 0 where they do not bend down."""
+    curv = left - 2.0 * mid + right
+    return np.where(curv < 0.0, 0.5 * (left - right) / np.where(curv < 0.0, curv, -1.0), 0.0)
 
 
 def _refined_peak_times(ts: np.ndarray, signal: np.ndarray,
@@ -546,9 +549,7 @@ def _refined_peak_times(ts: np.ndarray, signal: np.ndarray,
     if len(peaks) == 0:
         return ts[peaks]
     step = ts[1] - ts[0]
-    left, mid, right = signal[peaks - 1], signal[peaks], signal[peaks + 1]
-    curv = left - 2.0 * mid + right
-    shift = np.where(curv < 0.0, 0.5 * (left - right) / np.where(curv < 0.0, curv, -1.0), 0.0)
+    shift = _vertex_shift(signal[peaks - 1], signal[peaks], signal[peaks + 1])
     return ts[peaks] + np.clip(shift, -0.5, 0.5) * step
 
 

@@ -171,9 +171,13 @@ def reduced_rhs(current: State, delayed: State, params: ModelParams) -> State:
 def estar_exists(params: ModelParams) -> bool:
     """Existence predicate for the coexistence equilibrium.
 
-    Equivalent to componentwise positivity of the closed forms in
-    ``equilibria``; in particular it forces the shared denominator
-    a1*a2*(mu+r) + b1*b2 to be positive.
+    True exactly where the closed-form point is componentwise positive
+    and the shared denominator D = a1*a2*(mu+r) + b1*b2 is positive.
+    The other positive branch (D < 0, b1 > a2, a1*(mu+r) + b2 < 0) is a
+    fixed point too, but the predicate rejects it: there
+    p0 + q0 = r1*r2*u*v*D < 0, so the characteristic function is
+    negative at lambda = 0 and has a positive real root at every delay.
+    That point is unstable for all s, with no stability switch.
     """
     return bool(coexistence_points(params)[0])
 
@@ -181,9 +185,11 @@ def estar_exists(params: ModelParams) -> bool:
 def coexistence_points(p) -> tuple[np.ndarray, State]:
     """Existence mask and closed-form coexistence point, elementwise.
 
-    Works on a ModelParams or a ParamGrid. Where the shared denominator
-    a1*a2*(mu+r) + b1*b2 vanishes the point is NaN; existence forces it
-    positive.
+    Works on a ModelParams or a ParamGrid. The mask is
+    ``estar_exists``: a positive point with a positive shared
+    denominator a1*a2*(mu+r) + b1*b2. Where the denominator vanishes the
+    point is NaN; where it is negative the point may still be positive,
+    and is unstable at every delay.
     """
     mr = p.mu + p.r
     exists = (p.b1 < p.a2) & (p.a1 * p.a2 * mr > np.maximum(-p.b1 * p.b2, -p.a2 * p.b2))
@@ -200,8 +206,10 @@ def coexistence_points(p) -> tuple[np.ndarray, State]:
 def equilibria(params: ModelParams) -> list[Equilibrium]:
     """All four equilibria with existence and stability verdicts.
 
-    E0 (both extinct), E1 (u only), E2 (v only) always exist. The
-    coexistence point EStar exists exactly when ``estar_exists`` holds.
+    E0 (both extinct), E1 (u only), E2 (v only) always exist. EStar is
+    marked existing exactly when ``estar_exists`` holds; a positive
+    point with a negative denominator, unstable at every delay, is
+    marked missing.
     Stability verdicts for E0/E1/E2 come from the zero-delay spectrum;
     E2 in particular can be delay-destabilized even when b1 > a2, which
     the flag deliberately ignores. The EStar verdict is delegated to the

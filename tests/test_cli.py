@@ -112,6 +112,73 @@ def test_parse_sweep_requirements():
         parse_config(cfg("Sweep", extra=extra.replace("count = 5", "count = 0")))
 
 
+_SWEEP_LINES = "sweep_param = mu\nsweep_min = 1.0\nsweep_max = 3.0\nsweep_count = 5\n"
+
+# the full text of every ConfigError parse_config raises, one case per
+# raise site, then the first error of configs that have several; model
+# lines are 2-9, s is line 10 and the extra lines start at 11
+_CONFIG_ERRORS = {
+    "not key = value": (cfg("Analyze", extra="junk\n"),
+                        "line 11: 'junk' is not 'key = value'"),
+    "unknown key": (cfg("Analyze", extra="bogus = 1\n"), "line 11: unknown key 'bogus'"),
+    "duplicate key": (cfg("Analyze", extra="a1 = 0.1\n"),
+                      "line 11: duplicate key 'a1' (first set on line 4)"),
+    "not a number": (cfg("Analyze", extra="t_end = abc\n"),
+                     "line 11: t_end must be a number, got 'abc'"),
+    "not finite": (cfg("Analyze", extra="t_end = nan\n"),
+                   "line 11: t_end must be finite, got 'nan'"),
+    "not an integer": (cfg("Analyze", extra="steps_per_delay = 2.5\n"),
+                       "line 11: steps_per_delay must be an integer, got '2.5'"),
+    "no command": (MODEL_LINES + "\ns = 2.0\n", "missing required keys: command"),
+    "unknown command": (cfg("Explode"), "line 1: command must be one of Analyze, Critical, "
+                                        "Direction, Simulate, Sweep, got 'Explode'"),
+    "missing keys": (cfg("Simulate"), "missing required keys: t_end, u0, v0"),
+    "sweep_param": (cfg("Sweep", extra=_SWEEP_LINES.replace("mu", "t_end")),
+                    "line 11: sweep_param must be one of r1, r2, a1, a2, b1, b2, mu, r, s, "
+                    "got 't_end'"),
+    "sweep_min > sweep_max": (cfg("Sweep", extra=_SWEEP_LINES.replace("3.0", "0.5")),
+                              "line 12: sweep_min 1.0 exceeds sweep_max 0.5"),
+    "sweep_count": (cfg("Sweep", extra=_SWEEP_LINES.replace("= 5", "= 0")),
+                    "line 14: sweep_count must be >= 1, got 0"),
+    "model rule": (cfg("Analyze").replace("a1 = 0.05", "a1 = -0.1"),
+                   "line 4: a1 must be positive, got -0.1"),
+    "model rule on the swept key": (
+        cfg("Sweep", extra=_SWEEP_LINES.replace("mu", "r1").replace("1.0", "-0.5")).replace(
+            "r1 = 0.5\n", ""),
+        "r1 must be positive, got -0.5"),
+    "steps_per_delay": (cfg("Analyze", extra="steps_per_delay = 10\n"),
+                        "line 11: steps_per_delay must be >= 20, got 10"),
+    "transient_fraction": (cfg("Analyze", extra="transient_fraction = 1.0\n"),
+                           "line 11: transient_fraction must be in [0, 1), got 1.0"),
+    "t_end": (cfg("Simulate", extra="t_end = -1\nu0 = 1\nv0 = 1\n"),
+              "line 11: t_end must be positive, got -1.0"),
+    "range rules in order": (
+        cfg("Analyze", extra="t_end = -1\ntransient_fraction = 1.5\nsteps_per_delay = 10\n"),
+        "line 13: steps_per_delay must be >= 20, got 10"),
+    "transient_fraction before t_end": (
+        cfg("Analyze", extra="t_end = 0\ntransient_fraction = -0.1\n"),
+        "line 12: transient_fraction must be in [0, 1), got -0.1"),
+    "model rule before range rule": (
+        cfg("Analyze", extra="steps_per_delay = 10\n").replace("a2 = 1.045", "a2 = -1"),
+        "line 5: a2 must be positive, got -1.0"),
+    "sweep check before model rule": (
+        cfg("Sweep", extra=_SWEEP_LINES.replace("= 5", "= 0")).replace("a1 = 0.05", "a1 = -1"),
+        "line 14: sweep_count must be >= 1, got 0"),
+    "missing keys before model rule": (cfg("Simulate").replace("a1 = 0.05", "a1 = -3"),
+                                       "missing required keys: t_end, u0, v0"),
+    "first bad line": (cfg("Analyze", extra="bogus = 1\njunk\n"),
+                       "line 11: unknown key 'bogus'"),
+}
+
+
+@pytest.mark.parametrize("text, message", list(_CONFIG_ERRORS.values()),
+                         ids=list(_CONFIG_ERRORS))
+def test_config_error_messages(text, message):
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    assert str(err.value) == message
+
+
 def test_parse_sweep_over_swept_key_without_value():
     # the swept model key may be omitted; the grid supplies it
     extra = ("sweep_param = s\nsweep_min = 0.5\nsweep_max = 3.0\n"
@@ -189,6 +256,19 @@ def test_analyze_without_coexistence_point(tmp_path):
     assert d["h1_holds"] is None
     assert d["candidates"] is None and d["s0"] is None
     assert any("coexistence" in note for note in d["notes"])
+
+
+def test_analyze_without_crossing(tmp_path):
+    # b1 = 0 removes the delayed coupling: no crossing and no normal form
+    d = run(parse_config(cfg("Analyze", s="2.02").replace("b1 = 0.95", "b1 = 0")), tmp_path)
+    assert d["equilibria"][3]["exists"] is True
+    assert d["candidates"] == []
+    assert d["s0"] is None and d["normal_form"] is None
+    assert d["notes"] == [
+        "no imaginary-axis crossings: no delay-induced stability switch",
+        "bifurcation direction not computed: no imaginary-axis crossings: "
+        "stability never switches",
+    ]
 
 
 def test_report_json_is_deterministic(tmp_path):
@@ -317,6 +397,25 @@ def test_simulate_reports_orthant_exit_before_divergence(tmp_path):
     with open(tmp_path / "report.csv", newline="") as fh:
         rows = dict(csv.reader(fh))
     assert float(rows["simulation.left_positive_orthant_at"]) == sim["left_positive_orthant_at"]
+
+
+def test_simulate_without_coexistence_point(tmp_path):
+    # b2 = -0.5 leaves no coexistence point; the run stays bounded, on its
+    # way to E1 = (1/a1, 0, 0), and writes its trajectory, but has nothing
+    # to measure a cycle against
+    extra = "t_end = 50\nu0 = 1.01\nv0 = 0.99\n"
+    text = cfg("Simulate", extra=extra, s="2.02").replace("b2 = 0.27", "b2 = -0.5")
+    d = run(parse_config(text), tmp_path)
+    sim = d["simulation"]
+    assert d["equilibria"][3]["exists"] is False
+    assert sim["diverged"] is False and sim["t_end"] >= 50.0
+    assert sim["left_positive_orthant_at"] is None
+    u, v, w = sim["final_state"]
+    assert abs(u - 20.0) < 0.1 and 0.0 < v < 1e-3 and 0.0 < w < 1e-2
+    assert all(sim[f.name] is None for f in fields(CycleMetrics))
+    assert d["notes"] == ["coexistence equilibrium does not exist; cycle metrics skipped"]
+    lines = (tmp_path / "trajectory.csv").read_text().splitlines()
+    assert lines[0] == "t,u,v,w" and len(lines) == 2 + round(sim["t_end"] / sim["step"])
 
 
 def test_near_double_root_note(tmp_path, monkeypatch):
@@ -461,6 +560,13 @@ def test_main_invalid_config_exits_1(tmp_path, capsys):
     conf = _write(tmp_path, cfg("Analyze", extra="bogus = 1\n"))
     assert main([str(conf)]) == 1
     assert "invalid config" in capsys.readouterr().err
+
+
+def test_main_config_without_command_exits_1(tmp_path, capsys):
+    conf = _write(tmp_path, MODEL_LINES + "\ns = 2.0\n")
+    assert main([str(conf), "--output-dir", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == "error: invalid config: missing required keys: command\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_main_unreadable_config_exits_2(tmp_path, capsys):

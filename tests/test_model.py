@@ -25,6 +25,7 @@ from infodelay import (
     simulate_distributed,
 )
 from infodelay.model import _PARAM_FIELDS, coexistence_points
+from infodelay.stability import _coeffs_at, _jacobian
 from conftest import ESTAR, make_params
 
 _f = dict(allow_nan=False, allow_infinity=False)
@@ -224,3 +225,42 @@ def test_package_exports_are_module_exports():
     unlisted = [name for name in listed
                 if name not in importlib.import_module(getattr(infodelay, name).__module__).__all__]
     assert not unlisted, f"re-exported but not in their module's __all__: {unlisted}"
+
+
+def test_existence_predicate_means_positive_point_with_positive_denominator():
+    # at any coexistence point p0 + q0 = r1*r2*u*v*D, D = a1*a2*(mu+r) + b1*b2;
+    # the predicate keeps the positive points with D > 0. The other
+    # positive branch, D < 0, has p0 + q0 < 0: a positive real root at
+    # every delay
+    rng = np.random.default_rng(3)
+    n = 4000
+    def log_uniform(lo, hi):
+        return np.exp(rng.uniform(lo, hi, n))
+    grid = ParamGrid.of(dict(
+        r1=log_uniform(-3, 3), r2=log_uniform(-3, 3), a1=log_uniform(-4, 2),
+        a2=log_uniform(-4, 2), b1=rng.uniform(-5, 5, n), b2=rng.uniform(-5, 5, n),
+        mu=log_uniform(-4, 2), r=log_uniform(-4, 2), s=1.0))
+    _, point = coexistence_points(grid)
+    positive = (point.u > 0) & (point.v > 0)
+    grid, point = grid.take(positive), State(*(a[positive] for a in point))
+    ju, jv, mr, br2, q2, _ = _jacobian(grid, point)
+    cc = _coeffs_at(grid, point)
+    uv = grid.r1 * grid.r2 * point.u * point.v
+    den = grid.a1 * grid.a2 * mr + grid.b1 * grid.b2
+    # the size of the summed terms on both sides
+    scale = (abs(ju * jv * mr) + abs(br2 * point.u * ju) + abs(q2 * mr * jv)
+             + uv * (abs(grid.a1 * grid.a2 * mr) + abs(grid.b1 * grid.b2)))
+    assert np.all(abs(cc.p0 + cc.q0 - uv * den) <= 1e-12 * scale)
+    exists = [estar_exists(ModelParams(*(float(a[i]) for a in grid)))
+              for i in range(len(den))]
+    assert exists == (den > 0).tolist()
+    assert 100 < sum(exists) < len(exists) - 100
+    # the example: u* = 3.529, v* = 0.8235, D = -0.85, p0 + q0 = -0.618
+    p = ModelParams(r1=0.5, r2=0.5, a1=0.05, a2=0.5, b1=1.0, b2=-1.0, mu=2.0, r=4.0, s=1.0)
+    _, point = coexistence_points(p)
+    assert not estar_exists(p)
+    assert abs(point.u - 3.0 / 0.85) < 1e-12 and abs(point.v - 0.7 / 0.85) < 1e-12
+    rhs = reduced_rhs(State(*map(float, point)), State(*map(float, point)), p)
+    assert max(map(abs, rhs)) < 1e-12
+    cc = _coeffs_at(p, point)
+    assert abs(cc.p0 + cc.q0 - (-0.25 * 0.85 * point.u * point.v)) < 1e-12

@@ -8,6 +8,7 @@ import pytest
 
 from infodelay import (
     CharCoeffs,
+    ModelParams,
     Transversality,
     char_coeffs,
     char_value,
@@ -253,3 +254,32 @@ def test_near_double_root_ignores_separated_roots():
     # the reference cubic has one positive root, far from the others
     cc = char_coeffs(make_params(2.0), coexistence(make_params(2.0)))
     assert near_double_root(g_cubic(cc)) is None
+
+
+
+def _model_cc(r1, r2, a1, a2, b1, b2, mu, r):
+    p = ModelParams(r1=r1, r2=r2, a1=a1, a2=a2, b1=b1, b2=b2, mu=mu, r=r, s=1.0)
+    return char_coeffs(p, coexistence(p))
+
+
+def test_model_point_with_three_crossings():
+    # found by a 2M-draw search: the model itself can have two or three
+    # crossings, so the three-column candidate path and near_double_root
+    # serve model points, not only synthetic cubics
+    pos, neg = Transversality.POSITIVE, Transversality.NEGATIVE
+    three = _model_cc(3.3, 0.096, 1.1, 2.0, 1.7, 0.95, 0.039, 0.042)
+    two = _model_cc(3.4, 2.2, 6.2, 1.2, -2.7, -5.0, 0.093, 1.6)
+    for cc, signs in ((three, [pos, neg, pos]), (two, [pos, neg])):
+        assert h1_holds(cc)
+        cands = hopf_candidates(cc)
+        assert [c.transversality_sign for c in cands] == signs
+        for cand in cands:
+            for s in cand.delays:
+                assert abs(char_value(1j * cand.omega, s, cc)) < 1e-13
+    cands = hopf_candidates(three)
+    assert np.allclose([c.z for c in cands], [0.022992, 0.056718, 0.212651], atol=1e-6)
+    assert np.allclose([c.delays[0] for c in cands], [0.092670, 0.256729, 0.305118],
+                       atol=1e-6)
+    # two crossings with h = p0^2 - q0^2 > 0: "a crossing exists iff
+    # |p0| < |q0|" does not hold
+    assert g_cubic(two).h > 0
