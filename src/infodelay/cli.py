@@ -271,14 +271,21 @@ def _write_report(doc: dict, out_dir: Path) -> None:
             writer.writerow([key, _csv_cell(value)])
 
 
+def _missing_estar_note(estar, consequence: str) -> str:
+    """Why a coexistence point is missing, then what is skipped for it."""
+    if estar.point.u > 0 and estar.point.v > 0:
+        return ("coexistence point is positive but D = a1*a2*(mu+r) + b1*b2 < 0: "
+                f"unstable at every delay; {consequence}")
+    return f"coexistence equilibrium does not exist; {consequence}"
+
+
 def _analysis_sections(report: dict, params: ModelParams,
                        want_critical: bool, want_direction: bool) -> None:
     notes = report["notes"]
     eqs = report["equilibria"] = equilibria(params)
     estar = eqs[3]
     if not estar.exists:
-        notes.append("coexistence equilibrium does not exist; "
-                     "delay analysis is not applicable")
+        notes.append(_missing_estar_note(estar, "delay analysis is not applicable"))
         return
     coeffs = char_coeffs(params, estar)
     if want_critical:
@@ -370,8 +377,7 @@ def _run_simulate(report: dict, config: RunConfig, params: ModelParams,
         metrics = cycle_metrics(traj, estar.point, config.transient_fraction)
         sim.update({key: getattr(metrics, key) for key in _CYCLE_KEYS})
     else:
-        report["notes"].append("coexistence equilibrium does not exist; "
-                               "cycle metrics skipped")
+        report["notes"].append(_missing_estar_note(estar, "cycle metrics skipped"))
     if plot:
         trajectory_plots(traj, out_dir)
 

@@ -37,6 +37,12 @@ Both report the first node at which u or v turns negative, where the
 model leaves its meaningful region; the 1e6 divergence bound is only a
 backstop.
 
+Trajectory.to_csv writes the bytes of np.savetxt with %.17g. It cuts
+the rows into one contiguous share per usable CPU, formats the first in
+process and each other one in a forked child, and appends the children's
+part files in order; one CPU, a short run or a threaded caller gives a
+single share.
+
 cycle_metrics classifies the tail of a trajectory (settled, oscillating,
 growing), measures amplitude and period of a limit cycle, and returns
 the spacing spread, envelope ratio and largest deviation its verdict
@@ -45,6 +51,10 @@ rests on.
 from __future__ import annotations
 
 import math
+import os
+import shutil
+import tempfile
+import threading
 from dataclasses import dataclass
 from enum import Enum
 from itertools import repeat
@@ -84,6 +94,8 @@ _DIVERGE_GROWTH = 10.0
 _MAX_BLOCK = 4096
 # rows per chunk of the trajectory CSV writer
 _CSV_CHUNK = 8192
+# fewest rows a forked share of the trajectory CSV writer is worth
+_CSV_MIN_SHARE = 1 << 16
 
 
 class SimulationDiverged(RuntimeError):
@@ -207,18 +219,74 @@ class Trajectory:
 
         The bytes are those of np.savetxt(path, column_stack([times,
         states]), fmt="%.17g", delimiter=",", header="t,u,v,w",
-        comments=""); the rows are formatted a chunk at a time, with the
-        t column built exactly like times.
+        comments=""). The rows are cut into contiguous shares, one per
+        usable CPU and none shorter than _CSV_MIN_SHARE rows. This
+        process formats the first share into path; a forked child
+        formats each other share into a hidden part file beside it,
+        which is then appended in order and removed. One CPU, a short
+        trajectory, a platform without os.fork or a caller with other
+        threads alive gives a single share, written in process by the
+        same row writer. A failed share raises OSError; no child and no
+        part file outlives the call.
         """
         n = len(self.states)
-        with open(path, "w", encoding="latin1") as fh:
-            fh.write("t,u,v,w\n")
-            for a in range(0, n, _CSV_CHUNK):
-                b = min(a + _CSV_CHUNK, n)
-                chunk = np.empty((b - a, 4))
-                chunk[:, 0] = self.t0 + self.step * np.arange(a, b)
-                chunk[:, 1:] = self.states[a:b]
-                fh.write(("%.17g,%.17g,%.17g,%.17g\n" * (b - a)) % tuple(chunk.ravel().tolist()))
+        shares = _csv_shares(n)
+        bounds = [n * i // shares for i in range(shares + 1)]
+        directory = os.path.dirname(os.path.abspath(path))
+        parts, pids = [], []
+        try:
+            for a, b in zip(bounds[1:-1], bounds[2:]):
+                fd, part = tempfile.mkstemp(prefix=".", suffix=".part", dir=directory)
+                os.close(fd)
+                parts.append(part)
+                pid = os.fork()
+                if pid == 0:
+                    code = 1
+                    try:
+                        with open(part, "w", encoding="latin1") as fh:
+                            self._write_rows(fh, a, b)
+                        code = 0
+                    finally:
+                        os._exit(code)
+                pids.append(pid)
+            with open(path, "w", encoding="latin1") as fh:
+                fh.write("t,u,v,w\n")
+                self._write_rows(fh, 0, bounds[1])
+                fh.flush()
+                for part, a, b in zip(parts, bounds[1:-1], bounds[2:]):
+                    # a child leaves pids once reaped; finally reaps the rest
+                    code = os.waitstatus_to_exitcode(os.waitpid(pids[0], 0)[1])
+                    del pids[0]
+                    if code != 0:
+                        raise OSError(f"rows [{a}, {b}) of {path}: forked writer "
+                                      f"exited with status {code}")
+                    with open(part, "rb") as src:
+                        shutil.copyfileobj(src, fh.buffer)
+        finally:
+            for pid in pids:
+                os.waitpid(pid, 0)
+            for part in parts:
+                os.unlink(part)
+
+    def _write_rows(self, fh, a: int, b: int) -> None:
+        """Format rows [a, b) into fh a chunk at a time, with the t column
+        built exactly like times."""
+        for c in range(a, b, _CSV_CHUNK):
+            d = min(c + _CSV_CHUNK, b)
+            chunk = np.empty((d - c, 4))
+            chunk[:, 0] = self.t0 + self.step * np.arange(c, d)
+            chunk[:, 1:] = self.states[c:d]
+            fh.write(("%.17g,%.17g,%.17g,%.17g\n" * (d - c)) % tuple(chunk.ravel().tolist()))
+
+
+def _csv_shares(rows: int) -> int:
+    """Row shares of Trajectory.to_csv: one per usable CPU, each of at
+    least _CSV_MIN_SHARE rows, and a single one where forking is missing
+    or, with other threads alive, unsafe."""
+    if (not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity")
+            or threading.active_count() > 1):
+        return 1
+    return max(1, min(len(os.sched_getaffinity(0)), rows // _CSV_MIN_SHARE))
 
 
 class Classification(str, Enum):

@@ -418,6 +418,21 @@ def test_simulate_without_coexistence_point(tmp_path):
     assert lines[0] == "t,u,v,w" and len(lines) == 2 + round(sim["t_end"] / sim["step"])
 
 
+def test_positive_point_with_negative_denominator_note(tmp_path):
+    # u* = 3.529, v* = 0.8235 is a fixed point, but D = -0.85 < 0 makes
+    # it unstable at every delay; the notes say so instead of "does not
+    # exist"
+    model = "r1 = 0.5\nr2 = 0.5\na1 = 0.05\na2 = 0.5\nb1 = 1\nb2 = -1\nmu = 2\nr = 4\ns = 1\n"
+    why = "coexistence point is positive but D = a1*a2*(mu+r) + b1*b2 < 0: unstable at every delay; "
+    d = run(parse_config(f"command = Analyze\n{model}"), tmp_path / "Analyze")
+    assert d["equilibria"][3]["exists"] is False
+    assert d["notes"] == [why + "delay analysis is not applicable"]
+    text = f"command = Simulate\n{model}t_end = 5\nu0 = 3.5\nv0 = 0.8\n"
+    d = run(parse_config(text), tmp_path / "Simulate")
+    assert d["simulation"]["diverged"] is False
+    assert d["notes"] == [why + "cycle metrics skipped"]
+
+
 def test_near_double_root_note(tmp_path, monkeypatch):
     # Analyze and Critical add the note when G has an unresolved pair
     import infodelay.cli as cli

@@ -1,8 +1,10 @@
 """Time stepping, dense output, classification, distributed memory."""
 
 import math
+import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +24,7 @@ from infodelay import (
     simulate_distributed,
 )
 import infodelay
+from infodelay import integrator
 from infodelay.integrator import _CSV_CHUNK, _MAX_BLOCK, _Run, _prominent_peaks
 from infodelay.model import State, distributed_w_oracle, reduced_rhs
 from conftest import ESTAR, S_STAR, draw_params, make_params, screen_for_flip
@@ -249,18 +252,68 @@ def test_sustained_cycle_stays_in_positive_orthant(cycle_run):
     assert traj.states[:, :2].min() > 0.0
 
 
-@pytest.mark.parametrize("rows", [1, _CSV_CHUNK - 1, _CSV_CHUNK, _CSV_CHUNK + 1])
-def test_to_csv_matches_savetxt(tmp_path, rows):
+def _special_trajectory(rows):
     rng = np.random.default_rng(rows)
     states = rng.normal(size=(rows, 3)) * 10.0 ** rng.integers(-3, 6, size=(rows, 3))
     states[0] = (-0.0, 5e-324, -1e5 * math.pi)
     states[-1, 1:] = (-2.2250738585072014e-308 / 3.0, 123456.789)
-    traj = Trajectory(t0=-12.375, t_end=-12.375 + 0.0101 * (rows - 1), step=0.0101,
+    return Trajectory(t0=-12.375, t_end=-12.375 + 0.0101 * (rows - 1), step=0.0101,
                       states=states, dense_coeffs=np.zeros_like(states))
-    traj.to_csv(tmp_path / "chunked.csv")
+
+
+def _savetxt_bytes(traj, tmp_path):
     np.savetxt(tmp_path / "savetxt.csv", np.column_stack([traj.times, traj.states]),
                fmt="%.17g", delimiter=",", header="t,u,v,w", comments="")
-    assert (tmp_path / "chunked.csv").read_bytes() == (tmp_path / "savetxt.csv").read_bytes()
+    return (tmp_path / "savetxt.csv").read_bytes()
+
+
+@pytest.mark.parametrize("rows", [1, _CSV_CHUNK - 1, _CSV_CHUNK, _CSV_CHUNK + 1])
+def test_to_csv_matches_savetxt(tmp_path, rows):
+    traj = _special_trajectory(rows)
+    traj.to_csv(tmp_path / "chunked.csv")
+    assert (tmp_path / "chunked.csv").read_bytes() == _savetxt_bytes(traj, tmp_path)
+
+
+@pytest.fixture
+def three_cpus(monkeypatch):
+    """A 3-CPU set with 1000-row shares; returns the list of fork calls."""
+    monkeypatch.setattr(integrator, "_CSV_MIN_SHARE", 1000)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    forks, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    return forks
+
+
+# 2500 rows make two shares, 3001 three shorter than a chunk, and
+# 6*_CSV_CHUNK + 7 three of several chunks; none divides evenly. With
+# another thread alive nothing is forked.
+@pytest.mark.parametrize("rows, threads, shares", [
+    (2500, 1, 2), (3001, 1, 3), (6 * _CSV_CHUNK + 7, 1, 3), (3001, 2, 1)])
+def test_shared_to_csv_matches_savetxt(tmp_path, three_cpus, monkeypatch,
+                                       rows, threads, shares):
+    monkeypatch.setattr(threading, "active_count", lambda: threads)
+    traj = _special_trajectory(rows)
+    traj.to_csv(tmp_path / "shared.csv")
+    assert len(three_cpus) == shares - 1
+    assert (tmp_path / "shared.csv").read_bytes() == _savetxt_bytes(traj, tmp_path)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["savetxt.csv", "shared.csv"]
+
+
+def test_failed_share_raises_and_leaves_nothing(tmp_path, three_cpus, monkeypatch):
+    write_rows = Trajectory._write_rows
+
+    def fail_in_children(self, fh, a, b):
+        if a > 0:
+            raise RuntimeError("share failed")
+        write_rows(self, fh, a, b)
+
+    monkeypatch.setattr(Trajectory, "_write_rows", fail_in_children)
+    with pytest.raises(OSError, match="forked writer exited with status 1"):
+        _special_trajectory(3001).to_csv(tmp_path / "shared.csv")
+    assert len(three_cpus) == 2
+    assert [p.name for p in tmp_path.iterdir()] == ["shared.csv"]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_csv_round_trip(tmp_path):
