@@ -363,7 +363,8 @@ def _run_simulate(report: dict, config: RunConfig, params: ModelParams,
         **dict.fromkeys(_CYCLE_KEYS),
     }
     try:
-        traj = simulate(params, history, config.t_end, config.steps_per_delay)
+        traj = simulate(params, history, config.t_end, config.steps_per_delay,
+                        csv_path=out_dir / "trajectory.csv")
     except SimulationDiverged as exc:
         sim.update(diverged=True, diverged_at=exc.time, classification="Diverges",
                    left_positive_orthant_at=exc.left_positive_orthant_at)
@@ -372,7 +373,6 @@ def _run_simulate(report: dict, config: RunConfig, params: ModelParams,
         return
     sim.update(left_positive_orthant_at=traj.left_positive_orthant_at, t_end=traj.t_end,
                step=traj.step, final_state=list(traj.states[-1]))
-    traj.to_csv(out_dir / "trajectory.csv")
     if estar.exists:
         metrics = cycle_metrics(traj, estar.point, config.transient_fraction)
         sim.update({key: getattr(metrics, key) for key in _CYCLE_KEYS})

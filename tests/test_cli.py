@@ -380,6 +380,7 @@ def test_simulate_divergence_stays_in_band(tmp_path):
     assert 0 < sim["diverged_at"] < 10
     assert sim["classification"] == "Diverges"
     assert not (tmp_path / "out" / "trajectory.csv").exists()
+    assert not [p.name for p in (tmp_path / "out").iterdir() if p.name.startswith(".")]
     assert any("diverged" in note for note in doc["notes"])
     # a finished run writes the same keys in the same order
     extra = "t_end = 5\nu0 = 1.05\nv0 = 0.95\nsteps_per_delay = 50\n"

@@ -308,12 +308,112 @@ def test_failed_share_raises_and_leaves_nothing(tmp_path, three_cpus, monkeypatc
         write_rows(self, fh, a, b)
 
     monkeypatch.setattr(Trajectory, "_write_rows", fail_in_children)
-    with pytest.raises(OSError, match="forked writer exited with status 1"):
+    with pytest.raises(OSError, match=r"rows \[1000, 2000\) .*RuntimeError: share failed"):
         _special_trajectory(3001).to_csv(tmp_path / "shared.csv")
     assert len(three_cpus) == 2
-    assert [p.name for p in tmp_path.iterdir()] == ["shared.csv"]
+    assert list(tmp_path.iterdir()) == []
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def test_to_csv_replaces_an_existing_file_with_a_fresh_one(tmp_path):
+    path = tmp_path / "traj.csv"
+    path.write_text("old\n")
+    path.chmod(0o600)
+    mask = os.umask(0o027)
+    try:
+        traj = _special_trajectory(10)
+        traj.to_csv(path)
+    finally:
+        os.umask(mask)
+    assert path.read_bytes() == _savetxt_bytes(traj, tmp_path)
+    assert path.stat().st_mode & 0o777 == 0o640
+
+
+def _count_closes(monkeypatch, forks):
+    """Record the fork count as each block of a run is closed."""
+    counts, close = [], _Run.close
+
+    def counting_close(self, *args):
+        counts.append(len(forks))
+        close(self, *args)
+
+    monkeypatch.setattr(_Run, "close", counting_close)
+    return counts
+
+
+# 12501 rows divide evenly by neither the 1000-row share nor _CSV_CHUNK;
+# at s = 0 a block is _MAX_BLOCK steps, so several shares fork at once
+@pytest.mark.parametrize("integrate", [simulate, simulate_distributed])
+@pytest.mark.parametrize("s, t_end, spd", [(2.0, 500.0, 50), (0.0, 400.0, 20)])
+def test_streamed_csv_matches_savetxt(tmp_path, three_cpus, monkeypatch,
+                                      integrate, s, t_end, spd):
+    want = integrate(make_params(s), _flat(1.05, 0.95), t_end, spd)
+    closes = _count_closes(monkeypatch, three_cpus)
+    traj = integrate(make_params(s), _flat(1.05, 0.95), t_end, spd,
+                     csv_path=tmp_path / "streamed.csv")
+    assert np.array_equal(traj.states, want.states)
+    assert np.array_equal(traj.dense_coeffs, want.dense_coeffs)
+    assert (tmp_path / "streamed.csv").read_bytes() == _savetxt_bytes(traj, tmp_path)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["savetxt.csv", "streamed.csv"]
+    # shares were formatted while later blocks were still being integrated
+    assert closes[-1] > 0
+    if s > 0.0:
+        assert len(traj.states) % 1000 and len(traj.states) % _CSV_CHUNK
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_threaded_caller_streams_without_forking(tmp_path, three_cpus):
+    result = []
+    worker = threading.Thread(target=lambda: result.append(simulate(
+        make_params(2.0), _flat(1.05, 0.95), 500.0, 50, csv_path=tmp_path / "streamed.csv")))
+    worker.start()
+    worker.join()
+    assert three_cpus == []
+    assert (tmp_path / "streamed.csv").read_bytes() == _savetxt_bytes(result[0], tmp_path)
+
+
+def _assert_aborted(tmp_path, forks):
+    """Several shares were forked, no child is left, and only the older
+    file remains in the output directory."""
+    assert len(forks) >= 2
+    assert [p.name for p in tmp_path.iterdir()] == ["streamed.csv"]
+    assert (tmp_path / "streamed.csv").read_text() == "older run\n"
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("integrate", [simulate, simulate_distributed])
+def test_diverging_stream_leaves_nothing(tmp_path, three_cpus, integrate):
+    args = make_params(S_STAR + 0.02), _flat(1.01, 0.99), 700.0, 200
+    with pytest.raises(SimulationDiverged) as plain:
+        integrate(*args)
+    (tmp_path / "streamed.csv").write_text("older run\n")
+    with pytest.raises(SimulationDiverged) as streamed:
+        integrate(*args, csv_path=tmp_path / "streamed.csv")
+    assert streamed.value.time == plain.value.time
+    assert (streamed.value.left_positive_orthant_at
+            == plain.value.left_positive_orthant_at)
+    _assert_aborted(tmp_path, three_cpus)
+
+
+def test_interrupted_stream_leaves_nothing(tmp_path, three_cpus, monkeypatch):
+    closes = _count_closes(monkeypatch, three_cpus)
+    close = _Run.close
+
+    def interrupt_third(self, *args):
+        close(self, *args)
+        if len(closes) == 3:
+            raise KeyboardInterrupt
+
+    monkeypatch.setattr(_Run, "close", interrupt_third)
+    (tmp_path / "streamed.csv").write_text("older run\n")
+    with pytest.raises(KeyboardInterrupt):
+        simulate(make_params(0.0), _flat(1.05, 0.95), 1000.0, 20,
+                 csv_path=tmp_path / "streamed.csv")
+    assert len(closes) == 3
+    _assert_aborted(tmp_path, three_cpus)
 
 
 def test_csv_round_trip(tmp_path):
