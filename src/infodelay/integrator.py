@@ -37,17 +37,24 @@ Both report the first node at which u or v turns negative, where the
 model leaves its meaningful region; the 1e6 divergence bound is only a
 backstop.
 
-Trajectory.to_csv writes the bytes of np.savetxt with %.17g. It cuts
-the rows into one contiguous share per usable CPU, formats the first in
-process and each other one in a forked child, and appends the shares in
-order to a hidden temp file that then replaces the path; one CPU, a
-short run or a threaded caller gives a single share. Given a csv_path,
-simulate and simulate_distributed run the same writer alongside the
-integration: the rows of a closed block are final, so while one CPU
-stays with the run, forked children format the oldest of them as later
-blocks are integrated, and the rows left at the end are cut into as
-many shares as to_csv gives the whole trajectory. A run that diverges
-or is interrupted leaves no child and no file behind.
+Trajectory.to_csv writes the bytes of np.savetxt with %.17g, made by
+numpy a chunk of rows at a time rather than by a Python % per value.
+Every zero and every |x| in [1e-4, 1e17), which %.17g prints in fixed
+notation, is converted exactly: |x| times a power of ten is split into
+a double and its error by Dekker's TwoProduct, rounded half to even to
+17 digits, and the digits, dot and sign are laid out with table masks.
+Any other value (exponent form, subnormal, inf, nan) falls back to
+'%.17g' % v. to_csv cuts the rows into one contiguous share per usable
+CPU, formats the first in process and each other one in a forked child,
+and appends the shares in order to a hidden temp file that then
+replaces the path; one CPU, a short run or a threaded caller gives a
+single share. Given a csv_path, simulate and simulate_distributed run
+the same writer alongside the integration: the rows of a closed block
+are final, so while one CPU stays with the run, forked children format
+the oldest of them as later blocks are integrated, and the rows left at
+the end are cut into as many shares as to_csv gives the whole
+trajectory. A run that diverges or is interrupted leaves no child and
+no file behind.
 
 cycle_metrics classifies the tail of a trajectory (settled, oscillating,
 growing), measures amplitude and period of a limit cycle, and returns
@@ -98,7 +105,8 @@ _DIVERGE_GROWTH = 10.0
 # most steps per block; with s = 0 (nothing delayed) this only bounds
 # the row list
 _MAX_BLOCK = 4096
-# rows per chunk of the trajectory CSV writer
+# rows per chunk of the trajectory CSV writer; its scratch is about
+# 650 bytes per row
 _CSV_CHUNK = 8192
 # fewest rows a forked share of the trajectory CSV writer is worth
 _CSV_MIN_SHARE = 1 << 16
@@ -225,29 +233,36 @@ class Trajectory:
 
         The bytes are those of np.savetxt(path, column_stack([times,
         states]), fmt="%.17g", delimiter=",", header="t,u,v,w",
-        comments=""). The rows are cut into contiguous shares, one per
-        usable CPU and none shorter than _CSV_MIN_SHARE rows; this
-        process formats the first and a forked child each other one
-        (see _CsvWriter). One CPU, a short trajectory, a platform
-        without os.fork or a caller with other threads alive gives a
-        single share, written in process by the same row writer. The
-        file appears at path only once complete: a failed share raises
-        OSError naming its rows and the child's own error, an existing
-        file at path is left as it was, and no child, part or temp file
-        outlives the call.
+        comments=""), made a chunk of _CSV_CHUNK rows at a time by
+        _rowtext.RowFormatter: fixed-notation values (zero and every
+        |x| in [1e-4, 1e17)) are converted exactly with numpy, and any
+        other value falls back to '%.17g' % v. The rows are cut into
+        contiguous shares, one per usable CPU and none shorter than
+        _CSV_MIN_SHARE rows; this process formats the first and a forked
+        child each other one (see _CsvWriter). One CPU, a short
+        trajectory, a platform without os.fork or a caller with other
+        threads alive gives a single share, written in process by the
+        same row writer. The file appears at path only once complete: a
+        failed share raises OSError naming its rows and the child's own
+        error, an existing file at path is left as it was, and no child,
+        part or temp file outlives the call.
         """
         with _CsvWriter(path, self) as writer:
             writer.finish()
 
     def _write_rows(self, fh, a: int, b: int) -> None:
-        """Format rows [a, b) into fh a chunk at a time, with the t column
-        built exactly like times."""
+        """Write the text of rows [a, b) to the binary file fh a chunk at
+        a time, with the t column built exactly like times."""
+        from ._rowtext import RowFormatter
+
+        size = min(_CSV_CHUNK, b - a)
+        rows, text = np.empty((size, 4)), RowFormatter(4 * size)
         for c in range(a, b, _CSV_CHUNK):
             d = min(c + _CSV_CHUNK, b)
-            chunk = np.empty((d - c, 4))
+            chunk = rows[:d - c]
             chunk[:, 0] = self.t0 + self.step * np.arange(c, d)
             chunk[:, 1:] = self.states[c:d]
-            fh.write(("%.17g,%.17g,%.17g,%.17g\n" * (d - c)) % tuple(chunk.ravel().tolist()))
+            fh.write(text(chunk))
 
 
 def _usable_cpus() -> int:
@@ -297,6 +312,10 @@ class _CsvWriter:
     """
 
     def __init__(self, path, traj: Trajectory):
+        # the row formatter's module is loaded with the first writer, so
+        # that forked children inherit it rather than each compile it
+        from . import _rowtext  # noqa: F401
+
         self.path = os.path.abspath(path)
         self.traj = traj
         self.shares: list[_Share] = []
@@ -334,20 +353,19 @@ class _CsvWriter:
         for b in bounds[2:]:
             self._fork(b)
         if own.part is not None:
-            with open(own.part, "w", encoding="latin1") as fh:
+            with open(own.part, "wb") as fh:
                 self.traj._write_rows(fh, own.a, own.b)
         self.tmp = self._new_file(".tmp")
-        with open(self.tmp, "w", encoding="latin1") as out:
-            out.write("t,u,v,w\n")
+        with open(self.tmp, "wb") as out:
+            out.write(b"t,u,v,w\n")
             for share in self.shares:
                 if share.part is None:
                     self.traj._write_rows(out, share.a, share.b)
                     continue
                 if share.pid is not None:
                     self._reap(share, block=True)
-                out.flush()
                 with open(share.part, "rb") as src:
-                    shutil.copyfileobj(src, out.buffer)
+                    shutil.copyfileobj(src, out)
                 os.unlink(share.part)
                 share.part = None
         os.replace(self.tmp, self.path)
@@ -391,7 +409,7 @@ class _CsvWriter:
                 code = 1
                 try:
                     os.close(share.fd)
-                    with open(share.part, "w", encoding="latin1") as fh:
+                    with open(share.part, "wb") as fh:
                         self.traj._write_rows(fh, share.a, share.b)
                     code = 0
                 except BaseException as exc:

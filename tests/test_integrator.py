@@ -1,5 +1,6 @@
 """Time stepping, dense output, classification, distributed memory."""
 
+import io
 import math
 import os
 import subprocess
@@ -328,6 +329,53 @@ def test_to_csv_replaces_an_existing_file_with_a_fresh_one(tmp_path):
         os.umask(mask)
     assert path.read_bytes() == _savetxt_bytes(traj, tmp_path)
     assert path.stat().st_mode & 0o777 == 0o640
+
+
+def _percent_g_mismatches(values, step):
+    """The fields of the CSV rows of a trajectory holding values, three to
+    a row after the t column of the given step, that differ from
+    '%.17g' % v, as (want, got) pairs."""
+    states = np.resize(values, (-(-len(values) // 3), 3))
+    traj = Trajectory(0.0, step * (len(states) - 1), step, states, np.zeros_like(states))
+    buf = io.BytesIO()
+    traj._write_rows(buf, 0, len(states))
+    got = buf.getvalue().decode().replace("\n", ",").split(",")[:-1]
+    want = ["%.17g" % v for v in np.column_stack([traj.times, states]).ravel().tolist()]
+    assert len(got) == len(want)
+    return [(w, g) for w, g in zip(want, got) if w != g]
+
+
+def test_row_formatter_matches_percent_g(tmp_path):
+    rng = np.random.default_rng(14)
+    # random bit patterns of both signs with |x| in [1e-4, 1e17), where
+    # %.17g prints fixed notation
+    bits = rng.integers(np.float64(1e-4).view(np.int64), np.float64(1e17).view(np.int64),
+                        200_000)
+    drawn = bits.view(np.float64) * rng.choice([-1.0, 1.0], len(bits))
+    # ±0, both ends of that range, ±40 ulp around each power of ten from
+    # 1e-4 to 1e16, and the decimal just below each power
+    near = (10.0 ** np.arange(-4, 17)).view(np.int64)[:, None] + np.arange(-40, 41)
+    edges = [0.0, -0.0, 1e-4, np.nextafter(1e17, 0.0)] + [
+        float(f"9.9999999999999995e{k}") for k in range(-4, 17)]
+    # exact ties N/4 in [1e15, 2^51): 17 digits end one place after the
+    # dot, at .25 or .75, and must round half to even
+    ties = (2 * rng.integers(2 * 10 ** 15, 2 ** 52, 20_000) + 1) / 4.0
+    assert ["%.17g" % v for v in (1e15 + 0.25, 1e15 + 0.75)] == [
+        "1000000000000000.2", "1000000000000000.8"]
+    values = np.concatenate([drawn, near.ravel().view(np.float64), edges, ties])
+    values = np.concatenate([values, -values])
+    # the t column walks the grids k*h of the reference run and of h = 0.04
+    for step in (0.0101, 0.04):
+        assert _percent_g_mismatches(values, step) == []
+
+    # fast values mixed with ones that print in exponent form, subnormals,
+    # infinities and nan, in every column
+    states = rng.uniform(0.05, 1.5, (3001, 3))
+    specials = [5e-324, -1e-300, 1e-5, 1e17, 1e300, math.inf, -math.inf, math.nan]
+    states.flat[rng.choice(states.size, 300, replace=False)] = rng.choice(specials, 300)
+    traj = Trajectory(0.0, 0.04 * 3000, 0.04, states, np.zeros_like(states))
+    traj.to_csv(tmp_path / "mixed.csv")
+    assert (tmp_path / "mixed.csv").read_bytes() == _savetxt_bytes(traj, tmp_path)
 
 
 def _count_closes(monkeypatch, forks):
