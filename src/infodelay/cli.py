@@ -12,6 +12,13 @@ ModelParams' own. The command key selects what happens:
     Simulate   time integration from a constant history, with metrics
     Sweep      s0 / chi1 / chi2 / direction along one parameter axis
 
+A Simulate config without steps_per_delay climbs a ladder of steps per
+delay (spd) 25, 50, 100, 200: runs at N and 2N spd give a step-doubling
+(Richardson) error estimate for the finer one, and the first finer run
+whose estimate is at most 1e-6 is kept; spd 200 always is, with a note
+if it misses. The simulation section reports the spd used and the
+estimate, which is null when the config sets steps_per_delay.
+
 Every run writes report.json and report.csv (the same content, nested
 vs. flattened); Simulate adds trajectory.csv and, with --plot, five SVG
 figures; Sweep adds sweep.csv. run() returns the document report.json
@@ -34,7 +41,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .integrator import CycleMetrics, HistorySpec, SimulationDiverged, cycle_metrics, simulate
+from .integrator import (CycleMetrics, HistorySpec, SimulationDiverged, Trajectory, cycle_metrics,
+                         simulate)
 from .model import ModelParams, ParamGrid, State, equilibria
 from .normal_form import (Direction, NormalForm, NormalForms, ResonanceError, classify,
                           compute_normal_form, eigen_residuals, linearize, normal_forms,
@@ -71,6 +79,10 @@ _REPORT_KEYS = ("command", "params", "equilibria", "h1_holds", "char_coeffs", "g
 _CYCLE_KEYS = tuple(f.name for f in fields(CycleMetrics))
 # the columns of a Sweep row, in sweep.csv's order after the param name
 _SWEEP_COLUMNS = ("value", "s0", "chi1", "chi2", "direction")
+# the spd ladder of a Simulate config without steps_per_delay, and the
+# step-doubling error estimate its kept run must meet
+_SPD_LADDER = (25, 50, 100, 200)
+_STEP_RTOL = 1e-6
 
 
 class Command(str, Enum):
@@ -98,13 +110,14 @@ class RunConfig:
     """Validated run description.
 
     param_values holds the model keys present in the config; only a
-    Sweep may omit one, and then only the swept key itself.
+    Sweep may omit one, and then only the swept key itself. With
+    steps_per_delay None a Simulate run climbs the step ladder.
     """
 
     command: Command
     param_values: dict[str, float]
     t_end: float | None = None
-    steps_per_delay: int = 200
+    steps_per_delay: int | None = None
     transient_fraction: float = 0.5
     u0: float | None = None
     v0: float | None = None
@@ -351,6 +364,7 @@ def _run_simulate(report: dict, config: RunConfig, params: ModelParams,
     sim = report["simulation"] = {
         "t_end_requested": config.t_end,
         "steps_per_delay": config.steps_per_delay,
+        "step_error_estimate": None,
         "transient_fraction": config.transient_fraction,
         "history": {"u0": config.u0, "v0": config.v0, "w0": history.initial_w(params),
                     "w0_policy": "Consistent" if history.w0 is None else "Explicit"},
@@ -363,8 +377,12 @@ def _run_simulate(report: dict, config: RunConfig, params: ModelParams,
         **dict.fromkeys(_CYCLE_KEYS),
     }
     try:
-        traj = simulate(params, history, config.t_end, config.steps_per_delay,
-                        csv_path=out_dir / "trajectory.csv")
+        if config.steps_per_delay is None:
+            traj = _simulate_to_tolerance(report, params, history, config.t_end)
+            traj.to_csv(out_dir / "trajectory.csv")
+        else:
+            traj = simulate(params, history, config.t_end, config.steps_per_delay,
+                            csv_path=out_dir / "trajectory.csv")
     except SimulationDiverged as exc:
         sim.update(diverged=True, diverged_at=exc.time, classification="Diverges",
                    left_positive_orthant_at=exc.left_positive_orthant_at)
@@ -380,6 +398,50 @@ def _run_simulate(report: dict, config: RunConfig, params: ModelParams,
         report["notes"].append(_missing_estar_note(estar, "cycle metrics skipped"))
     if plot:
         trajectory_plots(traj, out_dir)
+
+
+def _simulate_to_tolerance(report: dict, params: ModelParams, history: HistorySpec,
+                           t_end: float) -> Trajectory:
+    """Climb _SPD_LADDER to the first run whose step-doubling estimate
+    meets _STEP_RTOL, or to the top rung, and record its spd and estimate.
+
+    The estimate for the runs x_N and x_2N at spd N and 2N is
+    max|x_2N[::2] - x_N| / 15 / max(1, max|x_2N|) over their common
+    nodes (Richardson: RK4's error falls 16-fold per halving of h).
+    A pair in which only one run diverged has no estimate; a pair in
+    which both did raises the finer run's SimulationDiverged.
+    """
+    sim = report["simulation"]
+
+    def attempt(spd: int) -> Trajectory | SimulationDiverged:
+        try:
+            return simulate(params, history, t_end, spd)
+        except SimulationDiverged as exc:
+            return exc
+
+    coarse = attempt(_SPD_LADDER[0])
+    for spd in _SPD_LADDER[1:]:
+        fine = attempt(spd)
+        sim.update(steps_per_delay=spd, step_error_estimate=None)
+        if isinstance(fine, SimulationDiverged):
+            if isinstance(coarse, SimulationDiverged) or spd == _SPD_LADDER[-1]:
+                raise fine
+        elif not isinstance(coarse, SimulationDiverged):
+            x, x2 = coarse.states, fine.states[::2]
+            m = min(len(x), len(x2))
+            estimate = float(np.abs(x2[:m] - x[:m]).max()
+                             / 15.0 / max(1.0, float(np.abs(fine.states).max())))
+            sim["step_error_estimate"] = estimate
+            if estimate <= _STEP_RTOL:
+                return fine
+        coarse = fine
+    estimate = sim["step_error_estimate"]
+    report["notes"].append(
+        f"steps_per_delay = {spd}: no step-doubling error estimate, one run of "
+        "its pair diverged" if estimate is None else
+        f"steps_per_delay = {spd}: step-doubling error estimate {estimate:.3g} "
+        f"exceeds the tolerance {_STEP_RTOL:g}")
+    return fine
 
 
 def _sweep_rows(values: np.ndarray, nfs: NormalForms) -> list[dict]:

@@ -1,8 +1,10 @@
 """Config parsing, report files, sweep output, exit codes."""
 
 import csv
+import hashlib
 import json
 import math
+import os
 import textwrap
 from dataclasses import fields
 
@@ -13,13 +15,18 @@ from infodelay import (
     Command,
     ConfigError,
     CycleMetrics,
+    HistorySpec,
     ResonanceError,
+    SimulationDiverged,
     coexistence,
     compute_normal_form,
+    integrator,
     parse_config,
     run,
     s0,
+    simulate,
 )
+from infodelay import cli
 from infodelay.cli import RunConfig, SweepOpts, main
 from conftest import REFERENCE, S_STAR, make_params
 
@@ -41,7 +48,8 @@ def test_parse_minimal_analyze():
     c = parse_config(cfg("Analyze"))
     assert c.command is Command.ANALYZE
     assert c.param_values["a2"] == 1.045
-    assert c.steps_per_delay == 200
+    # no steps_per_delay: a Simulate run picks it by the step ladder
+    assert c.steps_per_delay is None
     assert c.transient_fraction == 0.5
     assert c.model_params() == make_params(2.0)
 
@@ -387,6 +395,111 @@ def test_simulate_divergence_stays_in_band(tmp_path):
     finished = run(parse_config(cfg("Simulate", extra=extra)), tmp_path / "ok")
     assert list(sim) == list(finished["simulation"])
     assert sim["t_end"] is None and sim["step"] is None and sim["final_state"] is None
+
+
+# the reference cycle: s = 2.02, t_end 5000, from (1.01, 0.99)
+_REFERENCE_RUN = "t_end = 5000\nu0 = 1.01\nv0 = 0.99\n"
+
+
+def _hidden(directory):
+    return [p.name for p in directory.iterdir() if p.name.startswith(".")]
+
+
+def test_step_ladder_keeps_spd_50_on_the_reference_cycle(tmp_path):
+    config = parse_config(cfg("Simulate", extra=_REFERENCE_RUN, s="2.02"))
+    sim = run(config, tmp_path)["simulation"]
+    assert sim["steps_per_delay"] == 50 and sim["step"] == 2.02 / 50
+    assert sim["classification"] == "SustainedOscillation"
+    estimate = sim["step_error_estimate"]
+    assert 0.0 < estimate <= 1e-6
+    # the estimate tracks the true error, taken against an spd 400 run
+    # on the spd 50 nodes and scaled the same way
+    history = HistorySpec.constant(1.01, 0.99)
+    kept = simulate(make_params(2.02), history, 5000.0, 50)
+    x400 = simulate(make_params(2.02), history, 5000.0, 400).states
+    m = min(len(kept.states), len(x400[::8]))
+    true = np.abs(x400[::8][:m] - kept.states[:m]).max() / max(1.0, np.abs(x400).max())
+    assert true / 2.0 <= estimate <= 2.0 * true
+    kept.to_csv(tmp_path / "direct.csv")
+    assert (tmp_path / "trajectory.csv").read_bytes() == (tmp_path / "direct.csv").read_bytes()
+
+
+@pytest.fixture
+def spds(monkeypatch):
+    """The steps per delay of each simulate call the CLI makes."""
+    calls = []
+    monkeypatch.setattr(cli, "simulate", lambda *a, **k: calls.append(a[3]) or simulate(*a, **k))
+    return calls
+
+
+def test_explicit_steps_per_delay_is_one_run(tmp_path, spds):
+    extra = "t_end = 300\nu0 = 1.01\nv0 = 0.99\nsteps_per_delay = 50\n"
+    sim = run(parse_config(cfg("Simulate", extra=extra, s="2.02")), tmp_path)["simulation"]
+    assert spds == [50]
+    assert sim["steps_per_delay"] == 50 and sim["step_error_estimate"] is None
+    # the bytes this run wrote before the step ladder existed
+    body = (tmp_path / "trajectory.csv").read_bytes()
+    assert hashlib.sha256(body).hexdigest() == (
+        "06a2cdc597791cc8bd39b0f852f00617c2006eabc53a544842370a61eaa088b9")
+
+
+def test_step_ladder_out_of_reach_keeps_the_top_rung(tmp_path, monkeypatch, spds):
+    monkeypatch.setattr(cli, "_STEP_RTOL", 1e-30)
+    # the kept run's CSV is written in three shares, two by forked children
+    monkeypatch.setattr(integrator, "_CSV_MIN_SHARE", 1000)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    forks, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    extra = "t_end = 30\nu0 = 1.05\nv0 = 0.95\n"
+    doc = run(parse_config(cfg("Simulate", extra=extra)), tmp_path)
+    sim = doc["simulation"]
+    assert spds == [25, 50, 100, 200] and len(forks) == 2
+    assert sim["steps_per_delay"] == 200 and sim["step"] == 2.0 / 200
+    estimate = sim["step_error_estimate"]
+    assert estimate > 1e-30
+    assert doc["notes"] == [f"steps_per_delay = 200: step-doubling error estimate "
+                            f"{estimate:.3g} exceeds the tolerance 1e-30"]
+    simulate(make_params(2.0), HistorySpec.constant(1.05, 0.95), 30.0, 200).to_csv(
+        tmp_path / "direct.csv")
+    assert (tmp_path / "trajectory.csv").read_bytes() == (tmp_path / "direct.csv").read_bytes()
+    assert _hidden(tmp_path) == []
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_step_ladder_moves_up_past_a_pair_with_one_diverged_run(tmp_path, monkeypatch):
+    def spd_100_diverges(params, history, t_end, spd, **kw):
+        if spd == 100:
+            raise SimulationDiverged(1.0)
+        return simulate(params, history, t_end, spd, **kw)
+
+    monkeypatch.setattr(cli, "simulate", spd_100_diverges)
+    monkeypatch.setattr(cli, "_STEP_RTOL", 1e-30)
+    extra = "t_end = 30\nu0 = 1.05\nv0 = 0.95\n"
+    doc = run(parse_config(cfg("Simulate", extra=extra)), tmp_path)
+    sim = doc["simulation"]
+    assert sim["diverged"] is False and sim["steps_per_delay"] == 200
+    assert sim["step_error_estimate"] is None
+    assert doc["notes"] == ["steps_per_delay = 200: no step-doubling error estimate, "
+                            "one run of its pair diverged"]
+
+
+def test_step_ladder_divergence_stays_in_band(tmp_path):
+    extra = "t_end = 10\nu0 = 1000\nv0 = 1000\n"
+    rc = main([str(_write(tmp_path, cfg("Simulate", extra=extra))),
+               "--output-dir", str(tmp_path / "out")])
+    assert rc == 0
+    doc = json.loads((tmp_path / "out" / "report.json").read_text())
+    sim = doc["simulation"]
+    # both runs of the first pair diverge; the finer one is reported
+    with pytest.raises(SimulationDiverged) as spd50:
+        simulate(make_params(2.0), HistorySpec.constant(1000.0, 1000.0), 10.0, 50)
+    assert sim["diverged"] is True and sim["diverged_at"] == spd50.value.time
+    assert sim["steps_per_delay"] == 50 and sim["step_error_estimate"] is None
+    assert sim["classification"] == "Diverges"
+    assert not (tmp_path / "out" / "trajectory.csv").exists()
+    assert _hidden(tmp_path / "out") == []
+    assert any("diverged" in note for note in doc["notes"])
 
 
 def test_simulate_reports_orthant_exit_before_divergence(tmp_path):

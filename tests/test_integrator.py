@@ -729,6 +729,23 @@ def test_metrics_sustained_signal():
     assert abs(m.max_deviation - 0.3) < 5e-3
 
 
+def test_metrics_amplitude_is_refined_off_the_sample_grid():
+    # at 34 samples per period the sampled peaks of 0.3*sin fall up to
+    # 1.3e-3 short; the parabola through each extremum and its two
+    # neighbours leaves under 1e-5
+    t = np.arange(0.0, 1000.0, 0.5)
+    u = 1.0 + 0.3 * np.sin(2 * np.pi * t / 17.0)
+    kept = u[t >= 500.0]
+    assert 0.3 - 0.5 * (kept.max() - kept.min()) > 1e-3
+    m = cycle_metrics(_synthetic(t, u), (1.0, 1.0, 1.0))
+    assert abs(m.amplitude[0] - 0.3) < 1e-5
+    # extrema at the window's ends, and flat columns, stay as sampled
+    u = 1.0 + 0.002 + 1e-4 * t / 1000.0
+    m = cycle_metrics(_synthetic(t, u), (1.0, 1.0, 1.0))
+    assert m.amplitude[0] == 0.5 * (u[-1] - u[t >= 500.0][0])
+    assert m.amplitude[1] == m.amplitude[2] == 0.0
+
+
 def test_metrics_growing_signal():
     t = np.arange(0.0, 1000.0, 0.5)
     u = 1.0 + 1e-3 * np.exp(t / 100.0) * np.sin(2 * np.pi * t / 17.0)
