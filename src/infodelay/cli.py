@@ -15,9 +15,12 @@ ModelParams' own. The command key selects what happens:
 A Simulate config without steps_per_delay climbs a ladder of steps per
 delay (spd) 25, 50, 100, 200: runs at N and 2N spd give a step-doubling
 (Richardson) error estimate for the finer one, and the first finer run
-whose estimate is at most 1e-6 is kept; spd 200 always is, with a note
-if it misses. The simulation section reports the spd used and the
-estimate, which is null when the config sets steps_per_delay.
+whose estimate is at most 1e-6 is kept. A coarse run that diverges, or
+an spd 50 estimate that puts spd 100 out of reach, sends the run to spd
+200, the run an explicit steps_per_delay = 200 makes; it is kept with a
+note when it has no estimate or misses. The simulation section reports
+the spd used and the estimate, which is null when the config sets
+steps_per_delay.
 
 Every run writes report.json and report.csv (the same content, nested
 vs. flattened); Simulate adds trajectory.csv and, with --plot, five SVG
@@ -378,8 +381,8 @@ def _run_simulate(report: dict, config: RunConfig, params: ModelParams,
     }
     try:
         if config.steps_per_delay is None:
-            traj = _simulate_to_tolerance(report, params, history, config.t_end)
-            traj.to_csv(out_dir / "trajectory.csv")
+            traj = _simulate_to_tolerance(report, params, history, config.t_end,
+                                          out_dir / "trajectory.csv")
         else:
             traj = simulate(params, history, config.t_end, config.steps_per_delay,
                             csv_path=out_dir / "trajectory.csv")
@@ -401,47 +404,60 @@ def _run_simulate(report: dict, config: RunConfig, params: ModelParams,
 
 
 def _simulate_to_tolerance(report: dict, params: ModelParams, history: HistorySpec,
-                           t_end: float) -> Trajectory:
+                           t_end: float, csv_path: Path) -> Trajectory:
     """Climb _SPD_LADDER to the first run whose step-doubling estimate
-    meets _STEP_RTOL, or to the top rung, and record its spd and estimate.
+    meets _STEP_RTOL, or to the top rung, write its CSV and record its
+    spd and estimate.
 
-    The estimate for the runs x_N and x_2N at spd N and 2N is
-    max|x_2N[::2] - x_N| / 15 / max(1, max|x_2N|) over their common
-    nodes (Richardson: RK4's error falls 16-fold per halving of h).
-    A pair in which only one run diverged has no estimate; a pair in
-    which both did raises the finer run's SimulationDiverged.
+    A rung below the top is run only where it can be kept: the rung
+    under it gave a trajectory and, from the second pair on, an estimate
+    within 16 times the tolerance (RK4's error falls 16-fold per halving
+    of h). A diverged run or a predicted miss goes straight to the top
+    rung, which is the run an explicit steps_per_delay = 200 makes: it
+    streams the CSV and its SimulationDiverged propagates. Its estimate
+    is taken against the finest coarser trajectory, if there is one.
     """
     sim = report["simulation"]
-
-    def attempt(spd: int) -> Trajectory | SimulationDiverged:
+    coarse = None   # (spd, states) of the finest run so far
+    for spd in _SPD_LADDER[:-1]:
         try:
-            return simulate(params, history, t_end, spd)
-        except SimulationDiverged as exc:
-            return exc
-
-    coarse = attempt(_SPD_LADDER[0])
-    for spd in _SPD_LADDER[1:]:
-        fine = attempt(spd)
-        sim.update(steps_per_delay=spd, step_error_estimate=None)
-        if isinstance(fine, SimulationDiverged):
-            if isinstance(coarse, SimulationDiverged) or spd == _SPD_LADDER[-1]:
-                raise fine
-        elif not isinstance(coarse, SimulationDiverged):
-            x, x2 = coarse.states, fine.states[::2]
-            m = min(len(x), len(x2))
-            estimate = float(np.abs(x2[:m] - x[:m]).max()
-                             / 15.0 / max(1.0, float(np.abs(fine.states).max())))
-            sim["step_error_estimate"] = estimate
-            if estimate <= _STEP_RTOL:
-                return fine
-        coarse = fine
-    estimate = sim["step_error_estimate"]
-    report["notes"].append(
-        f"steps_per_delay = {spd}: no step-doubling error estimate, one run of "
-        "its pair diverged" if estimate is None else
-        f"steps_per_delay = {spd}: step-doubling error estimate {estimate:.3g} "
-        f"exceeds the tolerance {_STEP_RTOL:g}")
+            fine = simulate(params, history, t_end, spd)
+        except SimulationDiverged:
+            break
+        estimate = None if coarse is None else _step_error(*coarse, spd, fine.states)
+        if estimate is not None and estimate <= _STEP_RTOL:
+            sim.update(steps_per_delay=spd, step_error_estimate=estimate)
+            fine.to_csv(csv_path)
+            return fine
+        # only the states are kept, so a coarse run's dense rows are
+        # freed before the finer run allocates its own
+        coarse, fine = (spd, fine.states), None
+        if estimate is not None and estimate > 16.0 * _STEP_RTOL:
+            break
+    spd = sim["steps_per_delay"] = _SPD_LADDER[-1]
+    fine = simulate(params, history, t_end, spd, csv_path=csv_path)
+    estimate = sim["step_error_estimate"] = (
+        None if coarse is None else _step_error(*coarse, spd, fine.states))
+    if estimate is None or estimate > _STEP_RTOL:
+        report["notes"].append(
+            f"steps_per_delay = {spd}: no step-doubling error estimate, no coarser run "
+            "reached t_end" if estimate is None else
+            f"steps_per_delay = {spd}: step-doubling error estimate {estimate:.3g} "
+            f"exceeds the tolerance {_STEP_RTOL:g}")
     return fine
+
+
+def _step_error(coarse_spd: int, coarse: np.ndarray, spd: int, fine: np.ndarray) -> float:
+    """Richardson estimate of the error of the states of a run at spd
+    from those of a run at coarse_spd = spd / k: max|fine[::k] - coarse|
+    / (k**4 - 1) / max(1, max|fine|) over their common nodes. Each run
+    ends at the first node at or past t_end, so the coarse one may have
+    a node more."""
+    k = spd // coarse_spd
+    x, xk = coarse, fine[::k]
+    m = min(len(x), len(xk))
+    return float(np.abs(xk[:m] - x[:m]).max()
+                 / (k ** 4 - 1) / max(1.0, float(np.abs(fine).max())))
 
 
 def _sweep_rows(values: np.ndarray, nfs: NormalForms) -> list[dict]:

@@ -8,9 +8,9 @@ on [-s, 0], then, for each step, the cubic Hermite midpoint of the step
 (node values plus node derivatives, which keeps the fourth order) and
 the node that ends it. Step i reads the grid entries 2i, 2i+1 and 2i+2.
 The step is fixed for a run; the CLI chooses it by comparing runs at h
-and h/2 on their common nodes (step doubling, Hairer, Norsett and
-Wanner, Solving ODEs I, II.4), whose gap is 15 times the finer run's
-error for a fourth-order method.
+and h/k on their common nodes (step doubling for k = 2, Hairer, Norsett
+and Wanner, Solving ODEs I, II.4), whose gap is k**4 - 1 times the
+finer run's error for a fourth-order method.
 
 The delay enters only through the loss term b1*r1*u(t-s)*v(t-s), so on
 any stretch of at most one delay that term is known before the stretch

@@ -443,20 +443,30 @@ def test_explicit_steps_per_delay_is_one_run(tmp_path, spds):
         "06a2cdc597791cc8bd39b0f852f00617c2006eabc53a544842370a61eaa088b9")
 
 
-def test_step_ladder_out_of_reach_keeps_the_top_rung(tmp_path, monkeypatch, spds):
+_SHORT_RUN = "t_end = 30\nu0 = 1.05\nv0 = 0.95\n"
+
+
+def _ladder_states(t_end, *spds):
+    history = HistorySpec.constant(1.05, 0.95)
+    return [simulate(make_params(2.0), history, t_end, spd).states for spd in spds]
+
+
+def test_step_ladder_out_of_reach_streams_the_top_rung(tmp_path, monkeypatch, spds):
     monkeypatch.setattr(cli, "_STEP_RTOL", 1e-30)
-    # the kept run's CSV is written in three shares, two by forked children
+    # the spd 200 CSV is streamed in shares, some by forked children
     monkeypatch.setattr(integrator, "_CSV_MIN_SHARE", 1000)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
     forks, fork = [], os.fork
     monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
-    extra = "t_end = 30\nu0 = 1.05\nv0 = 0.95\n"
-    doc = run(parse_config(cfg("Simulate", extra=extra)), tmp_path)
+    doc = run(parse_config(cfg("Simulate", extra=_SHORT_RUN)), tmp_path)
     sim = doc["simulation"]
-    assert spds == [25, 50, 100, 200] and len(forks) == 2
+    # the spd 50 estimate misses by more than 16x, so spd 100 is skipped
+    assert spds == [25, 50, 200] and forks
     assert sim["steps_per_delay"] == 200 and sim["step"] == 2.0 / 200
+    x50, x200 = _ladder_states(30.0, 50, 200)
+    m = min(len(x50), len(x200[::4]))
     estimate = sim["step_error_estimate"]
-    assert estimate > 1e-30
+    assert estimate == np.abs(x200[::4][:m] - x50[:m]).max() / 255 / max(1.0, np.abs(x200).max())
     assert doc["notes"] == [f"steps_per_delay = 200: step-doubling error estimate "
                             f"{estimate:.3g} exceeds the tolerance 1e-30"]
     simulate(make_params(2.0), HistorySpec.constant(1.05, 0.95), 30.0, 200).to_csv(
@@ -467,35 +477,68 @@ def test_step_ladder_out_of_reach_keeps_the_top_rung(tmp_path, monkeypatch, spds
         os.waitpid(-1, os.WNOHANG)
 
 
-def test_step_ladder_moves_up_past_a_pair_with_one_diverged_run(tmp_path, monkeypatch):
+def test_step_ladder_climbs_to_spd_100_within_16x(tmp_path, monkeypatch, spds):
+    x25, x50, x100 = _ladder_states(30.0, 25, 50, 100)
+    e50 = cli._step_error(25, x25, 50, x50)
+    monkeypatch.setattr(cli, "_STEP_RTOL", e50 / 4.0)
+    doc = run(parse_config(cfg("Simulate", extra=_SHORT_RUN)), tmp_path)
+    sim = doc["simulation"]
+    assert spds == [25, 50, 100] and doc["notes"] == []
+    assert sim["steps_per_delay"] == 100
+    assert sim["step_error_estimate"] == cli._step_error(50, x50, 100, x100) <= e50 / 4.0
+    simulate(make_params(2.0), HistorySpec.constant(1.05, 0.95), 30.0, 100).to_csv(
+        tmp_path / "direct.csv")
+    assert (tmp_path / "trajectory.csv").read_bytes() == (tmp_path / "direct.csv").read_bytes()
+
+
+def test_step_ladder_diverged_rung_goes_to_the_top(tmp_path, monkeypatch):
+    spds = []
+
     def spd_100_diverges(params, history, t_end, spd, **kw):
+        spds.append(spd)
         if spd == 100:
             raise SimulationDiverged(1.0)
         return simulate(params, history, t_end, spd, **kw)
 
     monkeypatch.setattr(cli, "simulate", spd_100_diverges)
-    monkeypatch.setattr(cli, "_STEP_RTOL", 1e-30)
-    extra = "t_end = 30\nu0 = 1.05\nv0 = 0.95\n"
-    doc = run(parse_config(cfg("Simulate", extra=extra)), tmp_path)
+    x25, x50, x200 = _ladder_states(30.0, 25, 50, 200)
+    monkeypatch.setattr(cli, "_STEP_RTOL", cli._step_error(25, x25, 50, x50) / 4.0)
+    doc = run(parse_config(cfg("Simulate", extra=_SHORT_RUN)), tmp_path)
     sim = doc["simulation"]
+    assert spds == [25, 50, 100, 200] and doc["notes"] == []
+    # the finest trajectory below the top, spd 50, gives the estimate
+    assert sim["diverged"] is False and sim["steps_per_delay"] == 200
+    assert sim["step_error_estimate"] == cli._step_error(50, x50, 200, x200)
+
+
+def test_step_ladder_stiff_config_is_not_a_divergence(tmp_path, spds):
+    # mu + r = 104: at spd 25 and 50 the w-equation's lambda*h is -8.3 and
+    # -4.2, outside RK4's stability interval, and those runs blow up; at
+    # spd 200 it is -1.0 and the run is fine
+    text = cfg("Simulate", extra=_SHORT_RUN).replace("mu = 2.0\n", "mu = 100.0\n")
+    doc = run(parse_config(text), tmp_path)
+    sim = doc["simulation"]
+    assert spds == [25, 200]
     assert sim["diverged"] is False and sim["steps_per_delay"] == 200
     assert sim["step_error_estimate"] is None
     assert doc["notes"] == ["steps_per_delay = 200: no step-doubling error estimate, "
-                            "one run of its pair diverged"]
+                            "no coarser run reached t_end"]
+    assert (tmp_path / "trajectory.csv").exists() and _hidden(tmp_path) == []
 
 
-def test_step_ladder_divergence_stays_in_band(tmp_path):
+def test_step_ladder_divergence_stays_in_band(tmp_path, spds):
     extra = "t_end = 10\nu0 = 1000\nv0 = 1000\n"
     rc = main([str(_write(tmp_path, cfg("Simulate", extra=extra))),
                "--output-dir", str(tmp_path / "out")])
     assert rc == 0
     doc = json.loads((tmp_path / "out" / "report.json").read_text())
     sim = doc["simulation"]
-    # both runs of the first pair diverge; the finer one is reported
-    with pytest.raises(SimulationDiverged) as spd50:
-        simulate(make_params(2.0), HistorySpec.constant(1000.0, 1000.0), 10.0, 50)
-    assert sim["diverged"] is True and sim["diverged_at"] == spd50.value.time
-    assert sim["steps_per_delay"] == 50 and sim["step_error_estimate"] is None
+    # spd 25 diverges, so the top rung runs, and its divergence is reported
+    assert spds == [25, 200]
+    with pytest.raises(SimulationDiverged) as spd200:
+        simulate(make_params(2.0), HistorySpec.constant(1000.0, 1000.0), 10.0, 200)
+    assert sim["diverged"] is True and sim["diverged_at"] == spd200.value.time
+    assert sim["steps_per_delay"] == 200 and sim["step_error_estimate"] is None
     assert sim["classification"] == "Diverges"
     assert not (tmp_path / "out" / "trajectory.csv").exists()
     assert _hidden(tmp_path / "out") == []
