@@ -381,17 +381,16 @@ def _run_simulate(report: dict, config: RunConfig, params: ModelParams,
     }
     try:
         if config.steps_per_delay is None:
-            traj = _simulate_to_tolerance(report, params, history, config.t_end,
-                                          out_dir / "trajectory.csv")
+            traj = _simulate_to_tolerance(report, params, history, config.t_end)
         else:
-            traj = simulate(params, history, config.t_end, config.steps_per_delay,
-                            csv_path=out_dir / "trajectory.csv")
+            traj = simulate(params, history, config.t_end, config.steps_per_delay)
     except SimulationDiverged as exc:
         sim.update(diverged=True, diverged_at=exc.time, classification="Diverges",
                    left_positive_orthant_at=exc.left_positive_orthant_at)
         report["notes"].append(f"simulation diverged at t = {exc.time:g}; "
                                "no trajectory written")
         return
+    traj.to_csv(out_dir / "trajectory.csv")
     sim.update(left_positive_orthant_at=traj.left_positive_orthant_at, t_end=traj.t_end,
                step=traj.step, final_state=list(traj.states[-1]))
     if estar.exists:
@@ -404,18 +403,18 @@ def _run_simulate(report: dict, config: RunConfig, params: ModelParams,
 
 
 def _simulate_to_tolerance(report: dict, params: ModelParams, history: HistorySpec,
-                           t_end: float, csv_path: Path) -> Trajectory:
+                           t_end: float) -> Trajectory:
     """Climb _SPD_LADDER to the first run whose step-doubling estimate
-    meets _STEP_RTOL, or to the top rung, write its CSV and record its
-    spd and estimate.
+    meets _STEP_RTOL, or to the top rung, and record its spd and
+    estimate.
 
     A rung below the top is run only where it can be kept: the rung
     under it gave a trajectory and, from the second pair on, an estimate
     within 16 times the tolerance (RK4's error falls 16-fold per halving
     of h). A diverged run or a predicted miss goes straight to the top
-    rung, which is the run an explicit steps_per_delay = 200 makes: it
-    streams the CSV and its SimulationDiverged propagates. Its estimate
-    is taken against the finest coarser trajectory, if there is one.
+    rung, which is the run an explicit steps_per_delay = 200 makes: its
+    SimulationDiverged propagates. Its estimate is taken against the
+    finest coarser trajectory, if there is one.
     """
     sim = report["simulation"]
     coarse = None   # (spd, states) of the finest run so far
@@ -427,7 +426,6 @@ def _simulate_to_tolerance(report: dict, params: ModelParams, history: HistorySp
         estimate = None if coarse is None else _step_error(*coarse, spd, fine.states)
         if estimate is not None and estimate <= _STEP_RTOL:
             sim.update(steps_per_delay=spd, step_error_estimate=estimate)
-            fine.to_csv(csv_path)
             return fine
         # only the states are kept, so a coarse run's dense rows are
         # freed before the finer run allocates its own
@@ -435,7 +433,7 @@ def _simulate_to_tolerance(report: dict, params: ModelParams, history: HistorySp
         if estimate is not None and estimate > 16.0 * _STEP_RTOL:
             break
     spd = sim["steps_per_delay"] = _SPD_LADDER[-1]
-    fine = simulate(params, history, t_end, spd, csv_path=csv_path)
+    fine = simulate(params, history, t_end, spd)
     estimate = sim["step_error_estimate"] = (
         None if coarse is None else _step_error(*coarse, spd, fine.states))
     if estimate is None or estimate > _STEP_RTOL:

@@ -48,17 +48,9 @@ notation, is converted exactly: |x| times a power of ten is split into
 a double and its error by Dekker's TwoProduct, rounded half to even to
 17 digits, and the digits, dot and sign are laid out with table masks.
 Any other value (exponent form, subnormal, inf, nan) falls back to
-'%.17g' % v. to_csv cuts the rows into one contiguous share per usable
-CPU, formats the first in process and each other one in a forked child,
-and appends the shares in order to a hidden temp file that then
-replaces the path; one CPU, a short run or a threaded caller gives a
-single share. Given a csv_path, simulate and simulate_distributed run
-the same writer alongside the integration: the rows of a closed block
-are final, so while one CPU stays with the run, forked children format
-the oldest of them as later blocks are integrated, and the rows left at
-the end are cut into as many shares as to_csv gives the whole
-trajectory. A run that diverges or is interrupted leaves no child and
-no file behind.
+'%.17g' % v. The rows go in one process to a hidden temp file beside
+the path, which then replaces it, so the path only ever holds a
+complete file.
 
 cycle_metrics classifies the tail of a trajectory (settled, oscillating,
 growing), measures amplitude and period of a limit cycle, and returns
@@ -71,9 +63,6 @@ from __future__ import annotations
 
 import math
 import os
-import shutil
-import signal
-import threading
 from dataclasses import dataclass
 from enum import Enum
 from itertools import repeat
@@ -114,8 +103,6 @@ _MAX_BLOCK = 4096
 # rows per chunk of the trajectory CSV writer; its scratch is about
 # 650 bytes per row
 _CSV_CHUNK = 2048
-# fewest rows a forked share of the trajectory CSV writer is worth
-_CSV_MIN_SHARE = 1 << 16
 
 
 class SimulationDiverged(RuntimeError):
@@ -242,19 +229,23 @@ class Trajectory:
         comments=""), made a chunk of _CSV_CHUNK rows at a time by
         _rowtext.RowFormatter: fixed-notation values (zero and every
         |x| in [1e-4, 1e17)) are converted exactly with numpy, and any
-        other value falls back to '%.17g' % v. The rows are cut into
-        contiguous shares, one per usable CPU and none shorter than
-        _CSV_MIN_SHARE rows; this process formats the first and a forked
-        child each other one (see _CsvWriter). One CPU, a short
-        trajectory, a platform without os.fork or a caller with other
-        threads alive gives a single share, written in process by the
-        same row writer. The file appears at path only once complete: a
-        failed share raises OSError naming its rows and the child's own
-        error, an existing file at path is left as it was, and no child,
-        part or temp file outlives the call.
+        other value falls back to '%.17g' % v. The rows go to a hidden
+        temp file beside path, created with the mode open() would give a
+        new file there, which then replaces path. The file appears at
+        path only once complete: on any exception an existing file at
+        path is left as it was and the temp file is removed.
         """
-        with _CsvWriter(path, self) as writer:
-            writer.finish()
+        directory, name = os.path.split(os.path.abspath(path))
+        tmp = os.path.join(directory, f".{name}.{os.urandom(6).hex()}.tmp")
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        try:
+            with open(fd, "wb") as fh:
+                fh.write(b"t,u,v,w\n")
+                self._write_rows(fh, 0, len(self.states))
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
 
     def _write_rows(self, fh, a: int, b: int) -> None:
         """Write the text of rows [a, b) to the binary file fh a chunk at
@@ -269,186 +260,6 @@ class Trajectory:
             chunk[:, 0] = self.t0 + self.step * np.arange(c, d)
             chunk[:, 1:] = self.states[c:d]
             fh.write(text(chunk))
-
-
-def _usable_cpus() -> int:
-    """CPUs the trajectory CSV writer may use: those in the affinity set,
-    or one where forking is missing or, with other threads alive, unsafe."""
-    if (not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity")
-            or threading.active_count() > 1):
-        return 1
-    return len(os.sched_getaffinity(0))
-
-
-@dataclass(eq=False)
-class _Share:
-    """Rows [a, b) of a trajectory CSV. part is the hidden file they are
-    formatted into (None: straight into the output), pid the forked
-    child formatting them and fd the read end of its error pipe (both
-    None for this process or once reaped)."""
-
-    a: int
-    b: int
-    part: str | None
-    pid: int | None = None
-    fd: int | None = None
-
-
-class _CsvWriter:
-    """The trajectory CSV, written share by share as its rows become final.
-
-    feed(final) learns that rows [0, final) will not change. While at
-    least _CSV_MIN_SHARE of them are unassigned and fewer than (usable
-    CPUs - 1) children are alive, it forks a child for the oldest
-    _CSV_MIN_SHARE; the fork's copy-on-write snapshot hands the child
-    exactly those rows, and one CPU stays with the caller. finish(),
-    with every row final, cuts the unassigned rows into as many shares
-    as the whole trajectory is worth (one per usable CPU, at most one
-    per _CSV_MIN_SHARE rows of the trajectory), forks a child for each
-    but the first and formats that one itself. It then appends the
-    header and the shares in row order to a hidden temp file beside the
-    path and renames it onto the path. Every share is formatted by
-    Trajectory._write_rows; a child formats into a hidden part file and
-    reports its exception's text through a pipe.
-
-    Used as a context manager, the writer discards itself on the way
-    out: any child still running is killed and every child reaped, and
-    every part and temp file is removed. After a successful finish()
-    there is nothing left to discard.
-    """
-
-    def __init__(self, path, traj: Trajectory):
-        # the row formatter's module is loaded with the first writer, so
-        # that forked children inherit it rather than each compile it
-        from . import _rowtext  # noqa: F401
-
-        self.path = os.path.abspath(path)
-        self.traj = traj
-        self.shares: list[_Share] = []
-        self.done = 0  # rows assigned to a share
-        self.tmp: str | None = None
-
-    def __enter__(self) -> "_CsvWriter":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.discard()
-
-    def feed(self, final: int) -> None:
-        """Rows [0, final) are final: fork shares of the oldest of them
-        while fewer than (usable CPUs - 1) children run."""
-        while final - self.done >= _CSV_MIN_SHARE and self._running() < _usable_cpus() - 1:
-            self._fork(self.done + _CSV_MIN_SHARE)
-
-    def finish(self) -> None:
-        """Format the unassigned rows over every usable CPU, then write
-        every share in row order and put the file in place."""
-        n = len(self.traj.states)
-        rows = n - self.done
-        # as many shares as the whole trajectory is worth, so that the
-        # rows a run leaves are split even when fewer than two shares
-        k = max(1, min(_usable_cpus(), n // _CSV_MIN_SHARE, rows))
-        bounds = [self.done + rows * i // k for i in range(k + 1)]
-        # this process formats its share straight into the output when
-        # it comes first; after shares forked during a run it uses a
-        # part file too, so that it need not wait for them
-        own = _Share(bounds[0], bounds[1],
-                     self._new_file(".part") if self.shares else None)
-        self.shares.append(own)
-        self.done = bounds[1]
-        for b in bounds[2:]:
-            self._fork(b)
-        if own.part is not None:
-            with open(own.part, "wb") as fh:
-                self.traj._write_rows(fh, own.a, own.b)
-        self.tmp = self._new_file(".tmp")
-        with open(self.tmp, "wb") as out:
-            out.write(b"t,u,v,w\n")
-            for share in self.shares:
-                if share.part is None:
-                    self.traj._write_rows(out, share.a, share.b)
-                    continue
-                if share.pid is not None:
-                    self._reap(share, block=True)
-                with open(share.part, "rb") as src:
-                    shutil.copyfileobj(src, out)
-                os.unlink(share.part)
-                share.part = None
-        os.replace(self.tmp, self.path)
-        self.tmp = None
-        self.shares.clear()
-
-    def discard(self) -> None:
-        """Kill and reap every child, close every pipe, remove every part
-        and temp file."""
-        for share in self.shares:
-            if share.fd is not None:
-                os.close(share.fd)
-                share.fd = None
-            if share.pid is not None:
-                os.kill(share.pid, signal.SIGKILL)
-                os.waitpid(share.pid, 0)
-                share.pid = None
-        for name in [s.part for s in self.shares] + [self.tmp]:
-            if name is not None and os.path.exists(name):
-                os.unlink(name)
-        self.shares.clear()
-        self.tmp = None
-
-    def _new_file(self, suffix: str) -> str:
-        """Create an empty hidden file beside the output, with the mode
-        open() would give a new file there."""
-        directory, name = os.path.split(self.path)
-        path = os.path.join(directory, f".{name}.{os.urandom(6).hex()}{suffix}")
-        os.close(os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666))
-        return path
-
-    def _fork(self, b: int) -> None:
-        """Fork a child that formats the next unassigned rows, up to b."""
-        share = _Share(self.done, b, self._new_file(".part"))
-        self.shares.append(share)
-        self.done = b
-        share.fd, w = os.pipe()
-        try:
-            share.pid = os.fork()
-            if share.pid == 0:
-                code = 1
-                try:
-                    os.close(share.fd)
-                    with open(share.part, "wb") as fh:
-                        self.traj._write_rows(fh, share.a, share.b)
-                    code = 0
-                except BaseException as exc:
-                    os.write(w, f"{type(exc).__name__}: {exc}".encode("utf-8", "replace"))
-                finally:
-                    os._exit(code)
-        finally:
-            os.close(w)
-
-    def _running(self) -> int:
-        """Children still formatting; the others are reaped."""
-        return sum(not self._reap(s, block=False) for s in self.shares if s.pid is not None)
-
-    def _reap(self, share: _Share, block: bool) -> bool:
-        """Reap the share's child, waiting for it if block; False while it
-        still runs. A child that failed raises OSError."""
-        if not block:
-            pid, status = os.waitpid(share.pid, os.WNOHANG)
-            if pid == 0:
-                return False
-        # read to EOF first, which comes once the child has exited, so a
-        # long message cannot block it on a full pipe
-        with open(share.fd, "rb") as pipe:
-            share.fd = None
-            why = pipe.read().decode("utf-8", "replace")
-        if block:
-            status = os.waitpid(share.pid, 0)[1]
-        share.pid = None
-        code = os.waitstatus_to_exitcode(status)
-        if code != 0:
-            raise OSError(f"rows [{share.a}, {share.b}) of {self.path}: forked writer "
-                          + (f"failed: {why}" if why else f"exited with status {code}"))
-        return True
 
 
 class Classification(str, Enum):
@@ -510,7 +321,7 @@ class _Run:
     """
 
     def __init__(self, params: ModelParams, history: HistorySpec, t_end: float,
-                 steps_per_delay: int, csv_path=None):
+                 steps_per_delay: int):
         nd, h, n = _run_grid(params.s, t_end, steps_per_delay)
         t0 = history.sample_times[0]
         if len(history.sample_times) > 1 and t0 > -params.s + 1e-9 * max(1.0, params.s):
@@ -527,14 +338,6 @@ class _Run:
         self.states[0, :2] = self.lag[:, self.off]
         self.traj = Trajectory(t0=0.0, t_end=n * h, step=h, states=self.states,
                                dense_coeffs=self.derivs)
-        self.csv = None if csv_path is None else _CsvWriter(csv_path, self.traj)
-
-    def __enter__(self) -> "_Run":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        if self.csv is not None:
-            self.csv.discard()
 
     def blocks(self):
         """Each block's first step and its per-step delayed losses."""
@@ -565,8 +368,6 @@ class _Run:
             seg = self.lag[:, self.off + 2 * i0:self.off + 2 * b + 1]
             seg[:, 1::2] = 0.5 * (y[:, :-1] + y[:, 1:]) + 0.125 * self.h * (d[:, :-1] - d[:, 1:])
             seg[:, 2::2] = y[:, 1:]
-        if self.csv is not None:
-            self.csv.feed(b + 1)
 
     def diverged(self, i0: int, rows: list, state: State) -> SimulationDiverged:
         """The exception for a state past the bound after the given rows."""
@@ -589,78 +390,71 @@ class _Run:
         return int(hit[0]) * self.h if len(hit) else None
 
     def trajectory(self) -> Trajectory:
-        """The finished run; its CSV, if any, is in place once this returns."""
+        """The finished run."""
         self.traj.left_positive_orthant_at = self._orthant_exit(self.n)
-        if self.csv is not None:
-            self.csv.finish()
         return self.traj
 
 
 def simulate(params: ModelParams, history: HistorySpec, t_end: float,
-             steps_per_delay: int = 200, csv_path=None) -> Trajectory:
+             steps_per_delay: int = 200) -> Trajectory:
     """Integrate the reduced three-variable system from the given history.
 
     The step is s/steps_per_delay (1/steps_per_delay when s = 0, where
     the system is an ODE), and the run extends to the first node at or
     past t_end. Raises SimulationDiverged when a component leaves
     |x| <= 1e6.
-
-    With csv_path, the file Trajectory.to_csv would write is written
-    there during the run, on the CPUs the run leaves idle; it appears
-    only once complete, and a run that raises leaves no file, part or
-    child process behind.
     """
-    with _Run(params, history, t_end, steps_per_delay, csv_path) as run:
-        lagged, h = run.lagged, run.h
-        u, v = run.states[0, :2].tolist()
-        w = run.states[0, 2] = history.initial_w(params)
+    run = _Run(params, history, t_end, steps_per_delay)
+    lagged, h = run.lagged, run.h
+    u, v = run.states[0, :2].tolist()
+    w = run.states[0, 2] = history.initial_w(params)
 
-        r1, a1 = params.r1, params.a1
-        r2, a2 = params.r2, params.a2
-        br1 = params.b1 * params.r1
-        br2 = params.b2 * params.r2
-        mr = params.mu + params.r
-        half, sixth = 0.5 * h, h / 6.0
-        bound = _DIVERGENCE_BOUND
+    r1, a1 = params.r1, params.a1
+    r2, a2 = params.r2, params.a2
+    br1 = params.b1 * params.r1
+    br2 = params.b2 * params.r2
+    mr = params.mu + params.r
+    half, sixth = 0.5 * h, h / 6.0
+    bound = _DIVERGENCE_BOUND
 
-        for i0, forcing in run.blocks():
-            rows = []
-            for f1, fm, f4 in forcing:
-                if not lagged:
-                    f1 = br1 * u * v
-                k1u = r1 * u * (1.0 - a1 * u) - f1
-                k1v = r2 * v * (1.0 - a2 * v) + br2 * w
-                k1w = u * v - mr * w
-                u2, v2, w2 = u + half * k1u, v + half * k1v, w + half * k1w
-                if not lagged:
-                    fm = br1 * u2 * v2
-                k2u = r1 * u2 * (1.0 - a1 * u2) - fm
-                k2v = r2 * v2 * (1.0 - a2 * v2) + br2 * w2
-                k2w = u2 * v2 - mr * w2
-                u3, v3, w3 = u + half * k2u, v + half * k2v, w + half * k2w
-                if not lagged:
-                    fm = br1 * u3 * v3
-                k3u = r1 * u3 * (1.0 - a1 * u3) - fm
-                k3v = r2 * v3 * (1.0 - a2 * v3) + br2 * w3
-                k3w = u3 * v3 - mr * w3
-                u4, v4, w4 = u + h * k3u, v + h * k3v, w + h * k3w
-                if not lagged:
-                    f4 = br1 * u4 * v4
-                k4u = r1 * u4 * (1.0 - a1 * u4) - f4
-                k4v = r2 * v4 * (1.0 - a2 * v4) + br2 * w4
-                k4w = u4 * v4 - mr * w4
-                u += sixth * (k1u + 2.0 * (k2u + k3u) + k4u)
-                v += sixth * (k1v + 2.0 * (k2v + k3v) + k4v)
-                w += sixth * (k1w + 2.0 * (k2w + k3w) + k4w)
-                if not (abs(u) <= bound and abs(v) <= bound and abs(w) <= bound):
-                    raise run.diverged(i0, rows, State(u, v, w))
-                rows.extend((k1u, k1v, k1w, u, v, w))
-            run.close(i0, rows, State(u, v, w))
-        return run.trajectory()
+    for i0, forcing in run.blocks():
+        rows = []
+        for f1, fm, f4 in forcing:
+            if not lagged:
+                f1 = br1 * u * v
+            k1u = r1 * u * (1.0 - a1 * u) - f1
+            k1v = r2 * v * (1.0 - a2 * v) + br2 * w
+            k1w = u * v - mr * w
+            u2, v2, w2 = u + half * k1u, v + half * k1v, w + half * k1w
+            if not lagged:
+                fm = br1 * u2 * v2
+            k2u = r1 * u2 * (1.0 - a1 * u2) - fm
+            k2v = r2 * v2 * (1.0 - a2 * v2) + br2 * w2
+            k2w = u2 * v2 - mr * w2
+            u3, v3, w3 = u + half * k2u, v + half * k2v, w + half * k2w
+            if not lagged:
+                fm = br1 * u3 * v3
+            k3u = r1 * u3 * (1.0 - a1 * u3) - fm
+            k3v = r2 * v3 * (1.0 - a2 * v3) + br2 * w3
+            k3w = u3 * v3 - mr * w3
+            u4, v4, w4 = u + h * k3u, v + h * k3v, w + h * k3w
+            if not lagged:
+                f4 = br1 * u4 * v4
+            k4u = r1 * u4 * (1.0 - a1 * u4) - f4
+            k4v = r2 * v4 * (1.0 - a2 * v4) + br2 * w4
+            k4w = u4 * v4 - mr * w4
+            u += sixth * (k1u + 2.0 * (k2u + k3u) + k4u)
+            v += sixth * (k1v + 2.0 * (k2v + k3v) + k4v)
+            w += sixth * (k1w + 2.0 * (k2w + k3w) + k4w)
+            if not (abs(u) <= bound and abs(v) <= bound and abs(w) <= bound):
+                raise run.diverged(i0, rows, State(u, v, w))
+            rows.extend((k1u, k1v, k1w, u, v, w))
+        run.close(i0, rows, State(u, v, w))
+    return run.trajectory()
 
 
 def simulate_distributed(params: ModelParams, history: HistorySpec, t_end: float,
-                         steps_per_delay: int = 200, csv_path=None) -> Trajectory:
+                         steps_per_delay: int = 200) -> Trajectory:
     """Integrate with the memory integral evaluated by quadrature.
 
     The exponentially weighted product history is summed by the
@@ -679,82 +473,82 @@ def simulate_distributed(params: ModelParams, history: HistorySpec, t_end: float
 
     The returned w column is the quadrature value of the memory
     integral; the history's w0 is ignored because the history itself
-    determines that value. The discrete delay s and csv_path are
-    handled exactly as in simulate.
+    determines that value. The discrete delay s is handled exactly as
+    in simulate.
     """
-    with _Run(params, history, t_end, steps_per_delay, csv_path) as run:
-        lagged, h = run.lagged, run.h
+    run = _Run(params, history, t_end, steps_per_delay)
+    lagged, h = run.lagged, run.h
 
-        r1, a1 = params.r1, params.a1
-        r2, a2 = params.r2, params.a2
-        br1 = params.b1 * params.r1
-        br2 = params.b2 * params.r2
-        mr = params.mu + params.r
+    r1, a1 = params.r1, params.a1
+    r2, a2 = params.r2, params.a2
+    br1 = params.b1 * params.r1
+    br2 = params.b2 * params.r2
+    mr = params.mu + params.r
 
-        qstep = 0.5 * h
-        decay = math.exp(-mr * qstep)
-        w0_tail, w1 = 0.5 * qstep, qstep * decay
+    qstep = 0.5 * h
+    decay = math.exp(-mr * qstep)
+    w0_tail, w1 = 0.5 * qstep, qstep * decay
 
-        # S: the weighted sum over every sample before the newest one. The
-        # samples reach back K half-steps, to the first at or before the
-        # history's start t0; the clamped q(t0) before that adds a geometric
-        # series. Weights more than 745/(mu+r) back underflow to zero.
-        t0 = max(history.sample_times[0], -745.0 / mr)
-        K = math.ceil(-t0 / qstep)
-        k = np.arange(1, K + 1)
-        qu, qv = history.at(-qstep * k)
-        ut0, vt0 = history.at(t0)
-        S = float(qstep * (np.exp(-mr * qstep * k) @ (qu * qv))
-                  + qstep * ut0 * vt0 * decay ** (K + 1) / -math.expm1(-mr * qstep))
+    # S: the weighted sum over every sample before the newest one. The
+    # samples reach back K half-steps, to the first at or before the
+    # history's start t0; the clamped q(t0) before that adds a geometric
+    # series. Weights more than 745/(mu+r) back underflow to zero.
+    t0 = max(history.sample_times[0], -745.0 / mr)
+    K = math.ceil(-t0 / qstep)
+    k = np.arange(1, K + 1)
+    qu, qv = history.at(-qstep * k)
+    ut0, vt0 = history.at(t0)
+    S = float(qstep * (np.exp(-mr * qstep * k) @ (qu * qv))
+              + qstep * ut0 * vt0 * decay ** (K + 1) / -math.expm1(-mr * qstep))
 
-        half, sixth, eighth = 0.5 * h, h / 6.0, 0.125 * h
-        bound = _DIVERGENCE_BOUND
+    half, sixth, eighth = 0.5 * h, h / 6.0, 0.125 * h
+    bound = _DIVERGENCE_BOUND
 
-        u, v = run.states[0, :2].tolist()
-        uv = u * v
-        w_cur = run.states[0, 2] = S + w0_tail * uv
+    u, v = run.states[0, :2].tolist()
+    uv = u * v
+    w_cur = run.states[0, 2] = S + w0_tail * uv
 
-        for i0, forcing in run.blocks():
-            rows = []
-            for i, (f1, fm, f4) in enumerate(forcing, i0):
-                if not lagged:
-                    f1 = br1 * u * v
-                k1u = r1 * u * (1.0 - a1 * u) - f1
-                k1v = r2 * v * (1.0 - a2 * v) + br2 * (S + w0_tail * u * v)
-                k1w = u * v - mr * w_cur
-                if i:
-                    # replace last step's seeded half product with its Hermite value
-                    um = 0.5 * (pu + u) + eighth * (pku - k1u)
-                    vm = 0.5 * (pv + v) + eighth * (pkv - k1v)
-                    S += w1 * (um * vm - q_seed)
-                pu, pv, pku, pkv = u, v, k1u, k1v
-                S = decay * S + w1 * uv
-                u2, v2 = u + half * k1u, v + half * k1v
-                if not lagged:
-                    fm = br1 * u2 * v2
-                k2u = r1 * u2 * (1.0 - a1 * u2) - fm
-                k2v = r2 * v2 * (1.0 - a2 * v2) + br2 * (S + w0_tail * u2 * v2)
-                u3, v3 = u + half * k2u, v + half * k2v
-                if not lagged:
-                    fm = br1 * u3 * v3
-                k3u = r1 * u3 * (1.0 - a1 * u3) - fm
-                k3v = r2 * v3 * (1.0 - a2 * v3) + br2 * (S + w0_tail * u3 * v3)
-                q_seed = 0.5 * (u2 * v2 + u3 * v3)
-                S = decay * S + w1 * q_seed
-                u4, v4 = u + h * k3u, v + h * k3v
-                if not lagged:
-                    f4 = br1 * u4 * v4
-                k4u = r1 * u4 * (1.0 - a1 * u4) - f4
-                k4v = r2 * v4 * (1.0 - a2 * v4) + br2 * (S + w0_tail * u4 * v4)
-                u += sixth * (k1u + 2.0 * (k2u + k3u) + k4u)
-                v += sixth * (k1v + 2.0 * (k2v + k3v) + k4v)
-                uv = u * v
-                w_cur = S + w0_tail * uv
-                if not (abs(u) <= bound and abs(v) <= bound and abs(w_cur) <= bound):
-                    raise run.diverged(i0, rows, State(u, v, w_cur))
-                rows.extend((k1u, k1v, k1w, u, v, w_cur))
-            run.close(i0, rows, State(u, v, w_cur))
-        return run.trajectory()
+    for i0, forcing in run.blocks():
+        rows = []
+        for i, (f1, fm, f4) in enumerate(forcing, i0):
+            if not lagged:
+                f1 = br1 * u * v
+            k1u = r1 * u * (1.0 - a1 * u) - f1
+            k1v = r2 * v * (1.0 - a2 * v) + br2 * (S + w0_tail * u * v)
+            k1w = u * v - mr * w_cur
+            if i:
+                # replace last step's seeded half product with its Hermite value
+                um = 0.5 * (pu + u) + eighth * (pku - k1u)
+                vm = 0.5 * (pv + v) + eighth * (pkv - k1v)
+                S += w1 * (um * vm - q_seed)
+            pu, pv, pku, pkv = u, v, k1u, k1v
+            S = decay * S + w1 * uv
+            u2, v2 = u + half * k1u, v + half * k1v
+            if not lagged:
+                fm = br1 * u2 * v2
+            k2u = r1 * u2 * (1.0 - a1 * u2) - fm
+            k2v = r2 * v2 * (1.0 - a2 * v2) + br2 * (S + w0_tail * u2 * v2)
+            u3, v3 = u + half * k2u, v + half * k2v
+            if not lagged:
+                fm = br1 * u3 * v3
+            k3u = r1 * u3 * (1.0 - a1 * u3) - fm
+            k3v = r2 * v3 * (1.0 - a2 * v3) + br2 * (S + w0_tail * u3 * v3)
+            q_seed = 0.5 * (u2 * v2 + u3 * v3)
+            S = decay * S + w1 * q_seed
+            u4, v4 = u + h * k3u, v + h * k3v
+            if not lagged:
+                f4 = br1 * u4 * v4
+            k4u = r1 * u4 * (1.0 - a1 * u4) - f4
+            k4v = r2 * v4 * (1.0 - a2 * v4) + br2 * (S + w0_tail * u4 * v4)
+            u += sixth * (k1u + 2.0 * (k2u + k3u) + k4u)
+            v += sixth * (k1v + 2.0 * (k2v + k3v) + k4v)
+            uv = u * v
+            w_cur = S + w0_tail * uv
+            if not (abs(u) <= bound and abs(v) <= bound and abs(w_cur) <= bound):
+                raise run.diverged(i0, rows, State(u, v, w_cur))
+            rows.extend((k1u, k1v, k1w, u, v, w_cur))
+        run.close(i0, rows, State(u, v, w_cur))
+    return run.trajectory()
 
 
 def fft_period(values, step: float) -> float | None:

@@ -5,7 +5,6 @@ import math
 import os
 import subprocess
 import sys
-import threading
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +24,6 @@ from infodelay import (
     simulate_distributed,
 )
 import infodelay
-from infodelay import integrator
 from infodelay.integrator import _CSV_CHUNK, _MAX_BLOCK, _Run, _prominent_peaks
 from infodelay.model import State, distributed_w_oracle, reduced_rhs
 from conftest import ESTAR, S_STAR, draw_params, make_params, screen_for_flip
@@ -275,46 +273,26 @@ def test_to_csv_matches_savetxt(tmp_path, rows):
     assert (tmp_path / "chunked.csv").read_bytes() == _savetxt_bytes(traj, tmp_path)
 
 
-@pytest.fixture
-def three_cpus(monkeypatch):
-    """A 3-CPU set with 1000-row shares; returns the list of fork calls."""
-    monkeypatch.setattr(integrator, "_CSV_MIN_SHARE", 1000)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
-    forks, fork = [], os.fork
-    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
-    return forks
+@pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
+def test_failed_to_csv_leaves_the_older_file(tmp_path, monkeypatch, error):
+    raised, written, write_rows = error("write failed"), [], Trajectory._write_rows
 
+    def fail_after_first_chunk(self, fh, a, b):
+        write_rows(self, fh, a, a + _CSV_CHUNK)
+        written.append((fh.tell(), sorted(p.name for p in tmp_path.iterdir())))
+        raise raised
 
-# 2500 rows make two shares, 3001 three shorter than a chunk, and
-# 6*_CSV_CHUNK + 7 three of several chunks; none divides evenly. With
-# another thread alive nothing is forked.
-@pytest.mark.parametrize("rows, threads, shares", [
-    (2500, 1, 2), (3001, 1, 3), (6 * _CSV_CHUNK + 7, 1, 3), (3001, 2, 1)])
-def test_shared_to_csv_matches_savetxt(tmp_path, three_cpus, monkeypatch,
-                                       rows, threads, shares):
-    monkeypatch.setattr(threading, "active_count", lambda: threads)
-    traj = _special_trajectory(rows)
-    traj.to_csv(tmp_path / "shared.csv")
-    assert len(three_cpus) == shares - 1
-    assert (tmp_path / "shared.csv").read_bytes() == _savetxt_bytes(traj, tmp_path)
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["savetxt.csv", "shared.csv"]
-
-
-def test_failed_share_raises_and_leaves_nothing(tmp_path, three_cpus, monkeypatch):
-    write_rows = Trajectory._write_rows
-
-    def fail_in_children(self, fh, a, b):
-        if a > 0:
-            raise RuntimeError("share failed")
-        write_rows(self, fh, a, b)
-
-    monkeypatch.setattr(Trajectory, "_write_rows", fail_in_children)
-    with pytest.raises(OSError, match=r"rows \[1000, 2000\) .*RuntimeError: share failed"):
-        _special_trajectory(3001).to_csv(tmp_path / "shared.csv")
-    assert len(three_cpus) == 2
-    assert list(tmp_path.iterdir()) == []
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+    monkeypatch.setattr(Trajectory, "_write_rows", fail_after_first_chunk)
+    path = tmp_path / "traj.csv"
+    path.write_text("older run\n")
+    with pytest.raises(error) as caught:
+        _special_trajectory(3 * _CSV_CHUNK).to_csv(path)
+    assert caught.value is raised
+    # the first chunk went to a hidden temp file, which is gone again
+    (size, names), = written
+    assert size > len("t,u,v,w\n") and len(names) == 2 and names[0].startswith(".traj.csv.")
+    assert [p.name for p in tmp_path.iterdir()] == ["traj.csv"]
+    assert path.read_text() == "older run\n"
 
 
 def test_to_csv_replaces_an_existing_file_with_a_fresh_one(tmp_path):
@@ -376,92 +354,6 @@ def test_row_formatter_matches_percent_g(tmp_path):
     traj = Trajectory(0.0, 0.04 * 3000, 0.04, states, np.zeros_like(states))
     traj.to_csv(tmp_path / "mixed.csv")
     assert (tmp_path / "mixed.csv").read_bytes() == _savetxt_bytes(traj, tmp_path)
-
-
-def _count_closes(monkeypatch, forks):
-    """Record the fork count as each block of a run is closed."""
-    counts, close = [], _Run.close
-
-    def counting_close(self, *args):
-        counts.append(len(forks))
-        close(self, *args)
-
-    monkeypatch.setattr(_Run, "close", counting_close)
-    return counts
-
-
-# 12501 rows divide evenly by neither the 1000-row share nor _CSV_CHUNK;
-# at s = 0 a block is _MAX_BLOCK steps, so several shares fork at once
-@pytest.mark.parametrize("integrate", [simulate, simulate_distributed])
-@pytest.mark.parametrize("s, t_end, spd", [(2.0, 500.0, 50), (0.0, 400.0, 20)])
-def test_streamed_csv_matches_savetxt(tmp_path, three_cpus, monkeypatch,
-                                      integrate, s, t_end, spd):
-    want = integrate(make_params(s), _flat(1.05, 0.95), t_end, spd)
-    closes = _count_closes(monkeypatch, three_cpus)
-    traj = integrate(make_params(s), _flat(1.05, 0.95), t_end, spd,
-                     csv_path=tmp_path / "streamed.csv")
-    assert np.array_equal(traj.states, want.states)
-    assert np.array_equal(traj.dense_coeffs, want.dense_coeffs)
-    assert (tmp_path / "streamed.csv").read_bytes() == _savetxt_bytes(traj, tmp_path)
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["savetxt.csv", "streamed.csv"]
-    # shares were formatted while later blocks were still being integrated
-    assert closes[-1] > 0
-    if s > 0.0:
-        assert len(traj.states) % 1000 and len(traj.states) % _CSV_CHUNK
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-def test_threaded_caller_streams_without_forking(tmp_path, three_cpus):
-    result = []
-    worker = threading.Thread(target=lambda: result.append(simulate(
-        make_params(2.0), _flat(1.05, 0.95), 500.0, 50, csv_path=tmp_path / "streamed.csv")))
-    worker.start()
-    worker.join()
-    assert three_cpus == []
-    assert (tmp_path / "streamed.csv").read_bytes() == _savetxt_bytes(result[0], tmp_path)
-
-
-def _assert_aborted(tmp_path, forks):
-    """Several shares were forked, no child is left, and only the older
-    file remains in the output directory."""
-    assert len(forks) >= 2
-    assert [p.name for p in tmp_path.iterdir()] == ["streamed.csv"]
-    assert (tmp_path / "streamed.csv").read_text() == "older run\n"
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-@pytest.mark.parametrize("integrate", [simulate, simulate_distributed])
-def test_diverging_stream_leaves_nothing(tmp_path, three_cpus, integrate):
-    args = make_params(S_STAR + 0.02), _flat(1.01, 0.99), 700.0, 200
-    with pytest.raises(SimulationDiverged) as plain:
-        integrate(*args)
-    (tmp_path / "streamed.csv").write_text("older run\n")
-    with pytest.raises(SimulationDiverged) as streamed:
-        integrate(*args, csv_path=tmp_path / "streamed.csv")
-    assert streamed.value.time == plain.value.time
-    assert (streamed.value.left_positive_orthant_at
-            == plain.value.left_positive_orthant_at)
-    _assert_aborted(tmp_path, three_cpus)
-
-
-def test_interrupted_stream_leaves_nothing(tmp_path, three_cpus, monkeypatch):
-    closes = _count_closes(monkeypatch, three_cpus)
-    close = _Run.close
-
-    def interrupt_third(self, *args):
-        close(self, *args)
-        if len(closes) == 3:
-            raise KeyboardInterrupt
-
-    monkeypatch.setattr(_Run, "close", interrupt_third)
-    (tmp_path / "streamed.csv").write_text("older run\n")
-    with pytest.raises(KeyboardInterrupt):
-        simulate(make_params(0.0), _flat(1.05, 0.95), 1000.0, 20,
-                 csv_path=tmp_path / "streamed.csv")
-    assert len(closes) == 3
-    _assert_aborted(tmp_path, three_cpus)
 
 
 def test_csv_round_trip(tmp_path):
