@@ -6,21 +6,16 @@ rules of the run keys are the _RUN_RULES table, those of the model keys
 ModelParams' own. The command key selects what happens:
 
     Critical   equilibria, crossing candidates and the first switch s0
-    Direction  the above plus the amplitude-equation classification and
+    Direction  equilibria, s0, the amplitude-equation classification and
                the cycle it predicts at the configured s
     Analyze    both of the above in one report
     Simulate   time integration from a constant history, with metrics
     Sweep      s0 / chi1 / chi2 / direction along one parameter axis
 
-A Simulate config without steps_per_delay climbs a ladder of steps per
-delay (spd) 25, 50, 100, 200: runs at N and 2N spd give a step-doubling
-(Richardson) error estimate for the finer one, and the first finer run
-whose estimate is at most 1e-6 is kept. A coarse run that diverges, or
-an spd 50 estimate that puts spd 100 out of reach, sends the run to spd
-200, the run an explicit steps_per_delay = 200 makes; it is kept with a
-note when it has no estimate or misses. The simulation section reports
-the spd used and the estimate, which is null when the config sets
-steps_per_delay.
+A Simulate config without steps_per_delay is run by
+integrator.simulate_to_tolerance, whose docstring describes the step
+ladder. The simulation section reports the steps per delay used and the
+estimate, null when the config sets steps_per_delay.
 
 Every run writes report.json and report.csv (the same content, nested
 vs. flattened); Simulate adds trajectory.csv and, with --plot, five SVG
@@ -44,8 +39,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .integrator import (CycleMetrics, HistorySpec, SimulationDiverged, Trajectory, cycle_metrics,
-                         simulate)
+from . import integrator
+from .integrator import (CycleMetrics, HistorySpec, SimulationDiverged, cycle_metrics, simulate,
+                         simulate_to_tolerance)
 from .model import ModelParams, ParamGrid, State, equilibria
 from .normal_form import (Direction, NormalForm, NormalForms, ResonanceError, classify,
                           compute_normal_form, eigen_residuals, linearize, normal_forms,
@@ -82,10 +78,6 @@ _REPORT_KEYS = ("command", "params", "equilibria", "h1_holds", "char_coeffs", "g
 _CYCLE_KEYS = tuple(f.name for f in fields(CycleMetrics))
 # the columns of a Sweep row, in sweep.csv's order after the param name
 _SWEEP_COLUMNS = ("value", "s0", "chi1", "chi2", "direction")
-# the spd ladder of a Simulate config without steps_per_delay, and the
-# step-doubling error estimate its kept run must meet
-_SPD_LADDER = (25, 50, 100, 200)
-_STEP_RTOL = 1e-6
 
 
 class Command(str, Enum):
@@ -113,8 +105,9 @@ class RunConfig:
     """Validated run description.
 
     param_values holds the model keys present in the config; only a
-    Sweep may omit one, and then only the swept key itself. With
-    steps_per_delay None a Simulate run climbs the step ladder.
+    Sweep may omit one, and then only the swept key itself. A run key
+    outside its _RUN_RULES range raises ValueError. With steps_per_delay
+    None a Simulate run climbs the step ladder.
     """
 
     command: Command
@@ -127,18 +120,23 @@ class RunConfig:
     w0: float | None = None
     sweep: SweepOpts | None = None
 
+    def __post_init__(self):
+        for key, holds, what in _RUN_RULES:
+            value = getattr(self, key)
+            if value is not None and not holds(value):
+                raise ValueError(f"{key} {what}, got {value!r}")
+
     def model_params(self) -> ModelParams:
         return ModelParams(**self.param_values)
 
 
-# range rules for the run keys, checked in this order on the keys the
-# config sets: the key, its test, and the end of its error message
+# range rules for the run keys, checked in this order on the keys a
+# RunConfig sets: the key, its test, and the end of its error message
 _RUN_RULES = (
     ("steps_per_delay", lambda n: n >= 20, "must be >= 20"),
     ("transient_fraction", lambda x: 0.0 <= x < 1.0, "must be in [0, 1)"),
     ("t_end", lambda x: x > 0, "must be positive"),
 )
-
 
 def parse_config(text: str) -> RunConfig:
     """Parse and validate a flat key = value config.
@@ -218,21 +216,16 @@ def parse_config(text: str) -> RunConfig:
 
     param_values = {k: values[k] for k in _MODEL_KEYS if k in values}
     probe = {**param_values, sweep.param: sweep.lo} if sweep else param_values
+    # a run key the config leaves out keeps its RunConfig default
+    run_keys = {f.name for f in fields(RunConfig)}
     try:
         ModelParams(**probe)
+        return RunConfig(param_values=param_values, sweep=sweep,
+                         **{k: v for k, v in values.items() if k in run_keys})
     except ValueError as exc:
         bad = str(exc).split(" ", 1)[0]
         at = f"line {lines[bad]}: " if bad in lines else ""
         raise ConfigError(f"{at}{exc}") from None
-
-    for key, holds, what in _RUN_RULES:
-        if key in values and not holds(values[key]):
-            raise ConfigError(f"line {lines[key]}: {key} {what}, got {values[key]!r}")
-
-    # a run key the config leaves out keeps its RunConfig default
-    run_keys = {f.name for f in fields(RunConfig)}
-    return RunConfig(param_values=param_values, sweep=sweep,
-                     **{k: v for k, v in values.items() if k in run_keys})
 
 
 def _jsonify(obj):
@@ -381,17 +374,25 @@ def _run_simulate(report: dict, config: RunConfig, params: ModelParams,
     }
     try:
         if config.steps_per_delay is None:
-            traj = _simulate_to_tolerance(report, params, history, config.t_end)
+            traj = simulate_to_tolerance(params, history, config.t_end)
         else:
             traj = simulate(params, history, config.t_end, config.steps_per_delay)
     except SimulationDiverged as exc:
-        sim.update(diverged=True, diverged_at=exc.time, classification="Diverges",
-                   left_positive_orthant_at=exc.left_positive_orthant_at)
+        sim.update(steps_per_delay=exc.steps_per_delay, diverged=True, diverged_at=exc.time,
+                   classification="Diverges", left_positive_orthant_at=exc.left_positive_orthant_at)
         report["notes"].append(f"simulation diverged at t = {exc.time:g}; "
                                "no trajectory written")
         return
+    spd, estimate, rtol = traj.steps_per_delay, traj.step_error_estimate, integrator._STEP_RTOL
+    if config.steps_per_delay is None and (estimate is None or estimate > rtol):
+        report["notes"].append(
+            f"steps_per_delay = {spd}: no step-doubling error estimate, no coarser run "
+            "reached t_end" if estimate is None else
+            f"steps_per_delay = {spd}: step-doubling error estimate {estimate:.3g} "
+            f"exceeds the tolerance {rtol:g}")
     traj.to_csv(out_dir / "trajectory.csv")
-    sim.update(left_positive_orthant_at=traj.left_positive_orthant_at, t_end=traj.t_end,
+    sim.update(steps_per_delay=spd, step_error_estimate=estimate,
+               left_positive_orthant_at=traj.left_positive_orthant_at, t_end=traj.t_end,
                step=traj.step, final_state=list(traj.states[-1]))
     if estar.exists:
         metrics = cycle_metrics(traj, estar.point, config.transient_fraction)
@@ -400,62 +401,6 @@ def _run_simulate(report: dict, config: RunConfig, params: ModelParams,
         report["notes"].append(_missing_estar_note(estar, "cycle metrics skipped"))
     if plot:
         trajectory_plots(traj, out_dir)
-
-
-def _simulate_to_tolerance(report: dict, params: ModelParams, history: HistorySpec,
-                           t_end: float) -> Trajectory:
-    """Climb _SPD_LADDER to the first run whose step-doubling estimate
-    meets _STEP_RTOL, or to the top rung, and record its spd and
-    estimate.
-
-    A rung below the top is run only where it can be kept: the rung
-    under it gave a trajectory and, from the second pair on, an estimate
-    within 16 times the tolerance (RK4's error falls 16-fold per halving
-    of h). A diverged run or a predicted miss goes straight to the top
-    rung, which is the run an explicit steps_per_delay = 200 makes: its
-    SimulationDiverged propagates. Its estimate is taken against the
-    finest coarser trajectory, if there is one.
-    """
-    sim = report["simulation"]
-    coarse = None   # (spd, states) of the finest run so far
-    for spd in _SPD_LADDER[:-1]:
-        try:
-            fine = simulate(params, history, t_end, spd)
-        except SimulationDiverged:
-            break
-        estimate = None if coarse is None else _step_error(*coarse, spd, fine.states)
-        if estimate is not None and estimate <= _STEP_RTOL:
-            sim.update(steps_per_delay=spd, step_error_estimate=estimate)
-            return fine
-        # only the states are kept, so a coarse run's dense rows are
-        # freed before the finer run allocates its own
-        coarse, fine = (spd, fine.states), None
-        if estimate is not None and estimate > 16.0 * _STEP_RTOL:
-            break
-    spd = sim["steps_per_delay"] = _SPD_LADDER[-1]
-    fine = simulate(params, history, t_end, spd)
-    estimate = sim["step_error_estimate"] = (
-        None if coarse is None else _step_error(*coarse, spd, fine.states))
-    if estimate is None or estimate > _STEP_RTOL:
-        report["notes"].append(
-            f"steps_per_delay = {spd}: no step-doubling error estimate, no coarser run "
-            "reached t_end" if estimate is None else
-            f"steps_per_delay = {spd}: step-doubling error estimate {estimate:.3g} "
-            f"exceeds the tolerance {_STEP_RTOL:g}")
-    return fine
-
-
-def _step_error(coarse_spd: int, coarse: np.ndarray, spd: int, fine: np.ndarray) -> float:
-    """Richardson estimate of the error of the states of a run at spd
-    from those of a run at coarse_spd = spd / k: max|fine[::k] - coarse|
-    / (k**4 - 1) / max(1, max|fine|) over their common nodes. Each run
-    ends at the first node at or past t_end, so the coarse one may have
-    a node more."""
-    k = spd // coarse_spd
-    x, xk = coarse, fine[::k]
-    m = min(len(x), len(xk))
-    return float(np.abs(xk[:m] - x[:m]).max()
-                 / (k ** 4 - 1) / max(1.0, float(np.abs(fine).max())))
 
 
 def _sweep_rows(values: np.ndarray, nfs: NormalForms) -> list[dict]:

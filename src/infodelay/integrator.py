@@ -7,10 +7,8 @@ needs sits on a lag grid of spacing h/2: the history sampled at g*h/2
 on [-s, 0], then, for each step, the cubic Hermite midpoint of the step
 (node values plus node derivatives, which keeps the fourth order) and
 the node that ends it. Step i reads the grid entries 2i, 2i+1 and 2i+2.
-The step is fixed for a run; the CLI chooses it by comparing runs at h
-and h/k on their common nodes (step doubling for k = 2, Hairer, Norsett
-and Wanner, Solving ODEs I, II.4), whose gap is k**4 - 1 times the
-finer run's error for a fourth-order method.
+The step is fixed for a run; simulate_to_tolerance chooses it by step
+doubling, and its docstring describes how.
 
 The delay enters only through the loss term b1*r1*u(t-s)*v(t-s), so on
 any stretch of at most one delay that term is known before the stretch
@@ -42,15 +40,9 @@ model leaves its meaningful region; the 1e6 divergence bound is only a
 backstop.
 
 Trajectory.to_csv writes the bytes of np.savetxt with %.17g, made by
-numpy a chunk of rows at a time rather than by a Python % per value.
-Every zero and every |x| in [1e-4, 1e17), which %.17g prints in fixed
-notation, is converted exactly: |x| times a power of ten is split into
-a double and its error by Dekker's TwoProduct, rounded half to even to
-17 digits, and the digits, dot and sign are laid out with table masks.
-Any other value (exponent form, subnormal, inf, nan) falls back to
-'%.17g' % v. The rows go in one process to a hidden temp file beside
-the path, which then replaces it, so the path only ever holds a
-complete file.
+numpy a chunk of rows at a time (_rowtext, exact by Dekker's
+TwoProduct), to a temp file that then replaces the path; its docstring
+has the details.
 
 cycle_metrics classifies the tail of a trajectory (settled, oscillating,
 growing), measures amplitude and period of a limit cycle, and returns
@@ -78,6 +70,7 @@ __all__ = [
     "Classification",
     "CycleMetrics",
     "simulate",
+    "simulate_to_tolerance",
     "simulate_distributed",
     "cycle_metrics",
     "fft_period",
@@ -103,14 +96,20 @@ _MAX_BLOCK = 4096
 # rows per chunk of the trajectory CSV writer; its scratch is about
 # 650 bytes per row
 _CSV_CHUNK = 2048
+# the steps per delay simulate_to_tolerance climbs, and the step-doubling
+# error estimate its kept run must meet
+_SPD_LADDER = (25, 50, 100, 200)
+_STEP_RTOL = 1e-6
 
 
 class SimulationDiverged(RuntimeError):
     """A state component left the admissible range at the given time.
 
     left_positive_orthant_at is the first node time, up to that one, at
-    which u or v was negative, or None.
+    which u or v was negative, or None, and steps_per_delay the run's.
     """
+
+    steps_per_delay: int | None = None
 
     def __init__(self, time: float, left_positive_orthant_at: float | None = None):
         super().__init__(f"state left |x| <= {_DIVERGENCE_BOUND:g} at t = {time:g}")
@@ -184,7 +183,8 @@ class Trajectory:
     right-hand side there; between nodes __call__ evaluates the Hermite
     cubic through the bracketing pair, and at a node it returns the
     stored row bit for bit. left_positive_orthant_at is the first node
-    time at which u or v is negative, or None.
+    time at which u or v is negative, or None; step_error_estimate is
+    set where simulate_to_tolerance kept the run.
     """
 
     t0: float
@@ -193,6 +193,8 @@ class Trajectory:
     states: np.ndarray
     dense_coeffs: np.ndarray
     left_positive_orthant_at: float | None = None
+    steps_per_delay: int | None = None
+    step_error_estimate: float | None = None
 
     @property
     def times(self) -> np.ndarray:
@@ -241,24 +243,24 @@ class Trajectory:
         try:
             with open(fd, "wb") as fh:
                 fh.write(b"t,u,v,w\n")
-                self._write_rows(fh, 0, len(self.states))
+                self._write_rows(fh)
             os.replace(tmp, path)
         except BaseException:
             os.unlink(tmp)
             raise
 
-    def _write_rows(self, fh, a: int, b: int) -> None:
-        """Write the text of rows [a, b) to the binary file fh a chunk at
-        a time, with the t column built exactly like times."""
+    def _write_rows(self, fh) -> None:
+        """Write the text of every row to the binary file fh a chunk at a
+        time, with the t column built exactly like times."""
         from ._rowtext import RowFormatter
 
-        size = min(_CSV_CHUNK, b - a)
+        size = min(_CSV_CHUNK, len(self.states))
         rows, text = np.empty((size, 4)), RowFormatter(4 * size)
-        for c in range(a, b, _CSV_CHUNK):
-            d = min(c + _CSV_CHUNK, b)
-            chunk = rows[:d - c]
-            chunk[:, 0] = self.t0 + self.step * np.arange(c, d)
-            chunk[:, 1:] = self.states[c:d]
+        for c in range(0, len(self.states), _CSV_CHUNK):
+            states = self.states[c:c + _CSV_CHUNK]
+            chunk = rows[:len(states)]
+            chunk[:, 0] = self.t0 + self.step * np.arange(c, c + len(states))
+            chunk[:, 1:] = states
             fh.write(text(chunk))
 
 
@@ -327,7 +329,7 @@ class _Run:
         if len(history.sample_times) > 1 and t0 > -params.s + 1e-9 * max(1.0, params.s):
             raise ValueError(f"sampled history starts at {t0!r} but must cover "
                              f"[-{params.s!r}, 0]")
-        self.params, self.h, self.n = params, h, n
+        self.params, self.nd, self.h, self.n = params, nd, h, n
         self.lagged = params.s > 0.0
         self.off = 2 * nd if self.lagged else 0
         self.block = min(nd, _MAX_BLOCK) if self.lagged else _MAX_BLOCK
@@ -336,8 +338,6 @@ class _Run:
         self.states = np.empty((n + 1, 3))
         self.derivs = np.empty((n + 1, 3))
         self.states[0, :2] = self.lag[:, self.off]
-        self.traj = Trajectory(t0=0.0, t_end=n * h, step=h, states=self.states,
-                               dense_coeffs=self.derivs)
 
     def blocks(self):
         """Each block's first step and its per-step delayed losses."""
@@ -373,7 +373,9 @@ class _Run:
         """The exception for a state past the bound after the given rows."""
         b = self._store(i0, rows) + 1
         self.states[b] = state
-        return SimulationDiverged(b * self.h, self._orthant_exit(b))
+        exc = SimulationDiverged(b * self.h, self._orthant_exit(b))
+        exc.steps_per_delay = self.nd
+        return exc
 
     def _store(self, i0: int, rows: list) -> int:
         """Put the rows of steps i0, i0+1, ... into states and derivs; the next node index."""
@@ -391,12 +393,14 @@ class _Run:
 
     def trajectory(self) -> Trajectory:
         """The finished run."""
-        self.traj.left_positive_orthant_at = self._orthant_exit(self.n)
-        return self.traj
+        return Trajectory(t0=0.0, t_end=self.n * self.h, step=self.h, states=self.states,
+                          dense_coeffs=self.derivs,
+                          left_positive_orthant_at=self._orthant_exit(self.n),
+                          steps_per_delay=self.nd)
 
 
 def simulate(params: ModelParams, history: HistorySpec, t_end: float,
-             steps_per_delay: int = 200) -> Trajectory:
+             steps_per_delay: int) -> Trajectory:
     """Integrate the reduced three-variable system from the given history.
 
     The step is s/steps_per_delay (1/steps_per_delay when s = 0, where
@@ -453,8 +457,58 @@ def simulate(params: ModelParams, history: HistorySpec, t_end: float,
     return run.trajectory()
 
 
+def simulate_to_tolerance(params: ModelParams, history: HistorySpec, t_end: float) -> Trajectory:
+    """simulate at the steps per delay (spd) that step doubling chooses.
+
+    The rungs are _SPD_LADDER, spd 25, 50, 100 and 200. Runs at N and 2N
+    spd give a Richardson estimate of the finer run's error (_step_error;
+    Hairer, Norsett and Wanner, Solving ODEs I, II.4), and the first
+    finer run whose estimate is at most _STEP_RTOL = 1e-6 is kept. A rung
+    below the top runs only where the one under it reached t_end and,
+    from the second pair on, missed by at most 16x (RK4's error falls
+    16-fold per halving of h); a stiff config can diverge at a coarse
+    step where spd 200 is fine. Otherwise the run is simulate's at the
+    top rung, kept whether or not it meets the tolerance: its
+    SimulationDiverged propagates, and its estimate is taken against the
+    finest coarser run, or is None if none reached t_end. The kept run
+    records its spd and estimate.
+    """
+    coarse = None   # (spd, states) of the finest run so far
+    for spd in _SPD_LADDER[:-1]:
+        try:
+            fine = simulate(params, history, t_end, spd)
+        except SimulationDiverged:
+            break
+        estimate = None if coarse is None else _step_error(*coarse, spd, fine.states)
+        if estimate is not None and estimate <= _STEP_RTOL:
+            fine.step_error_estimate = estimate
+            return fine
+        # only the states are kept, so a coarse run's dense rows are
+        # freed before the finer run allocates its own
+        coarse, fine = (spd, fine.states), None
+        if estimate is not None and estimate > 16.0 * _STEP_RTOL:
+            break
+    fine = simulate(params, history, t_end, _SPD_LADDER[-1])
+    if coarse is not None:
+        fine.step_error_estimate = _step_error(*coarse, _SPD_LADDER[-1], fine.states)
+    return fine
+
+
+def _step_error(coarse_spd: int, coarse: np.ndarray, spd: int, fine: np.ndarray) -> float:
+    """Richardson estimate of the error of the states of a run at spd
+    from those of a run at coarse_spd = spd / k: max|fine[::k] - coarse|
+    / (k**4 - 1) / max(1, max|fine|) over their common nodes, as RK4's
+    gap there is k**4 - 1 times the finer run's error. Each run ends at
+    the first node at or past t_end, so the coarse one may have a node
+    more."""
+    k = spd // coarse_spd
+    m = min(len(coarse), len(fine[::k]))
+    return float(np.abs(fine[::k][:m] - coarse[:m]).max()
+                 / (k ** 4 - 1) / max(1.0, float(np.abs(fine).max())))
+
+
 def simulate_distributed(params: ModelParams, history: HistorySpec, t_end: float,
-                         steps_per_delay: int = 200) -> Trajectory:
+                         steps_per_delay: int) -> Trajectory:
     """Integrate with the memory integral evaluated by quadrature.
 
     The exponentially weighted product history is summed by the

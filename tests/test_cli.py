@@ -24,7 +24,7 @@ from infodelay import (
     s0,
     simulate,
 )
-from infodelay import cli
+from infodelay import cli, integrator
 from infodelay.cli import RunConfig, SweepOpts, main
 from conftest import REFERENCE, S_STAR, make_params
 
@@ -183,6 +183,21 @@ def test_config_error_messages(text, message):
     with pytest.raises(ConfigError) as err:
         parse_config(text)
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize("bad, message", [
+    ({"transient_fraction": 1.5}, "transient_fraction must be in [0, 1), got 1.5"),
+    ({"steps_per_delay": 5}, "steps_per_delay must be >= 20, got 5"),
+    ({"t_end": 0.0}, "t_end must be positive, got 0.0"),
+], ids=["transient_fraction", "steps_per_delay", "t_end"])
+def test_run_config_checks_run_rules_before_anything_is_written(tmp_path, bad, message):
+    # a RunConfig built by hand, not by parse_config, keeps the same rules
+    out = tmp_path / "out"
+    with pytest.raises(ValueError) as err:
+        run(RunConfig(Command.SIMULATE, dict(REFERENCE, s=2.02), u0=1.01, v0=0.99,
+                      **{"t_end": 50.0, "steps_per_delay": 50, **bad}), out)
+    assert str(err.value) == message
+    assert not out.exists()
 
 
 def test_parse_sweep_over_swept_key_without_value():
@@ -424,9 +439,16 @@ def test_step_ladder_keeps_spd_50_on_the_reference_cycle(tmp_path):
 
 @pytest.fixture
 def spds(monkeypatch):
-    """The steps per delay of each simulate call the CLI makes."""
+    """The steps per delay of each simulate call the CLI makes, itself or
+    through the step ladder."""
     calls = []
-    monkeypatch.setattr(cli, "simulate", lambda *a, **k: calls.append(a[3]) or simulate(*a, **k))
+
+    def record(*a, **k):
+        calls.append(a[3])
+        return simulate(*a, **k)
+
+    monkeypatch.setattr(cli, "simulate", record)
+    monkeypatch.setattr(integrator, "simulate", record)
     return calls
 
 
@@ -450,7 +472,7 @@ def _ladder_states(t_end, *spds):
 
 
 def test_step_ladder_out_of_reach_runs_the_top_rung(tmp_path, monkeypatch, spds):
-    monkeypatch.setattr(cli, "_STEP_RTOL", 1e-30)
+    monkeypatch.setattr(integrator, "_STEP_RTOL", 1e-30)
     doc = run(parse_config(cfg("Simulate", extra=_SHORT_RUN)), tmp_path)
     sim = doc["simulation"]
     # the spd 50 estimate misses by more than 16x, so spd 100 is skipped
@@ -470,13 +492,13 @@ def test_step_ladder_out_of_reach_runs_the_top_rung(tmp_path, monkeypatch, spds)
 
 def test_step_ladder_climbs_to_spd_100_within_16x(tmp_path, monkeypatch, spds):
     x25, x50, x100 = _ladder_states(30.0, 25, 50, 100)
-    e50 = cli._step_error(25, x25, 50, x50)
-    monkeypatch.setattr(cli, "_STEP_RTOL", e50 / 4.0)
+    e50 = integrator._step_error(25, x25, 50, x50)
+    monkeypatch.setattr(integrator, "_STEP_RTOL", e50 / 4.0)
     doc = run(parse_config(cfg("Simulate", extra=_SHORT_RUN)), tmp_path)
     sim = doc["simulation"]
     assert spds == [25, 50, 100] and doc["notes"] == []
     assert sim["steps_per_delay"] == 100
-    assert sim["step_error_estimate"] == cli._step_error(50, x50, 100, x100) <= e50 / 4.0
+    assert sim["step_error_estimate"] == integrator._step_error(50, x50, 100, x100) <= e50 / 4.0
     simulate(make_params(2.0), HistorySpec.constant(1.05, 0.95), 30.0, 100).to_csv(
         tmp_path / "direct.csv")
     assert (tmp_path / "trajectory.csv").read_bytes() == (tmp_path / "direct.csv").read_bytes()
@@ -491,15 +513,15 @@ def test_step_ladder_diverged_rung_goes_to_the_top(tmp_path, monkeypatch):
             raise SimulationDiverged(1.0)
         return simulate(params, history, t_end, spd, **kw)
 
-    monkeypatch.setattr(cli, "simulate", spd_100_diverges)
+    monkeypatch.setattr(integrator, "simulate", spd_100_diverges)
     x25, x50, x200 = _ladder_states(30.0, 25, 50, 200)
-    monkeypatch.setattr(cli, "_STEP_RTOL", cli._step_error(25, x25, 50, x50) / 4.0)
+    monkeypatch.setattr(integrator, "_STEP_RTOL", integrator._step_error(25, x25, 50, x50) / 4.0)
     doc = run(parse_config(cfg("Simulate", extra=_SHORT_RUN)), tmp_path)
     sim = doc["simulation"]
     assert spds == [25, 50, 100, 200] and doc["notes"] == []
     # the finest trajectory below the top, spd 50, gives the estimate
     assert sim["diverged"] is False and sim["steps_per_delay"] == 200
-    assert sim["step_error_estimate"] == cli._step_error(50, x50, 200, x200)
+    assert sim["step_error_estimate"] == integrator._step_error(50, x50, 200, x200)
 
 
 def test_step_ladder_stiff_config_is_not_a_divergence(tmp_path, spds):

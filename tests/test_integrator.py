@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -22,9 +23,10 @@ from infodelay import (
     fft_period,
     simulate,
     simulate_distributed,
+    simulate_to_tolerance,
 )
 import infodelay
-from infodelay.integrator import _CSV_CHUNK, _MAX_BLOCK, _Run, _prominent_peaks
+from infodelay.integrator import _CSV_CHUNK, _MAX_BLOCK, _Run, _prominent_peaks, _step_error
 from infodelay.model import State, distributed_w_oracle, reduced_rhs
 from conftest import ESTAR, S_STAR, draw_params, make_params, screen_for_flip
 
@@ -277,8 +279,8 @@ def test_to_csv_matches_savetxt(tmp_path, rows):
 def test_failed_to_csv_leaves_the_older_file(tmp_path, monkeypatch, error):
     raised, written, write_rows = error("write failed"), [], Trajectory._write_rows
 
-    def fail_after_first_chunk(self, fh, a, b):
-        write_rows(self, fh, a, a + _CSV_CHUNK)
+    def fail_after_first_chunk(self, fh):
+        write_rows(replace(self, states=self.states[:_CSV_CHUNK]), fh)
         written.append((fh.tell(), sorted(p.name for p in tmp_path.iterdir())))
         raise raised
 
@@ -316,7 +318,7 @@ def _percent_g_mismatches(values, step):
     states = np.resize(values, (-(-len(values) // 3), 3))
     traj = Trajectory(0.0, step * (len(states) - 1), step, states, np.zeros_like(states))
     buf = io.BytesIO()
-    traj._write_rows(buf, 0, len(states))
+    traj._write_rows(buf)
     got = buf.getvalue().decode().replace("\n", ",").split(",")[:-1]
     want = ["%.17g" % v for v in np.column_stack([traj.times, states]).ravel().tolist()]
     assert len(got) == len(want)
@@ -401,6 +403,30 @@ def test_divergence_guard_reports_time():
     with pytest.raises(SimulationDiverged) as exc:
         simulate(p, _flat(1e3, 1e3), 10.0, 50)
     assert 0.0 < exc.value.time < 1.0
+    assert exc.value.steps_per_delay == 50
+
+
+def test_step_ladder_keeps_the_spd_50_run():
+    p, hist = make_params(2.0), _flat(1.05, 0.95)
+    kept = simulate_to_tolerance(p, hist, 30.0)
+    x25 = simulate(p, hist, 30.0, 25).states
+    direct = simulate(p, hist, 30.0, 50)
+    assert (kept.steps_per_delay, kept.step, kept.t_end) == (50, direct.step, direct.t_end)
+    assert np.array_equal(kept.states, direct.states)
+    assert np.array_equal(kept.dense_coeffs, direct.dense_coeffs)
+    assert kept.step_error_estimate == _step_error(25, x25, 50, direct.states) <= 1e-6
+    # a run simulate makes on its own records its spd and no estimate
+    assert direct.steps_per_delay == 50 and direct.step_error_estimate is None
+
+
+def test_step_ladder_raises_the_top_rungs_divergence():
+    # spd 25 diverges, so the run is the one simulate makes at spd 200
+    with pytest.raises(SimulationDiverged) as exc:
+        simulate_to_tolerance(make_params(2.0), _flat(1e3, 1e3), 10.0)
+    with pytest.raises(SimulationDiverged) as spd200:
+        simulate(make_params(2.0), _flat(1e3, 1e3), 10.0, 200)
+    assert exc.value.steps_per_delay == 200
+    assert exc.value.time == spd200.value.time
 
 
 # --------------------------------------------------------------------------
