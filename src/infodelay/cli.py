@@ -105,9 +105,10 @@ class RunConfig:
     """Validated run description.
 
     param_values holds the model keys present in the config; only a
-    Sweep may omit one, and then only the swept key itself. A run key
-    outside its _RUN_RULES range raises ValueError. With steps_per_delay
-    None a Simulate run climbs the step ladder.
+    Sweep may omit one, and then only the swept key itself. A key the
+    command requires but the config lacks, or a run key outside its
+    _RUN_RULES range, raises ValueError with parse_config's message.
+    With steps_per_delay None a Simulate run climbs the step ladder.
     """
 
     command: Command
@@ -121,6 +122,13 @@ class RunConfig:
     sweep: SweepOpts | None = None
 
     def __post_init__(self):
+        given = {*self.param_values,
+                 *(f.name for f in fields(self) if getattr(self, f.name) is not None)}
+        if self.sweep is not None:
+            given.update(_SWEEP_KEYS)
+        missing = _missing_keys(self.command, given, self.sweep and self.sweep.param)
+        if missing:
+            raise ValueError("missing required keys: " + ", ".join(missing))
         for key, holds, what in _RUN_RULES:
             value = getattr(self, key)
             if value is not None and not holds(value):
@@ -137,6 +145,20 @@ _RUN_RULES = (
     ("transient_fraction", lambda x: 0.0 <= x < 1.0, "must be in [0, 1)"),
     ("t_end", lambda x: x > 0, "must be positive"),
 )
+# the config keys that make a Sweep's SweepOpts
+_SWEEP_KEYS = ("sweep_param", "sweep_min", "sweep_max", "sweep_count")
+
+
+def _missing_keys(command: Command, given, swept: str | None) -> list[str]:
+    """The keys command requires that given lacks, in the order they are
+    reported; a Sweep may omit its swept model key."""
+    required = list(_MODEL_KEYS)
+    if command is Command.SIMULATE:
+        required += ["t_end", "u0", "v0"]
+    if command is Command.SWEEP:
+        required += _SWEEP_KEYS
+    return [k for k in required if k not in given and k != swept]
+
 
 def parse_config(text: str) -> RunConfig:
     """Parse and validate a flat key = value config.
@@ -189,14 +211,9 @@ def parse_config(text: str) -> RunConfig:
             f"line {lines['command']}: command must be one of {names}, "
             f"got {values['command']!r}") from None
 
-    required = list(_MODEL_KEYS)
-    if command is Command.SIMULATE:
-        required += ["t_end", "u0", "v0"]
-    if command is Command.SWEEP:
-        required += ["sweep_param", "sweep_min", "sweep_max", "sweep_count"]
     # the swept model key may be omitted; the grid supplies it
     swept = values.get("sweep_param") if command is Command.SWEEP else None
-    missing = [k for k in required if k not in values and k != swept]
+    missing = _missing_keys(command, values, swept)
     if missing:
         raise ConfigError("missing required keys: " + ", ".join(missing))
 
@@ -232,6 +249,17 @@ def _jsonify(obj):
     """JSON-ready copy: complex split into re/im, non-finite floats to
     null, enums to their values, arrays to lists, a dataclass to its
     fields and a State to u, v, w, all in declaration order."""
+    # the exact built-in types, which most of a report is, skip the
+    # isinstance chain; subclasses such as the str enums go through it
+    cls = type(obj)
+    if cls is float:
+        return obj if math.isfinite(obj) else None
+    if cls is str or cls is int or cls is bool or obj is None:
+        return obj
+    if cls is dict:
+        return {str(k): _jsonify(v) for k, v in obj.items()}
+    if cls is list:
+        return [_jsonify(v) for v in obj]
     if isinstance(obj, Enum):
         return obj.value
     if obj is None or isinstance(obj, (bool, int, str)):
@@ -276,8 +304,7 @@ def _write_report(doc: dict, out_dir: Path) -> None:
     with open(out_dir / "report.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["key", "value"])
-        for key, value in _flatten(doc):
-            writer.writerow([key, _csv_cell(value)])
+        writer.writerows([key, _csv_cell(value)] for key, value in _flatten(doc))
 
 
 def _missing_estar_note(estar, consequence: str) -> str:

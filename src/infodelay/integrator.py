@@ -54,7 +54,11 @@ coarse step does not set their error.
 from __future__ import annotations
 
 import math
+import mmap
 import os
+import signal
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 from itertools import repeat
@@ -100,6 +104,8 @@ _CSV_CHUNK = 2048
 # error estimate its kept run must meet
 _SPD_LADDER = (25, 50, 100, 200)
 _STEP_RTOL = 1e-6
+# exit status of a forked rung whose run diverged
+_DIVERGED_STATUS = 3
 
 
 class SimulationDiverged(RuntimeError):
@@ -472,26 +478,112 @@ def simulate_to_tolerance(params: ModelParams, history: HistorySpec, t_end: floa
     SimulationDiverged propagates, and its estimate is taken against the
     finest coarser run, or is None if none reached t_end. The kept run
     records its spd and estimate.
+
+    Where the rungs run: spd 25 and 50 are independent, so while this
+    process runs spd 50, a forked child runs spd 25 on a second CPU and
+    hands its states back through shared memory (_rung_aside). A
+    diverged spd 25 run discards the spd 50 run beside it. spd 25 runs
+    here instead, first and alone, where os.fork is missing, the
+    affinity set has one CPU, or another thread is alive; a diverged
+    spd 25 run then skips spd 50. spd 100 and 200 always run here, one
+    after the other. Either way the kept run, its estimate and any
+    divergence are the same, and no child outlives the call.
     """
-    coarse = None   # (spd, states) of the finest run so far
-    for spd in _SPD_LADDER[:-1]:
-        try:
-            fine = simulate(params, history, t_end, spd)
-        except SimulationDiverged:
-            break
-        estimate = None if coarse is None else _step_error(*coarse, spd, fine.states)
-        if estimate is not None and estimate <= _STEP_RTOL:
+    first, second = _SPD_LADDER[:2]
+    coarse = fine = None   # (spd, states) of the finest run so far; the next rung's run
+    try:
+        with _rung_aside(params, history, t_end, first) as collect:
+            fine = _reached(params, history, t_end, second)
+            coarse = (first, collect())
+    except SimulationDiverged:
+        fine = None
+    rung = 1
+    while fine is not None:
+        spd = _SPD_LADDER[rung]
+        estimate = _step_error(*coarse, spd, fine.states)
+        if estimate <= _STEP_RTOL:
             fine.step_error_estimate = estimate
             return fine
         # only the states are kept, so a coarse run's dense rows are
         # freed before the finer run allocates its own
-        coarse, fine = (spd, fine.states), None
-        if estimate is not None and estimate > 16.0 * _STEP_RTOL:
-            break
+        coarse, fine, rung = (spd, fine.states), None, rung + 1
+        if estimate <= 16.0 * _STEP_RTOL and rung < len(_SPD_LADDER) - 1:
+            fine = _reached(params, history, t_end, _SPD_LADDER[rung])
     fine = simulate(params, history, t_end, _SPD_LADDER[-1])
     if coarse is not None:
         fine.step_error_estimate = _step_error(*coarse, _SPD_LADDER[-1], fine.states)
     return fine
+
+
+def _reached(params: ModelParams, history: HistorySpec, t_end: float,
+             spd: int) -> Trajectory | None:
+    """simulate's run at spd, or None where it diverged."""
+    try:
+        return simulate(params, history, t_end, spd)
+    except SimulationDiverged:
+        return None
+
+
+def _spare_cpu() -> bool:
+    """Whether a forked child can run beside this process: os.fork
+    exists, the affinity set has a second CPU, and no other thread is
+    alive (forking a threaded process is unsafe)."""
+    return (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+            and len(os.sched_getaffinity(0)) > 1 and threading.active_count() == 1)
+
+
+@contextmanager
+def _rung_aside(params: ModelParams, history: HistorySpec, t_end: float, spd: int):
+    """Start simulate's run at spd and yield collect(), which returns the
+    run's states or raises its SimulationDiverged.
+
+    With a spare CPU (_spare_cpu) a forked child makes the run into a
+    shared anonymous mmap, sized by _run_grid, while the caller goes on,
+    and collect() reaps it. A diverged child exits with _DIVERGED_STATUS
+    and leaves the divergence's time and orthant exit (NaN for None) in
+    the first row; a child that fails otherwise makes collect() raise
+    RuntimeError. On leaving the block by an exception before collect(),
+    the child is killed and reaped. Without a spare CPU the run is made
+    here on entry, and its divergence raises from the with statement.
+    """
+    if not _spare_cpu():
+        states = simulate(params, history, t_end, spd).states
+        yield lambda: states
+        return
+    rows = _run_grid(params.s, t_end, spd)[2] + 1
+    shared = np.frombuffer(mmap.mmap(-1, 3 * rows * 8)).reshape(rows, 3)
+    pid = os.fork()
+    if pid == 0:
+        status = 1
+        try:
+            shared[:] = simulate(params, history, t_end, spd).states
+            status = 0
+        except SimulationDiverged as exc:
+            orthant = exc.left_positive_orthant_at
+            shared[0, :2] = exc.time, math.nan if orthant is None else orthant
+            status = _DIVERGED_STATUS
+        finally:
+            os._exit(status)
+
+    def collect() -> np.ndarray:
+        nonlocal pid
+        status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        pid = None
+        if status == _DIVERGED_STATUS:
+            time, orthant = shared[0, :2].tolist()
+            exc = SimulationDiverged(time, None if math.isnan(orthant) else orthant)
+            exc.steps_per_delay = spd
+            raise exc
+        if status != 0:
+            raise RuntimeError(f"the spd {spd} run's forked child exited with status {status}")
+        return shared
+
+    try:
+        yield collect
+    finally:
+        if pid is not None:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
 
 def _step_error(coarse_spd: int, coarse: np.ndarray, spd: int, fine: np.ndarray) -> float:

@@ -65,10 +65,11 @@ def line_plot(x, y, title: str, xlabel: str, ylabel: str) -> str:
         ymin, ymax = ymin - 0.5, ymax + 0.5
     pw, ph = _W - _ML - _MR, _H - _MT - _MB
 
-    def px(v: float) -> float:
+    # pixel coordinates of a value or, elementwise, of an array
+    def px(v):
         return _ML + (v - xmin) / (xmax - xmin) * pw
 
-    def py(v: float) -> float:
+    def py(v):
         return _MT + (1.0 - (v - ymin) / (ymax - ymin)) * ph
 
     parts = [
@@ -92,7 +93,7 @@ def line_plot(x, y, title: str, xlabel: str, ylabel: str) -> str:
                      f'font-size="12" text-anchor="end" fill="#444444">{_fmt(t)}</text>')
     parts.append(f'<rect x="{_ML}" y="{_MT}" width="{pw}" height="{ph}" '
                  f'fill="none" stroke="#444444" stroke-width="1"/>')
-    pts = " ".join(f"{px(a):.2f},{py(b):.2f}" for a, b in zip(x, y))
+    pts = " ".join(map("{:.2f},{:.2f}".format, px(x).tolist(), py(y).tolist()))
     parts.append(f'<polyline points="{pts}" fill="none" stroke="#1f77b4" '
                  f'stroke-width="1.2" stroke-linejoin="round"/>')
     parts.append(f'<text x="{_ML + pw // 2}" y="{_H - 14}" font-family="sans-serif" '

@@ -189,13 +189,30 @@ def test_config_error_messages(text, message):
     ({"transient_fraction": 1.5}, "transient_fraction must be in [0, 1), got 1.5"),
     ({"steps_per_delay": 5}, "steps_per_delay must be >= 20, got 5"),
     ({"t_end": 0.0}, "t_end must be positive, got 0.0"),
-], ids=["transient_fraction", "steps_per_delay", "t_end"])
+    ({"u0": None}, "missing required keys: u0"),
+], ids=["transient_fraction", "steps_per_delay", "t_end", "u0"])
 def test_run_config_checks_run_rules_before_anything_is_written(tmp_path, bad, message):
     # a RunConfig built by hand, not by parse_config, keeps the same rules
     out = tmp_path / "out"
     with pytest.raises(ValueError) as err:
-        run(RunConfig(Command.SIMULATE, dict(REFERENCE, s=2.02), u0=1.01, v0=0.99,
-                      **{"t_end": 50.0, "steps_per_delay": 50, **bad}), out)
+        run(RunConfig(Command.SIMULATE, dict(REFERENCE, s=2.02),
+                      **{"t_end": 50.0, "steps_per_delay": 50, "u0": 1.01, "v0": 0.99, **bad}),
+            out)
+    assert str(err.value) == message
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("params, sweep, message", [
+    (dict(REFERENCE, s=2.0), None,
+     "missing required keys: sweep_param, sweep_min, sweep_max, sweep_count"),
+    ({k: v for k, v in REFERENCE.items() if k != "mu"}, SweepOpts("s", 1.0, 3.0, 3),
+     "missing required keys: mu"),
+], ids=["sweep", "model key"])
+def test_run_config_checks_sweep_keys_before_anything_is_written(tmp_path, params, sweep,
+                                                                 message):
+    out = tmp_path / "out"
+    with pytest.raises(ValueError) as err:
+        run(RunConfig(Command.SWEEP, params, sweep=sweep), out)
     assert str(err.value) == message
     assert not out.exists()
 
@@ -438,7 +455,15 @@ def test_step_ladder_keeps_spd_50_on_the_reference_cycle(tmp_path):
 
 
 @pytest.fixture
-def spds(monkeypatch):
+def in_process(monkeypatch):
+    """Every rung of the step ladder runs in this process, in ladder
+    order, so that a patched simulate sees each call; test_integrator
+    checks that the forked rung gives the same result."""
+    monkeypatch.setattr(integrator, "_spare_cpu", lambda: False)
+
+
+@pytest.fixture
+def spds(monkeypatch, in_process):
     """The steps per delay of each simulate call the CLI makes, itself or
     through the step ladder."""
     calls = []
@@ -504,7 +529,7 @@ def test_step_ladder_climbs_to_spd_100_within_16x(tmp_path, monkeypatch, spds):
     assert (tmp_path / "trajectory.csv").read_bytes() == (tmp_path / "direct.csv").read_bytes()
 
 
-def test_step_ladder_diverged_rung_goes_to_the_top(tmp_path, monkeypatch):
+def test_step_ladder_diverged_rung_goes_to_the_top(tmp_path, monkeypatch, in_process):
     spds = []
 
     def spd_100_diverges(params, history, t_end, spd, **kw):

@@ -26,6 +26,7 @@ from infodelay import (
     simulate_to_tolerance,
 )
 import infodelay
+from infodelay import integrator
 from infodelay.integrator import _CSV_CHUNK, _MAX_BLOCK, _Run, _prominent_peaks, _step_error
 from infodelay.model import State, distributed_w_oracle, reduced_rhs
 from conftest import ESTAR, S_STAR, draw_params, make_params, screen_for_flip
@@ -427,6 +428,98 @@ def test_step_ladder_raises_the_top_rungs_divergence():
         simulate(make_params(2.0), _flat(1e3, 1e3), 10.0, 200)
     assert exc.value.steps_per_delay == 200
     assert exc.value.time == spd200.value.time
+
+
+# the four ways the ladder ends: (params, start, t_end, kept spd or None
+# where the run raises)
+_LADDER_ENDS = {
+    "reference keeps spd 50": (make_params(2.02), (1.01, 0.99), 5000.0, 50),
+    "reference to t_end 10000 keeps spd 100": (make_params(2.02), (1.01, 0.99), 10000.0, 100),
+    "stiff keeps spd 200 without an estimate": (
+        make_params(2.0, mu=100.0), (1.05, 0.95), 30.0, 200),
+    "diverging start raises at spd 200": (make_params(2.0), (1e3, 1e3), 10.0, None),
+}
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """One entry per os.fork call this process makes."""
+    calls, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: calls.append(1) or fork())
+    return calls
+
+
+def _ladder_end(path, params, start, t_end):
+    """The ladder's kept run and its CSV bytes, or its SimulationDiverged."""
+    try:
+        kept = simulate_to_tolerance(params, _flat(*start), t_end)
+    except SimulationDiverged as exc:
+        return exc, None
+    kept.to_csv(path)
+    return kept, path.read_bytes()
+
+
+@pytest.mark.parametrize("params, start, t_end, spd", list(_LADDER_ENDS.values()),
+                         ids=list(_LADDER_ENDS))
+def test_forked_rung_gives_the_in_process_ladder(tmp_path, monkeypatch, forks, params, start,
+                                                 t_end, spd):
+    ends = []
+    for forked in (False, True):
+        monkeypatch.setattr(integrator, "_spare_cpu", lambda: forked)
+        ends.append(_ladder_end(tmp_path / f"{forked}.csv", params, start, t_end))
+        assert len(forks) == forked
+    _assert_no_child_left()
+    (here, here_csv), (aside, aside_csv) = ends
+    if spd is None:
+        assert isinstance(here, SimulationDiverged) and isinstance(aside, SimulationDiverged)
+        assert here.steps_per_delay == aside.steps_per_delay == 200
+        assert (here.time, here.left_positive_orthant_at) == (
+            aside.time, aside.left_positive_orthant_at)
+        return
+    assert here.steps_per_delay == aside.steps_per_delay == spd
+    assert here.step_error_estimate == aside.step_error_estimate
+    assert (here.step_error_estimate is None) == (spd == 200)
+    assert np.array_equal(here.states, aside.states)
+    assert np.array_equal(here.dense_coeffs, aside.dense_coeffs)
+    assert here_csv == aside_csv
+
+
+def _interrupted_at_spd_50(params, history, t_end, spd):
+    if spd == 50:
+        raise KeyboardInterrupt
+    return simulate(params, history, t_end, spd)
+
+
+def _fails_at_spd_25(params, history, t_end, spd):
+    if spd == 25:
+        raise ValueError("the forked rung fails")
+    return simulate(params, history, t_end, spd)
+
+
+@pytest.mark.parametrize("start, rungs, raised", [
+    ((1.01, 0.99), simulate, None),
+    ((1e3, 1e3), simulate, SimulationDiverged),
+    ((1.01, 0.99), _interrupted_at_spd_50, KeyboardInterrupt),
+    ((1.01, 0.99), _fails_at_spd_25, RuntimeError),
+], ids=["return", "divergence", "interrupt in spd 50", "failed child"])
+def test_no_forked_rung_outlives_the_ladder(monkeypatch, forks, start, rungs, raised):
+    monkeypatch.setattr(integrator, "_spare_cpu", lambda: True)
+    monkeypatch.setattr(integrator, "simulate", rungs)
+    if raised is None:
+        assert simulate_to_tolerance(make_params(2.02), _flat(*start), 300.0).steps_per_delay == 50
+    else:
+        # spd 25 runs to t_end 5000 in the child, long after spd 50 is interrupted
+        with pytest.raises(raised) as exc:
+            simulate_to_tolerance(make_params(2.02), _flat(*start), 5000.0)
+        if raised is RuntimeError:
+            assert str(exc.value) == "the spd 25 run's forked child exited with status 1"
+    assert forks == [1]
+    _assert_no_child_left()
 
 
 # --------------------------------------------------------------------------
