@@ -281,13 +281,15 @@ def _jsonify(obj):
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def _flatten(obj, prefix: str = "") -> list[tuple[str, object]]:
+def _flatten(obj, prefix: str = ""):
+    """Each (dotted key, value) leaf of a JSON document, in order."""
     if isinstance(obj, list):
         obj = dict(enumerate(obj))
     if isinstance(obj, dict):
-        return [leaf for k, v in obj.items()
-                for leaf in _flatten(v, f"{prefix}.{k}" if prefix else str(k))]
-    return [(prefix, obj)]
+        for k, v in obj.items():
+            yield from _flatten(v, f"{prefix}.{k}" if prefix else str(k))
+    else:
+        yield prefix, obj
 
 
 def _csv_cell(value) -> str:
@@ -299,8 +301,9 @@ def _csv_cell(value) -> str:
 
 
 def _write_report(doc: dict, out_dir: Path) -> None:
-    (out_dir / "report.json").write_text(
-        json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+    with open(out_dir / "report.json", "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=2)
+        fh.write("\n")
     with open(out_dir / "report.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["key", "value"])

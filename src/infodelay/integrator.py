@@ -6,25 +6,28 @@ step h divides the delay s exactly, so every delayed (u, v) an RK stage
 needs sits on a lag grid of spacing h/2: the history sampled at g*h/2
 on [-s, 0], then, for each step, the cubic Hermite midpoint of the step
 (node values plus node derivatives, which keeps the fourth order) and
-the node that ends it. Step i reads the grid entries 2i, 2i+1 and 2i+2.
-The step is fixed for a run; simulate_to_tolerance chooses it by step
-doubling, and its docstring describes how.
+the node that ends it. The step is fixed for a run;
+simulate_to_tolerance chooses it by step doubling, and its docstring
+describes how.
 
 The delay enters only through the loss term b1*r1*u(t-s)*v(t-s), so on
-any stretch of at most one delay that term is known before the stretch
-starts. The run is therefore cut into delay blocks of at most
-s/h steps. Before a block one numpy expression forms its delayed
-losses from the lag grid, the block's Python loop does only the RK4
-stage algebra and collects its rows in a list, and after it two slice
-assignments store states and node derivatives and two strided ones put
-the block's midpoints and nodes on the lag grid. The derivative at the
-next block's first node, which the last midpoint needs, reads the grid
-one delay back and is evaluated before that fill. Every value comes
-from the same expression, evaluated in the same order, as in a loop
-that reads and appends the lag grid step by step; only where values are
-stored has changed, so the results are bit-identical to it. When s = 0
-the system is an ODE, the delayed factor is the stage's own state, and
-blocks only bound the length of the row list.
+any stretch of one delay that term is known before the stretch starts.
+The run is therefore cut into delay blocks of s/h steps, and a block
+reads the lag grid only over the block before it. Only that last delay
+of the grid is kept, 2*s/h + 1 values per component, so a run's memory
+is its states and node derivatives plus one delay. Before a block one
+numpy expression forms its delayed losses from that buffer, the block's
+Python loop does only the RK4 stage algebra and collects its rows in a
+list, and after it two slice assignments store states and node
+derivatives and two strided ones overwrite the buffer with the block's
+nodes and midpoints. The derivative at the next block's first node,
+which the last midpoint needs, reads the buffer's last node before that
+overwrite. Every value comes from the same expression, evaluated in the
+same order, as in a loop that reads and appends a whole-run lag grid
+step by step; only where values are stored has changed, so the results
+are bit-identical to it. When s = 0 the system is an ODE, the delayed
+factor is the stage's own state, and blocks only bound the length of
+the row list.
 
 simulate advances the three-variable reduced system in which the memory
 variable w obeys its own ODE. simulate_distributed instead evaluates
@@ -49,7 +52,9 @@ growing), measures amplitude and period of a limit cycle, and returns
 the spacing spread, envelope ratio and largest deviation its verdict
 rests on. The extrema behind the amplitude and the peak instants behind
 the period are both refined by the three-point parabola, so that a
-coarse step does not set their error.
+coarse step does not set their error. Like the step-doubling estimate,
+it works on views and single columns of the states, never on a copy of
+the whole run.
 """
 from __future__ import annotations
 
@@ -94,8 +99,8 @@ _ENVELOPE_CHUNKS = 8
 # collapses or keeps growing, and must not count as sustained
 _ENVELOPE_SETTLED = (0.5, 4.0)
 _DIVERGE_GROWTH = 10.0
-# most steps per block; with s = 0 (nothing delayed) this only bounds
-# the row list
+# steps per block when s = 0, where nothing is delayed and blocks only
+# bound the row list
 _MAX_BLOCK = 4096
 # rows per chunk of the trajectory CSV writer; its scratch is about
 # 650 bytes per row
@@ -310,22 +315,28 @@ def _run_grid(s: float, t_end: float, steps_per_delay: int) -> tuple[int, float,
 
 
 class _Run:
-    """Node storage and lag grid of one fixed-step run, filled block by block.
+    """Node storage and one-delay lag buffer of one fixed-step run, filled
+    block by block.
 
-    The lag grid holds delayed (u, v) at spacing h/2: column 2*nd + 2*i
-    is node i, column 2*nd + 2*i - 1 the Hermite midpoint of step i - 1,
-    and the columns before 2*nd the history on [-s, 0]. Step i reads
-    columns 2i, 2i+1 and 2i+2. For s = 0 the grid is the one column of
-    the state at t = 0. The run's initial (u, v) is in states[0]; the
-    integrator adds w.
+    With s > 0 every block but the last is nd = s/h steps long, and a
+    block reads delayed (u, v) only from the one before it. The buffer
+    holds those values at spacing h/2, 2*nd + 1 columns: column 2*k is
+    node i0 - nd + k of the block starting at step i0, and column 2*k + 1
+    the Hermite midpoint of the step after that node; the first block
+    reads the history on [-s, 0] there. Step i0 + j reads columns 2j,
+    2j+1 and 2j+2. Once a block is stored, its own nodes and midpoints
+    overwrite the buffer for the next one. For s = 0 the buffer is the
+    one column of the state at t = 0. The run's initial (u, v) is in
+    states[0]; the integrator adds w.
 
     blocks() yields each block's first step and, per step, the delayed
     losses b1*r1*u*v at the step's first node, midpoint and last node,
     formed for the whole block by one numpy expression (placeholder
-    zeros when s = 0, where each stage uses its own product). The caller
-    runs the block and hands its rows to close(), or to diverged() when
-    a state leaves the bound. A row is (k1u, k1v, k1w, u, v, w): the
-    derivative at the step's first node and the state at its last node.
+    zeros when s = 0, where each stage uses its own product and blocks
+    of _MAX_BLOCK steps only bound the row list). The caller runs the
+    block and hands its rows to close(), or to diverged() when a state
+    leaves the bound. A row is (k1u, k1v, k1w, u, v, w): the derivative
+    at the step's first node and the state at its last node.
     """
 
     def __init__(self, params: ModelParams, history: HistorySpec, t_end: float,
@@ -337,13 +348,12 @@ class _Run:
                              f"[-{params.s!r}, 0]")
         self.params, self.nd, self.h, self.n = params, nd, h, n
         self.lagged = params.s > 0.0
-        self.off = 2 * nd if self.lagged else 0
-        self.block = min(nd, _MAX_BLOCK) if self.lagged else _MAX_BLOCK
-        self.lag = np.empty((2, self.off + 2 * n + 1 if self.lagged else 1))
-        self.lag[:, :self.off + 1] = history.at(np.arange(-self.off, 1) * (0.5 * h))
+        self.block = nd if self.lagged else _MAX_BLOCK
+        back = 2 * nd if self.lagged else 0
+        self.lag = np.stack(history.at(np.arange(-back, 1) * (0.5 * h)))
         self.states = np.empty((n + 1, 3))
         self.derivs = np.empty((n + 1, 3))
-        self.states[0, :2] = self.lag[:, self.off]
+        self.states[0, :2] = self.lag[:, -1]
 
     def blocks(self):
         """Each block's first step and its per-step delayed losses."""
@@ -351,29 +361,27 @@ class _Run:
         for i0 in range(0, self.n, self.block):
             m = min(self.block, self.n - i0)
             if self.lagged:
-                cols = slice(2 * i0, 2 * (i0 + m) + 1)
-                F = (br1 * lag[0, cols] * lag[1, cols]).tolist()
+                F = (br1 * lag[0, :2 * m + 1] * lag[1, :2 * m + 1]).tolist()
                 yield i0, zip(F[0:-1:2], F[1::2], F[2::2])
             else:
                 yield i0, repeat((0.0, 0.0, 0.0), m)
 
     def close(self, i0: int, rows: list, state: State) -> None:
-        """Store a finished block and put its midpoints and nodes on the lag grid.
+        """Store a finished block and make the lag buffer the next block's.
 
         The midpoint of the block's last step needs the derivative at the
         next block's first node, whose delayed value is a delay back and
-        so already on the grid; it is the same expression the next
-        block's first step evaluates, and is the final row if no block
-        follows.
+        so the buffer's last column until it is overwritten; it is the
+        same expression the next block's first step evaluates, and is
+        the final row if no block follows.
         """
         b = self._store(i0, rows)
-        delayed = State(*self.lag[:, 2 * b].tolist(), 0.0) if self.lagged else state
+        delayed = State(*self.lag[:, 2 * (b - i0)].tolist(), 0.0) if self.lagged else state
         self.derivs[b] = reduced_rhs(state, delayed, self.params)
         if self.lagged and b < self.n:
             y, d = self.states[i0:b + 1, :2].T, self.derivs[i0:b + 1, :2].T
-            seg = self.lag[:, self.off + 2 * i0:self.off + 2 * b + 1]
-            seg[:, 1::2] = 0.5 * (y[:, :-1] + y[:, 1:]) + 0.125 * self.h * (d[:, :-1] - d[:, 1:])
-            seg[:, 2::2] = y[:, 1:]
+            self.lag[:, 1::2] = 0.5 * (y[:, :-1] + y[:, 1:]) + 0.125 * self.h * (d[:, :-1] - d[:, 1:])
+            self.lag[:, 0::2] = y
 
     def diverged(self, i0: int, rows: list, state: State) -> SimulationDiverged:
         """The exception for a state past the bound after the given rows."""
@@ -394,8 +402,10 @@ class _Run:
     def _orthant_exit(self, last: int) -> float | None:
         """Time of the first node up to node last with u or v < 0, or None."""
         uv = self.states[:last + 1]
-        hit = np.flatnonzero((uv[:, 0] < 0.0) | (uv[:, 1] < 0.0))
-        return int(hit[0]) * self.h if len(hit) else None
+        neg = uv[:, 0] < 0.0
+        neg |= uv[:, 1] < 0.0
+        first = int(neg.argmax())
+        return first * self.h if neg[first] else None
 
     def trajectory(self) -> Trajectory:
         """The finished run."""
@@ -541,10 +551,12 @@ def _rung_aside(params: ModelParams, history: HistorySpec, t_end: float, spd: in
     shared anonymous mmap, sized by _run_grid, while the caller goes on,
     and collect() reaps it. A diverged child exits with _DIVERGED_STATUS
     and leaves the divergence's time and orthant exit (NaN for None) in
-    the first row; a child that fails otherwise makes collect() raise
-    RuntimeError. On leaving the block by an exception before collect(),
-    the child is killed and reaped. Without a spare CPU the run is made
-    here on entry, and its divergence raises from the with statement.
+    the first row; a child that fails otherwise writes its exception's
+    type and message to a pipe made before the fork, and collect()
+    raises RuntimeError with that text. On leaving the block by an
+    exception before collect(), the child is killed and reaped. Without
+    a spare CPU the run is made here on entry, and its divergence raises
+    from the with statement.
     """
     if not _spare_cpu():
         states = simulate(params, history, t_end, spd).states
@@ -552,21 +564,33 @@ def _rung_aside(params: ModelParams, history: HistorySpec, t_end: float, spd: in
         return
     rows = _run_grid(params.s, t_end, spd)[2] + 1
     shared = np.frombuffer(mmap.mmap(-1, 3 * rows * 8)).reshape(rows, 3)
-    pid = os.fork()
+    error, report = os.pipe()
+    try:
+        pid = os.fork()
+    except BaseException:
+        os.close(error)
+        os.close(report)
+        raise
     if pid == 0:
         status = 1
         try:
+            os.close(error)
             shared[:] = simulate(params, history, t_end, spd).states
             status = 0
         except SimulationDiverged as exc:
             orthant = exc.left_positive_orthant_at
             shared[0, :2] = exc.time, math.nan if orthant is None else orthant
             status = _DIVERGED_STATUS
+        except BaseException as exc:
+            os.write(report, f"{type(exc).__name__}: {exc}".encode(errors="replace"))
         finally:
             os._exit(status)
+    os.close(report)
 
     def collect() -> np.ndarray:
         nonlocal pid
+        # read to the end before reaping, so a long message cannot block the child
+        text = b"".join(iter(lambda: os.read(error, 65536), b"")).decode(errors="replace")
         status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
         pid = None
         if status == _DIVERGED_STATUS:
@@ -575,7 +599,8 @@ def _rung_aside(params: ModelParams, history: HistorySpec, t_end: float, spd: in
             exc.steps_per_delay = spd
             raise exc
         if status != 0:
-            raise RuntimeError(f"the spd {spd} run's forked child exited with status {status}")
+            raise RuntimeError(f"the spd {spd} run's forked child exited with status {status}"
+                               + (f": {text}" if text else ""))
         return shared
 
     try:
@@ -584,6 +609,7 @@ def _rung_aside(params: ModelParams, history: HistorySpec, t_end: float, spd: in
         if pid is not None:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
+        os.close(error)
 
 
 def _step_error(coarse_spd: int, coarse: np.ndarray, spd: int, fine: np.ndarray) -> float:
@@ -592,11 +618,15 @@ def _step_error(coarse_spd: int, coarse: np.ndarray, spd: int, fine: np.ndarray)
     / (k**4 - 1) / max(1, max|fine|) over their common nodes, as RK4's
     gap there is k**4 - 1 times the finer run's error. Each run ends at
     the first node at or past t_end, so the coarse one may have a node
-    more."""
+    more. The gap is taken a column at a time, so no copy of a whole
+    run is made."""
     k = spd // coarse_spd
     m = min(len(coarse), len(fine[::k]))
-    return float(np.abs(fine[::k][:m] - coarse[:m]).max()
-                 / (k ** 4 - 1) / max(1.0, float(np.abs(fine).max())))
+    gap, diff = 0.0, np.empty(m)
+    for c in range(coarse.shape[1]):
+        np.subtract(fine[::k, c][:m], coarse[:m, c], out=diff)
+        gap = max(gap, float(diff.max()), -float(diff.min()))
+    return gap / (k ** 4 - 1) / max(1.0, float(fine.max()), -float(fine.min()))
 
 
 def simulate_distributed(params: ModelParams, history: HistorySpec, t_end: float,
@@ -727,31 +757,33 @@ def _vertex_shift(left, mid, right):
     return np.where(curv < 0.0, 0.5 * (left - right) / np.where(curv < 0.0, curv, -1.0), 0.0)
 
 
-def _vertex_extreme(xs: np.ndarray) -> np.ndarray:
-    """Per column, the largest sample raised to the vertex of the parabola
-    through it and its two neighbours; a maximum at either end stays as
-    sampled."""
+def _vertex_extreme(xs: np.ndarray, sign: float) -> np.ndarray:
+    """Per column, the largest sample of sign*xs (sign 1 or -1) raised to
+    the vertex of the parabola through it and its two neighbours; a
+    maximum at either end stays as sampled. Only the samples used are
+    multiplied by sign; negation is exact, so sign -1 gives the result
+    for -xs without forming -xs."""
     cols = np.arange(xs.shape[1])
-    i = xs.argmax(axis=0)
+    i = xs.argmax(axis=0) if sign > 0.0 else xs.argmin(axis=0)
     j = np.clip(i, 1, len(xs) - 2)
-    left, mid, right = xs[j - 1, cols], xs[j, cols], xs[j + 1, cols]
+    left, mid, right = (sign * xs[j + d, cols] for d in (-1, 0, 1))
     vertex = mid + 0.25 * (right - left) * _vertex_shift(left, mid, right)
-    return np.where(i == j, vertex, xs[i, cols])
+    return np.where(i == j, vertex, sign * xs[i, cols])
 
 
-def _refined_peak_times(ts: np.ndarray, signal: np.ndarray,
-                        peaks: np.ndarray) -> np.ndarray:
-    """Peak instants with the sample-grid quantization removed.
+def _refined_peak_times(node_time, signal: np.ndarray, peaks: np.ndarray) -> np.ndarray:
+    """Peak instants with the sample-grid quantization removed;
+    node_time(k) is the time of signal[k].
 
     A vertex fit through the three samples around each detected maximum
     shifts it by up to half a sample; without this the spacing jitter
     of a coarsely resolved cycle is grid artifact, not rhythm.
     """
     if len(peaks) == 0:
-        return ts[peaks]
-    step = ts[1] - ts[0]
+        return node_time(peaks)
+    step = node_time(1) - node_time(0)
     shift = _vertex_shift(signal[peaks - 1], signal[peaks], signal[peaks + 1])
-    return ts[peaks] + np.clip(shift, -0.5, 0.5) * step
+    return node_time(peaks) + np.clip(shift, -0.5, 0.5) * step
 
 
 def _prominent_peaks(x: np.ndarray, min_prominence: float) -> np.ndarray:
@@ -766,10 +798,10 @@ def _prominent_peaks(x: np.ndarray, min_prominence: float) -> np.ndarray:
     """
     # collapse runs of equal samples; a peak is a run above both neighbour runs
     starts = np.flatnonzero(np.r_[True, x[1:] != x[:-1]])
-    ends = np.r_[starts[1:] - 1, len(x) - 1]
     runs = x[starts]
     top = np.flatnonzero((runs[1:-1] > runs[:-2]) & (runs[1:-1] > runs[2:])) + 1
-    peaks = (starts[top] + ends[top]) // 2
+    # a top run is never the last, so it ends where the next one starts
+    peaks = (starts[top] + starts[top + 1] - 1) // 2
     if len(peaks) == 0:
         return peaks
     heights = x[peaks]
@@ -797,6 +829,18 @@ def _lowest_back_to_higher(heights: np.ndarray, valleys: np.ndarray) -> np.ndarr
     return out
 
 
+def _first_node_from(traj: Trajectory, start: float) -> int:
+    """The first k with t0 + step*k >= start (len(states) if none), the
+    same comparison as traj.times >= start, without forming the times."""
+    n = len(traj.states)
+    k = min(max(0, math.ceil((start - traj.t0) / traj.step)), n)
+    while k > 0 and traj.t0 + traj.step * (k - 1) >= start:
+        k -= 1
+    while k < n and traj.t0 + traj.step * k < start:
+        k += 1
+    return k
+
+
 def cycle_metrics(traj: Trajectory, equilibrium, transient_fraction: float = 0.5
                   ) -> CycleMetrics:
     """Classify the post-transient window and measure the cycle if any.
@@ -819,32 +863,37 @@ def cycle_metrics(traj: Trajectory, equilibrium, transient_fraction: float = 0.5
     peak instants refined to sub-sample accuracy. spacing_cv,
     envelope_ratio and max_deviation are the numbers the verdict was
     decided on.
+
+    The window is a view of the states, and no whole-run array is made:
+    the deviation is formed one column at a time and node times only at
+    the peaks.
     """
     if not 0.0 <= transient_fraction < 1.0:
         raise ValueError(f"transient_fraction must be in [0, 1), got {transient_fraction!r}")
     eq = np.asarray(equilibrium, dtype=float).reshape(3)
-    times = traj.times
-    start = traj.t0 + transient_fraction * (traj.t_end - traj.t0)
-    keep = times >= start
-    ts = times[keep]
-    xs = traj.states[keep]
-    if len(ts) < 32:
+    t0, step = traj.t0, traj.step
+    start = t0 + transient_fraction * (traj.t_end - t0)
+    first = _first_node_from(traj, start)
+    xs = traj.states[first:]
+    if len(xs) < 32:
         return CycleMetrics(Classification.INCONCLUSIVE, None, None, 0)
 
-    amplitude = 0.5 * (_vertex_extreme(xs) + _vertex_extreme(-xs))
-    dev = np.abs(xs - eq).max(axis=1)
-    chunks = np.array_split(dev, _ENVELOPE_CHUNKS)
-    env = np.array([c.max() for c in chunks])
-
+    amplitude = 0.5 * (_vertex_extreme(xs, 1.0) + _vertex_extreme(xs, -1.0))
     signal = xs[:, 0] - eq[0]
+    dev, col = np.abs(signal), np.empty_like(signal)
+    for c in (1, 2):
+        np.maximum(dev, np.abs(np.subtract(xs[:, c], eq[c], out=col), out=col), out=dev)
+    env = np.array([c.max() for c in np.array_split(dev, _ENVELOPE_CHUNKS)])
+    max_deviation = float(dev.max())
+    del dev, col
+
     peaks = _prominent_peaks(signal, _PEAK_PROMINENCE)
     n_periods = max(0, len(peaks) - 1)
-    pk_times = _refined_peak_times(ts, signal, peaks)
+    pk_times = _refined_peak_times(lambda k: t0 + step * (first + k), signal, peaks)
     spacings = np.diff(pk_times)
     period = float(spacings.mean()) if len(peaks) >= 2 else None
     spacing_cv = float(spacings.std() / spacings.mean()) if len(peaks) >= 3 else None
     envelope_ratio = float(env[-1] / env[0]) if env[0] > 0.0 else None
-    max_deviation = float(dev.max())
 
     lo, hi = _ENVELOPE_SETTLED
     if max_deviation < _CONVERGED_DEV and np.all(env[1:] <= env[:-1] * 1.05 + 1e-15):

@@ -110,7 +110,7 @@ def trajectory_plots(traj: Trajectory, out_dir) -> list[Path]:
     to the diagonal (1,1,1); returns the five written paths."""
     out = Path(out_dir)
     idx = _decimate(len(traj.states))
-    t = traj.times[idx]
+    t = traj.t0 + traj.step * idx
     u, v, w = (traj.states[idx, k] for k in range(3))
     written = []
     for name, comp in (("u", u), ("v", v), ("w", w)):

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -217,8 +218,9 @@ _RAMP = HistorySpec.sampled([-2.0, 0.0], [[0.9, 1.1], [1.01, 0.99]])
     (2.0, _RAMP, 60.0, 50),
     (2.0, _flat(1e3, 1e3), 10.0, 50),
     (2.0, _flat(1.0, -0.05), 20.0, 50),
+    (0.3, _flat(1.05, 0.95), 2.0, 5000),
 ], ids=["spd20", "spd37", "partial-last-block", "t_end-below-s", "s0-past-block-cap",
-        "ramp-history", "diverging-start", "negative-v-start"])
+        "ramp-history", "diverging-start", "negative-v-start", "delay-block-past-cap"])
 def test_delay_blocks_match_per_step_rk4(s, hist, t_end, spd):
     # the block loop evaluates the same expressions in the same order as
     # a per-step loop, so states, dense rows and event times agree bit for bit
@@ -430,6 +432,33 @@ def test_step_ladder_raises_the_top_rungs_divergence():
     assert exc.value.time == spd200.value.time
 
 
+def _traced_peak(fn, *args) -> int:
+    """How far traced memory rose above its level at the call of fn(*args)."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("stage, bound", [
+    ("simulate", 2.2), ("cycle_metrics", 1.1), ("_step_error", 0.4),
+])
+def test_working_memory_is_bounded_by_the_states(stage, bound):
+    # a run holds its states and dense rows plus one delay of lag, and
+    # the stages after it copy no whole run; bounds in states.nbytes
+    p, hist = make_params(2.02), _flat(1.01, 0.99)
+    traj = simulate(p, hist, 1000.0, 50)
+    calls = {
+        "simulate": (simulate, p, hist, 1000.0, 50),
+        "cycle_metrics": (cycle_metrics, traj, ESTAR),
+        "_step_error": (_step_error, 25, simulate(p, hist, 1000.0, 25).states, 50, traj.states),
+    }
+    assert _traced_peak(*calls[stage]) <= bound * traj.states.nbytes
+
+
 # the four ways the ladder ends: (params, start, t_end, kept spd or None
 # where the run raises)
 _LADDER_ENDS = {
@@ -517,7 +546,8 @@ def test_no_forked_rung_outlives_the_ladder(monkeypatch, forks, start, rungs, ra
         with pytest.raises(raised) as exc:
             simulate_to_tolerance(make_params(2.02), _flat(*start), 5000.0)
         if raised is RuntimeError:
-            assert str(exc.value) == "the spd 25 run's forked child exited with status 1"
+            assert str(exc.value) == ("the spd 25 run's forked child exited with status 1: "
+                                      "ValueError: the forked rung fails")
     assert forks == [1]
     _assert_no_child_left()
 
