@@ -120,12 +120,12 @@ class SimulationDiverged(RuntimeError):
     which u or v was negative, or None, and steps_per_delay the run's.
     """
 
-    steps_per_delay: int | None = None
-
-    def __init__(self, time: float, left_positive_orthant_at: float | None = None):
+    def __init__(self, time: float, left_positive_orthant_at: float | None = None,
+                 steps_per_delay: int | None = None):
         super().__init__(f"state left |x| <= {_DIVERGENCE_BOUND:g} at t = {time:g}")
         self.time = time
         self.left_positive_orthant_at = left_positive_orthant_at
+        self.steps_per_delay = steps_per_delay
 
 
 @dataclass(frozen=True, eq=False)
@@ -218,10 +218,11 @@ class Trajectory:
         if outside.any():
             raise ValueError(f"t = {float(ts[outside][0])!r} outside "
                              f"[{self.t0!r}, {self.t_end!r}]")
-        nodes = self.times
-        k = np.clip(np.searchsorted(nodes, ts, side="right") - 1, 0, len(nodes) - 2)
         h = self.step
-        th = ((ts - nodes[k]) / h)[:, None]
+        # at a node t_j the bracket is (t_{j-1}, t_j], and `last` returns row j
+        k = np.clip(_first_node_from(self, ts) - 1, 0, len(self.states) - 2)
+        tk = self.t0 + h * k
+        th = ((ts - tk) / h)[:, None]
         om = 1.0 - th
         y0, y1 = self.states[k], self.states[k + 1]
         d0, d1 = self.dense_coeffs[k], self.dense_coeffs[k + 1]
@@ -229,7 +230,7 @@ class Trajectory:
                + th * om * om * h * d0
                + th * th * (3.0 - 2.0 * th) * y1
                - th * th * om * h * d1)
-        first, last = ts == nodes[k], ts == nodes[k + 1]
+        first, last = ts == tk, ts == self.t0 + h * (k + 1)
         out[first] = y0[first]
         out[last] = y1[last]
         return out if np.ndim(t) > 0 else out[0]
@@ -387,9 +388,7 @@ class _Run:
         """The exception for a state past the bound after the given rows."""
         b = self._store(i0, rows) + 1
         self.states[b] = state
-        exc = SimulationDiverged(b * self.h, self._orthant_exit(b))
-        exc.steps_per_delay = self.nd
-        return exc
+        return SimulationDiverged(b * self.h, self._orthant_exit(b), self.nd)
 
     def _store(self, i0: int, rows: list) -> int:
         """Put the rows of steps i0, i0+1, ... into states and derivs; the next node index."""
@@ -492,7 +491,9 @@ def simulate_to_tolerance(params: ModelParams, history: HistorySpec, t_end: floa
     Where the rungs run: spd 25 and 50 are independent, so while this
     process runs spd 50, a forked child runs spd 25 on a second CPU and
     hands its states back through shared memory (_rung_aside). A
-    diverged spd 25 run discards the spd 50 run beside it. spd 25 runs
+    diverged spd 25 run discards the spd 50 run beside it; a child that
+    fails otherwise or is killed has its run made again here, after spd
+    50, so any other failure raises from this process. spd 25 runs
     here instead, first and alone, where os.fork is missing, the
     affinity set has one CPU, or another thread is alive; a diverged
     spd 25 run then skips spd 50. spd 100 and 200 always run here, one
@@ -549,14 +550,15 @@ def _rung_aside(params: ModelParams, history: HistorySpec, t_end: float, spd: in
 
     With a spare CPU (_spare_cpu) a forked child makes the run into a
     shared anonymous mmap, sized by _run_grid, while the caller goes on,
-    and collect() reaps it. A diverged child exits with _DIVERGED_STATUS
-    and leaves the divergence's time and orthant exit (NaN for None) in
-    the first row; a child that fails otherwise writes its exception's
-    type and message to a pipe made before the fork, and collect()
-    raises RuntimeError with that text. On leaving the block by an
-    exception before collect(), the child is killed and reaped. Without
-    a spare CPU the run is made here on entry, and its divergence raises
-    from the with statement.
+    and collect() reaps it. The child reports by its exit status alone:
+    0 when the states are in place, _DIVERGED_STATUS when it diverged,
+    with the divergence's time and orthant exit (NaN for None) in the
+    first row, and 1 when it failed otherwise. On any other status,
+    1 or a signal from outside, collect() makes the run here, so a
+    failure raises its own exception and a killed child costs only the
+    run. On leaving the block by an exception before collect(), the
+    child is killed and reaped. Without a spare CPU the run is made here
+    on entry, and its divergence raises from the with statement.
     """
     if not _spare_cpu():
         states = simulate(params, history, t_end, spd).states
@@ -564,44 +566,27 @@ def _rung_aside(params: ModelParams, history: HistorySpec, t_end: float, spd: in
         return
     rows = _run_grid(params.s, t_end, spd)[2] + 1
     shared = np.frombuffer(mmap.mmap(-1, 3 * rows * 8)).reshape(rows, 3)
-    error, report = os.pipe()
-    try:
-        pid = os.fork()
-    except BaseException:
-        os.close(error)
-        os.close(report)
-        raise
+    pid = os.fork()
     if pid == 0:
         status = 1
         try:
-            os.close(error)
             shared[:] = simulate(params, history, t_end, spd).states
             status = 0
         except SimulationDiverged as exc:
             orthant = exc.left_positive_orthant_at
             shared[0, :2] = exc.time, math.nan if orthant is None else orthant
             status = _DIVERGED_STATUS
-        except BaseException as exc:
-            os.write(report, f"{type(exc).__name__}: {exc}".encode(errors="replace"))
         finally:
             os._exit(status)
-    os.close(report)
 
     def collect() -> np.ndarray:
         nonlocal pid
-        # read to the end before reaping, so a long message cannot block the child
-        text = b"".join(iter(lambda: os.read(error, 65536), b"")).decode(errors="replace")
         status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
         pid = None
         if status == _DIVERGED_STATUS:
             time, orthant = shared[0, :2].tolist()
-            exc = SimulationDiverged(time, None if math.isnan(orthant) else orthant)
-            exc.steps_per_delay = spd
-            raise exc
-        if status != 0:
-            raise RuntimeError(f"the spd {spd} run's forked child exited with status {status}"
-                               + (f": {text}" if text else ""))
-        return shared
+            raise SimulationDiverged(time, None if math.isnan(orthant) else orthant, spd)
+        return shared if status == 0 else simulate(params, history, t_end, spd).states
 
     try:
         yield collect
@@ -609,7 +594,6 @@ def _rung_aside(params: ModelParams, history: HistorySpec, t_end: float, spd: in
         if pid is not None:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-        os.close(error)
 
 
 def _step_error(coarse_spd: int, coarse: np.ndarray, spd: int, fine: np.ndarray) -> float:
@@ -829,16 +813,15 @@ def _lowest_back_to_higher(heights: np.ndarray, valleys: np.ndarray) -> np.ndarr
     return out
 
 
-def _first_node_from(traj: Trajectory, start: float) -> int:
-    """The first k with t0 + step*k >= start (len(states) if none), the
-    same comparison as traj.times >= start, without forming the times."""
-    n = len(traj.states)
-    k = min(max(0, math.ceil((start - traj.t0) / traj.step)), n)
-    while k > 0 and traj.t0 + traj.step * (k - 1) >= start:
-        k -= 1
-    while k < n and traj.t0 + traj.step * k < start:
-        k += 1
-    return k
+def _first_node_from(traj: Trajectory, ts):
+    """Per entry of ts, the first k with t0 + step*k >= t (len(states) if
+    none): np.searchsorted(traj.times, ts) without forming the times.
+    The quotient's ceiling is off by at most one node either way, and
+    each correction makes the same comparison as the search."""
+    n, t0, step = len(traj.states), traj.t0, traj.step
+    k = np.clip(np.ceil((ts - t0) / step), 0, n).astype(np.intp)
+    k = k - ((k > 0) & (t0 + step * (k - 1) >= ts))
+    return k + ((k < n) & (t0 + step * k < ts))
 
 
 def cycle_metrics(traj: Trajectory, equilibrium, transient_fraction: float = 0.5
@@ -873,7 +856,7 @@ def cycle_metrics(traj: Trajectory, equilibrium, transient_fraction: float = 0.5
     eq = np.asarray(equilibrium, dtype=float).reshape(3)
     t0, step = traj.t0, traj.step
     start = t0 + transient_fraction * (traj.t_end - t0)
-    first = _first_node_from(traj, start)
+    first = int(_first_node_from(traj, start))
     xs = traj.states[first:]
     if len(xs) < 32:
         return CycleMetrics(Classification.INCONCLUSIVE, None, None, 0)

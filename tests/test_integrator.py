@@ -3,6 +3,7 @@
 import io
 import math
 import os
+import signal
 import subprocess
 import sys
 import tracemalloc
@@ -28,7 +29,8 @@ from infodelay import (
 )
 import infodelay
 from infodelay import integrator
-from infodelay.integrator import _CSV_CHUNK, _MAX_BLOCK, _Run, _prominent_peaks, _step_error
+from infodelay.integrator import (_CSV_CHUNK, _MAX_BLOCK, _Run, _first_node_from, _prominent_peaks,
+                                  _step_error)
 from infodelay.model import State, distributed_w_oracle, reduced_rhs
 from conftest import ESTAR, S_STAR, draw_params, make_params, screen_for_flip
 
@@ -159,6 +161,23 @@ def test_dense_output_matches_pointwise_hermite():
         want = (om * om * (1.0 + 2.0 * th) * y[k] + th * om * om * h * d[k]
                 + th * th * (3.0 - 2.0 * th) * y[k + 1] - th * th * om * h * d[k + 1])
         assert np.array_equal(row, want), t
+
+
+@pytest.mark.parametrize("t0", [0.0, -12.375])
+def test_first_node_from_is_the_search_of_the_node_times(t0):
+    # the node lookup behind dense output and the cycle window makes the
+    # comparison of np.searchsorted(times, t) without forming the times
+    rng = np.random.default_rng(20)
+    steps = [2.02 / 25, 2.02 / 50, 0.0101, 1.0 / 3.0, *rng.uniform(1e-3, 1.0, 12)]
+    for step, rows in zip(steps, rng.integers(2, 5000, len(steps))):
+        traj = Trajectory(t0, t0 + step * (rows - 1), step, np.zeros((rows, 3)),
+                          np.zeros((rows, 3)))
+        times = traj.times
+        ts = np.concatenate([times, np.nextafter(times, -np.inf), np.nextafter(times, np.inf),
+                             rng.uniform(t0 - step, traj.t_end + step, 1000)])
+        assert np.array_equal(_first_node_from(traj, ts), np.searchsorted(times, ts))
+        for t in ts[::97].tolist():
+            assert int(_first_node_from(traj, t)) == np.searchsorted(times, t)
 
 
 def _per_step_rk4(p, hist, t_end, spd):
@@ -444,17 +463,19 @@ def _traced_peak(fn, *args) -> int:
 
 
 @pytest.mark.parametrize("stage, bound", [
-    ("simulate", 2.2), ("cycle_metrics", 1.1), ("_step_error", 0.4),
+    ("simulate", 2.2), ("cycle_metrics", 1.1), ("_step_error", 0.4), ("traj(t)", 0.05),
 ])
 def test_working_memory_is_bounded_by_the_states(stage, bound):
     # a run holds its states and dense rows plus one delay of lag, and
-    # the stages after it copy no whole run; bounds in states.nbytes
+    # the stages after it copy no whole run (dense output at one point
+    # forms no node times); bounds in states.nbytes
     p, hist = make_params(2.02), _flat(1.01, 0.99)
     traj = simulate(p, hist, 1000.0, 50)
     calls = {
         "simulate": (simulate, p, hist, 1000.0, 50),
         "cycle_metrics": (cycle_metrics, traj, ESTAR),
         "_step_error": (_step_error, 25, simulate(p, hist, 1000.0, 25).states, 50, traj.states),
+        "traj(t)": (traj, 537.37),
     }
     assert _traced_peak(*calls[stage]) <= bound * traj.states.nbytes
 
@@ -534,7 +555,7 @@ def _fails_at_spd_25(params, history, t_end, spd):
     ((1.01, 0.99), simulate, None),
     ((1e3, 1e3), simulate, SimulationDiverged),
     ((1.01, 0.99), _interrupted_at_spd_50, KeyboardInterrupt),
-    ((1.01, 0.99), _fails_at_spd_25, RuntimeError),
+    ((1.01, 0.99), _fails_at_spd_25, ValueError),
 ], ids=["return", "divergence", "interrupt in spd 50", "failed child"])
 def test_no_forked_rung_outlives_the_ladder(monkeypatch, forks, start, rungs, raised):
     monkeypatch.setattr(integrator, "_spare_cpu", lambda: True)
@@ -545,9 +566,31 @@ def test_no_forked_rung_outlives_the_ladder(monkeypatch, forks, start, rungs, ra
         # spd 25 runs to t_end 5000 in the child, long after spd 50 is interrupted
         with pytest.raises(raised) as exc:
             simulate_to_tolerance(make_params(2.02), _flat(*start), 5000.0)
-        if raised is RuntimeError:
-            assert str(exc.value) == ("the spd 25 run's forked child exited with status 1: "
-                                      "ValueError: the forked rung fails")
+        if raised is ValueError:
+            # the failed rung is run again here and raises its own exception
+            assert str(exc.value) == "the forked rung fails"
+    assert forks == [1]
+    _assert_no_child_left()
+
+
+def test_killed_forked_rung_is_run_here(monkeypatch, forks):
+    # a child killed from outside (say by the OOM killer) leaves its rung
+    # to this process, and the ladder ends as it does in process
+    p, hist, parent = make_params(2.02), _flat(1.01, 0.99), os.getpid()
+
+    def killed_in_the_child(params, history, t_end, spd):
+        if spd == 25 and os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return simulate(params, history, t_end, spd)
+
+    monkeypatch.setattr(integrator, "_spare_cpu", lambda: False)
+    here = simulate_to_tolerance(p, hist, 300.0)
+    monkeypatch.setattr(integrator, "_spare_cpu", lambda: True)
+    monkeypatch.setattr(integrator, "simulate", killed_in_the_child)
+    aside = simulate_to_tolerance(p, hist, 300.0)
+    assert here.steps_per_delay == aside.steps_per_delay == 50
+    assert here.step_error_estimate == aside.step_error_estimate is not None
+    assert np.array_equal(here.states, aside.states)
     assert forks == [1]
     _assert_no_child_left()
 
