@@ -94,10 +94,22 @@ class ConfigError(Exception):
 
 @dataclass(frozen=True)
 class SweepOpts:
+    """count points from lo to hi along the model key param; a bad field
+    raises ValueError with parse_config's message."""
+
     param: str
     lo: float
     hi: float
     count: int
+
+    def __post_init__(self):
+        if self.param not in _MODEL_KEYS:
+            raise ValueError(f"sweep_param must be one of {', '.join(_MODEL_KEYS)}, "
+                             f"got {self.param!r}")
+        if not self.lo <= self.hi:
+            raise ValueError(f"sweep_min {self.lo!r} exceeds sweep_max {self.hi!r}")
+        if self.count < 1:
+            raise ValueError(f"sweep_count must be >= 1, got {self.count!r}")
 
 
 @dataclass(frozen=True)
@@ -145,7 +157,7 @@ _RUN_RULES = (
     ("transient_fraction", lambda x: 0.0 <= x < 1.0, "must be in [0, 1)"),
     ("t_end", lambda x: x > 0, "must be positive"),
 )
-# the config keys that make a Sweep's SweepOpts
+# the config keys that make a Sweep's SweepOpts, in its field order
 _SWEEP_KEYS = ("sweep_param", "sweep_min", "sweep_max", "sweep_count")
 
 
@@ -217,25 +229,14 @@ def parse_config(text: str) -> RunConfig:
     if missing:
         raise ConfigError("missing required keys: " + ", ".join(missing))
 
-    sweep = None
-    if command is Command.SWEEP:
-        param = values["sweep_param"]
-        if param not in _MODEL_KEYS:
-            raise ConfigError(
-                f"line {lines['sweep_param']}: sweep_param must be one of "
-                f"{', '.join(_MODEL_KEYS)}, got {param!r}")
-        lo, hi, count = values["sweep_min"], values["sweep_max"], values["sweep_count"]
-        if not lo <= hi:
-            raise ConfigError(f"line {lines['sweep_min']}: sweep_min {lo!r} exceeds sweep_max {hi!r}")
-        if count < 1:
-            raise ConfigError(f"line {lines['sweep_count']}: sweep_count must be >= 1, got {count!r}")
-        sweep = SweepOpts(param=param, lo=lo, hi=hi, count=count)
-
     param_values = {k: values[k] for k in _MODEL_KEYS if k in values}
-    probe = {**param_values, sweep.param: sweep.lo} if sweep else param_values
     # a run key the config leaves out keeps its RunConfig default
     run_keys = {f.name for f in fields(RunConfig)}
     try:
+        sweep, probe = None, param_values
+        if command is Command.SWEEP:
+            sweep = SweepOpts(*(values[k] for k in _SWEEP_KEYS))
+            probe = {**param_values, sweep.param: sweep.lo}
         ModelParams(**probe)
         return RunConfig(param_values=param_values, sweep=sweep,
                          **{k: v for k, v in values.items() if k in run_keys})
@@ -381,10 +382,9 @@ def _prediction(nf: NormalForm, delta: float) -> dict | None:
 
 
 def _run_simulate(report: dict, config: RunConfig, params: ModelParams,
-                  out_dir: Path, plot: bool) -> None:
+                  history: HistorySpec, out_dir: Path, plot: bool) -> None:
     eqs = report["equilibria"] = equilibria(params)
     estar = eqs[3]
-    history = HistorySpec.constant(config.u0, config.v0, config.w0)
     # every outcome writes these keys in this order; null where a
     # diverged run or a missing equilibrium leaves nothing to report
     sim = report["simulation"] = {
@@ -480,22 +480,25 @@ def run(config: RunConfig, output_dir=".", plot: bool = False) -> dict:
     diverging run) are recorded in the report and its notes instead of
     raised.
     """
+    # the model and the history are checked before anything is written
+    command = config.command
+    params = None if command is Command.SWEEP else config.model_params()
+    history = (HistorySpec.constant(config.u0, config.v0, config.w0)
+               if command is Command.SIMULATE else None)
     out_dir = Path(output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     report = dict.fromkeys(_REPORT_KEYS)
-    report.update(command=config.command, params=config.param_values, notes=[])
-    if config.command is Command.SWEEP:
+    report.update(command=command, params=config.param_values, notes=[])
+    if command is Command.SWEEP:
         _run_sweep(report, config, out_dir)
+    elif command is Command.SIMULATE:
+        _run_simulate(report, config, params, history, out_dir, plot)
     else:
-        params = config.model_params()
-        if config.command is Command.SIMULATE:
-            _run_simulate(report, config, params, out_dir, plot)
-        else:
-            _analysis_sections(
-                report, params,
-                want_critical=config.command in (Command.ANALYZE, Command.CRITICAL),
-                want_direction=config.command in (Command.ANALYZE, Command.DIRECTION),
-            )
+        _analysis_sections(
+            report, params,
+            want_critical=command in (Command.ANALYZE, Command.CRITICAL),
+            want_direction=command in (Command.ANALYZE, Command.DIRECTION),
+        )
     doc = _jsonify(report)
     _write_report(doc, out_dir)
     return doc

@@ -12,22 +12,22 @@ describes how.
 
 The delay enters only through the loss term b1*r1*u(t-s)*v(t-s), so on
 any stretch of one delay that term is known before the stretch starts.
-The run is therefore cut into delay blocks of s/h steps, and a block
-reads the lag grid only over the block before it. Only that last delay
-of the grid is kept, 2*s/h + 1 values per component, so a run's memory
-is its states and node derivatives plus one delay. Before a block one
-numpy expression forms its delayed losses from that buffer, the block's
-Python loop does only the RK4 stage algebra and collects its rows in a
-list, and after it two slice assignments store states and node
-derivatives and two strided ones overwrite the buffer with the block's
-nodes and midpoints. The derivative at the next block's first node,
-which the last midpoint needs, reads the buffer's last node before that
-overwrite. Every value comes from the same expression, evaluated in the
-same order, as in a loop that reads and appends a whole-run lag grid
-step by step; only where values are stored has changed, so the results
-are bit-identical to it. When s = 0 the system is an ODE, the delayed
-factor is the stage's own state, and blocks only bound the length of
-the row list.
+The run is therefore cut into delay blocks of s/h steps (the last may
+be shorter), and a block reads the lag grid only over the block before
+it. Only that last delay of the grid is kept, 2*s/h + 1 values per
+component, so a run's memory is its states and node derivatives plus
+one delay. _Run hands each block's Python loop the delayed losses,
+formed from that buffer by one numpy expression, and a row list; the
+loop does only the RK4 stage algebra, appends a row per step and checks
+the bound. Then two slice assignments store the rows and two strided
+ones overwrite the buffer with the block's nodes and midpoints. The
+derivative at the next block's first node, which the last midpoint
+needs, reads the buffer's last node before that overwrite. Every value
+comes from the same expression, evaluated in the same order, as in a
+loop that reads and appends a whole-run lag grid step by step, so the
+results are bit-identical to it. When s = 0 the system is an ODE, the
+delayed factor is the stage's own state, and blocks of _MAX_BLOCK steps
+only bound the row list.
 
 simulate advances the three-variable reduced system in which the memory
 variable w obeys its own ODE. simulate_distributed instead evaluates
@@ -330,14 +330,15 @@ class _Run:
     one column of the state at t = 0. The run's initial (u, v) is in
     states[0]; the integrator adds w.
 
-    blocks() yields each block's first step and, per step, the delayed
-    losses b1*r1*u*v at the step's first node, midpoint and last node,
-    formed for the whole block by one numpy expression (placeholder
-    zeros when s = 0, where each stage uses its own product and blocks
-    of _MAX_BLOCK steps only bound the row list). The caller runs the
-    block and hands its rows to close(), or to diverged() when a state
-    leaves the bound. A row is (k1u, k1v, k1w, u, v, w): the derivative
-    at the step's first node and the state at its last node.
+    blocks() yields each block's first step, the delayed losses
+    b1*r1*u*v at each step's first node, midpoint and last node (one
+    numpy expression per block; placeholder zeros when s = 0, where each
+    stage uses its own product) and an empty list, to which the caller
+    appends per step the row (k1u, k1v, k1w, u, v, w): the derivative at
+    the step's first node and the state at its last. Asking for the next
+    block stores the rows. A row past the bound is appended too, and
+    diverged() stores them all. rates are the constants of the stage
+    algebra that both integrators share.
     """
 
     def __init__(self, params: ModelParams, history: HistorySpec, t_end: float,
@@ -348,6 +349,9 @@ class _Run:
             raise ValueError(f"sampled history starts at {t0!r} but must cover "
                              f"[-{params.s!r}, 0]")
         self.params, self.nd, self.h, self.n = params, nd, h, n
+        self.br1 = params.b1 * params.r1
+        self.rates = (params.r1, params.a1, params.r2, params.a2, self.br1,
+                      params.b2 * params.r2, params.mu + params.r, 0.5 * h, h / 6.0)
         self.lagged = params.s > 0.0
         self.block = nd if self.lagged else _MAX_BLOCK
         back = 2 * nd if self.lagged else 0
@@ -357,17 +361,19 @@ class _Run:
         self.states[0, :2] = self.lag[:, -1]
 
     def blocks(self):
-        """Each block's first step and its per-step delayed losses."""
-        lag, br1 = self.lag, self.params.b1 * self.params.r1
+        """Each block's first step, delayed losses and row list."""
+        lag, br1 = self.lag, self.br1
         for i0 in range(0, self.n, self.block):
             m = min(self.block, self.n - i0)
+            rows = []
             if self.lagged:
                 F = (br1 * lag[0, :2 * m + 1] * lag[1, :2 * m + 1]).tolist()
-                yield i0, zip(F[0:-1:2], F[1::2], F[2::2])
+                yield i0, zip(F[0:-1:2], F[1::2], F[2::2]), rows
             else:
-                yield i0, repeat((0.0, 0.0, 0.0), m)
+                yield i0, repeat((0.0, 0.0, 0.0), m), rows
+            self._close(i0, rows)
 
-    def close(self, i0: int, rows: list, state: State) -> None:
+    def _close(self, i0: int, rows: list) -> None:
         """Store a finished block and make the lag buffer the next block's.
 
         The midpoint of the block's last step needs the derivative at the
@@ -377,6 +383,7 @@ class _Run:
         the final row if no block follows.
         """
         b = self._store(i0, rows)
+        state = State(*rows[-3:])
         delayed = State(*self.lag[:, 2 * (b - i0)].tolist(), 0.0) if self.lagged else state
         self.derivs[b] = reduced_rhs(state, delayed, self.params)
         if self.lagged and b < self.n:
@@ -384,10 +391,9 @@ class _Run:
             self.lag[:, 1::2] = 0.5 * (y[:, :-1] + y[:, 1:]) + 0.125 * self.h * (d[:, :-1] - d[:, 1:])
             self.lag[:, 0::2] = y
 
-    def diverged(self, i0: int, rows: list, state: State) -> SimulationDiverged:
-        """The exception for a state past the bound after the given rows."""
-        b = self._store(i0, rows) + 1
-        self.states[b] = state
+    def diverged(self, i0: int, rows: list) -> SimulationDiverged:
+        """The exception for a block whose last row is past the bound."""
+        b = self._store(i0, rows)
         return SimulationDiverged(b * self.h, self._orthant_exit(b), self.nd)
 
     def _store(self, i0: int, rows: list) -> int:
@@ -428,16 +434,10 @@ def simulate(params: ModelParams, history: HistorySpec, t_end: float,
     u, v = run.states[0, :2].tolist()
     w = run.states[0, 2] = history.initial_w(params)
 
-    r1, a1 = params.r1, params.a1
-    r2, a2 = params.r2, params.a2
-    br1 = params.b1 * params.r1
-    br2 = params.b2 * params.r2
-    mr = params.mu + params.r
-    half, sixth = 0.5 * h, h / 6.0
+    r1, a1, r2, a2, br1, br2, mr, half, sixth = run.rates
     bound = _DIVERGENCE_BOUND
 
-    for i0, forcing in run.blocks():
-        rows = []
+    for i0, forcing, rows in run.blocks():
         for f1, fm, f4 in forcing:
             if not lagged:
                 f1 = br1 * u * v
@@ -465,10 +465,9 @@ def simulate(params: ModelParams, history: HistorySpec, t_end: float,
             u += sixth * (k1u + 2.0 * (k2u + k3u) + k4u)
             v += sixth * (k1v + 2.0 * (k2v + k3v) + k4v)
             w += sixth * (k1w + 2.0 * (k2w + k3w) + k4w)
-            if not (abs(u) <= bound and abs(v) <= bound and abs(w) <= bound):
-                raise run.diverged(i0, rows, State(u, v, w))
             rows.extend((k1u, k1v, k1w, u, v, w))
-        run.close(i0, rows, State(u, v, w))
+            if not (abs(u) <= bound and abs(v) <= bound and abs(w) <= bound):
+                raise run.diverged(i0, rows)
     return run.trajectory()
 
 
@@ -639,13 +638,8 @@ def simulate_distributed(params: ModelParams, history: HistorySpec, t_end: float
     run = _Run(params, history, t_end, steps_per_delay)
     lagged, h = run.lagged, run.h
 
-    r1, a1 = params.r1, params.a1
-    r2, a2 = params.r2, params.a2
-    br1 = params.b1 * params.r1
-    br2 = params.b2 * params.r2
-    mr = params.mu + params.r
-
-    qstep = 0.5 * h
+    r1, a1, r2, a2, br1, br2, mr, half, sixth = run.rates
+    qstep, eighth = 0.5 * h, 0.125 * h
     decay = math.exp(-mr * qstep)
     w0_tail, w1 = 0.5 * qstep, qstep * decay
 
@@ -661,15 +655,13 @@ def simulate_distributed(params: ModelParams, history: HistorySpec, t_end: float
     S = float(qstep * (np.exp(-mr * qstep * k) @ (qu * qv))
               + qstep * ut0 * vt0 * decay ** (K + 1) / -math.expm1(-mr * qstep))
 
-    half, sixth, eighth = 0.5 * h, h / 6.0, 0.125 * h
     bound = _DIVERGENCE_BOUND
 
     u, v = run.states[0, :2].tolist()
     uv = u * v
     w_cur = run.states[0, 2] = S + w0_tail * uv
 
-    for i0, forcing in run.blocks():
-        rows = []
+    for i0, forcing, rows in run.blocks():
         for i, (f1, fm, f4) in enumerate(forcing, i0):
             if not lagged:
                 f1 = br1 * u * v
@@ -704,10 +696,9 @@ def simulate_distributed(params: ModelParams, history: HistorySpec, t_end: float
             v += sixth * (k1v + 2.0 * (k2v + k3v) + k4v)
             uv = u * v
             w_cur = S + w0_tail * uv
-            if not (abs(u) <= bound and abs(v) <= bound and abs(w_cur) <= bound):
-                raise run.diverged(i0, rows, State(u, v, w_cur))
             rows.extend((k1u, k1v, k1w, u, v, w_cur))
-        run.close(i0, rows, State(u, v, w_cur))
+            if not (abs(u) <= bound and abs(v) <= bound and abs(w_cur) <= bound):
+                raise run.diverged(i0, rows)
     return run.trajectory()
 
 

@@ -190,7 +190,9 @@ def test_config_error_messages(text, message):
     ({"steps_per_delay": 5}, "steps_per_delay must be >= 20, got 5"),
     ({"t_end": 0.0}, "t_end must be positive, got 0.0"),
     ({"u0": None}, "missing required keys: u0"),
-], ids=["transient_fraction", "steps_per_delay", "t_end", "u0"])
+    ({"u0": math.nan}, "history samples must be finite"),
+    ({"w0": math.inf}, "Explicit w0 policy needs a finite w0"),
+], ids=["transient_fraction", "steps_per_delay", "t_end", "u0", "u0 nan", "w0 inf"])
 def test_run_config_checks_run_rules_before_anything_is_written(tmp_path, bad, message):
     # a RunConfig built by hand, not by parse_config, keeps the same rules
     out = tmp_path / "out"
@@ -202,17 +204,32 @@ def test_run_config_checks_run_rules_before_anything_is_written(tmp_path, bad, m
     assert not out.exists()
 
 
+def test_run_checks_the_model_before_anything_is_written(tmp_path):
+    out = tmp_path / "out"
+    with pytest.raises(ValueError) as err:
+        run(RunConfig(Command.ANALYZE, dict(REFERENCE, s=2.02, a1=-1.0)), out)
+    assert str(err.value) == "a1 must be positive, got -1.0"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("params, sweep, message", [
     (dict(REFERENCE, s=2.0), None,
      "missing required keys: sweep_param, sweep_min, sweep_max, sweep_count"),
-    ({k: v for k, v in REFERENCE.items() if k != "mu"}, SweepOpts("s", 1.0, 3.0, 3),
+    ({k: v for k, v in REFERENCE.items() if k != "mu"}, ("s", 1.0, 3.0, 3),
      "missing required keys: mu"),
-], ids=["sweep", "model key"])
+    (dict(REFERENCE, s=2.0), ("t_end", 1.0, 3.0, 3),
+     "sweep_param must be one of r1, r2, a1, a2, b1, b2, mu, r, s, got 't_end'"),
+    (dict(REFERENCE, s=2.0), ("s", 3.0, 1.0, 3), "sweep_min 3.0 exceeds sweep_max 1.0"),
+    (dict(REFERENCE, s=2.0), ("s", 1.0, 3.0, 0), "sweep_count must be >= 1, got 0"),
+    (dict(REFERENCE, s=2.0), ("s", 1.0, 3.0, -2), "sweep_count must be >= 1, got -2"),
+], ids=["sweep", "model key", "sweep_param", "sweep_min > sweep_max", "sweep_count 0",
+        "sweep_count -2"])
 def test_run_config_checks_sweep_keys_before_anything_is_written(tmp_path, params, sweep,
                                                                  message):
+    # SweepOpts is built inside pytest.raises: its own checks raise the message
     out = tmp_path / "out"
     with pytest.raises(ValueError) as err:
-        run(RunConfig(Command.SWEEP, params, sweep=sweep), out)
+        run(RunConfig(Command.SWEEP, params, sweep=sweep and SweepOpts(*sweep)), out)
     assert str(err.value) == message
     assert not out.exists()
 

@@ -677,8 +677,7 @@ def _direct_quadrature(p, hist, t_end, spd):
     half, sixth, eighth = 0.5 * h, h / 6.0, 0.125 * h
     u, v = run.states[0, :2].tolist()
     w_cur = run.states[0, 2] = float(wk_past @ q[0:ns]) + w0_tail * q[ns]
-    for i0, forcing in run.blocks():
-        rows = []
+    for i0, forcing, rows in run.blocks():
         for i, (f1, fm, f4) in enumerate(forcing, i0):
             base = ns + 2 * i
             if not lagged:
@@ -714,10 +713,9 @@ def _direct_quadrature(p, hist, t_end, spd):
             v += sixth * (k1v + 2.0 * (k2v + k3v) + k4v)
             q[base + 2] = u * v
             w_cur = sn1 + w0_tail * u * v
-            if not (abs(u) <= 1e6 and abs(v) <= 1e6 and abs(w_cur) <= 1e6):
-                return run.diverged(i0, rows, State(u, v, w_cur))
             rows.extend((k1u, k1v, k1w, u, v, w_cur))
-        run.close(i0, rows, State(u, v, w_cur))
+            if not (abs(u) <= 1e6 and abs(v) <= 1e6 and abs(w_cur) <= 1e6):
+                return run.diverged(i0, rows)
     return run.trajectory()
 
 
