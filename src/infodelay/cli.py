@@ -118,9 +118,12 @@ class RunConfig:
 
     param_values holds the model keys present in the config; only a
     Sweep may omit one, and then only the swept key itself. A key the
-    command requires but the config lacks, or a run key outside its
-    _RUN_RULES range, raises ValueError with parse_config's message.
-    With steps_per_delay None a Simulate run climbs the step ladder.
+    command requires but the config lacks, a fixed model key outside
+    its ModelParams rule, or a run key outside its _RUN_RULES range,
+    raises ValueError with parse_config's message, in that order. A
+    Sweep's swept key is not checked here: a grid may start where the
+    model is invalid, and reports those points empty. With
+    steps_per_delay None a Simulate run climbs the step ladder.
     """
 
     command: Command
@@ -141,6 +144,10 @@ class RunConfig:
         missing = _missing_keys(self.command, given, self.sweep and self.sweep.param)
         if missing:
             raise ValueError("missing required keys: " + ", ".join(missing))
+        probe = dict(self.param_values)
+        if self.sweep is not None:
+            probe[self.sweep.param] = 1.0   # a value every ModelParams rule accepts
+        ModelParams(**probe)
         for key, holds, what in _RUN_RULES:
             value = getattr(self, key)
             if value is not None and not holds(value):
@@ -233,11 +240,11 @@ def parse_config(text: str) -> RunConfig:
     # a run key the config leaves out keeps its RunConfig default
     run_keys = {f.name for f in fields(RunConfig)}
     try:
-        sweep, probe = None, param_values
+        sweep = None
         if command is Command.SWEEP:
             sweep = SweepOpts(*(values[k] for k in _SWEEP_KEYS))
-            probe = {**param_values, sweep.param: sweep.lo}
-        ModelParams(**probe)
+            # a config's grid must start where the model is valid
+            ModelParams(**{**param_values, sweep.param: sweep.lo})
         return RunConfig(param_values=param_values, sweep=sweep,
                          **{k: v for k, v in values.items() if k in run_keys})
     except ValueError as exc:

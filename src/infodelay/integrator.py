@@ -15,19 +15,21 @@ any stretch of one delay that term is known before the stretch starts.
 The run is therefore cut into delay blocks of s/h steps (the last may
 be shorter), and a block reads the lag grid only over the block before
 it. Only that last delay of the grid is kept, 2*s/h + 1 values per
-component, so a run's memory is its states and node derivatives plus
-one delay. _Run hands each block's Python loop the delayed losses,
-formed from that buffer by one numpy expression, and a row list; the
-loop does only the RK4 stage algebra, appends a row per step and checks
-the bound. Then two slice assignments store the rows and two strided
-ones overwrite the buffer with the block's nodes and midpoints. The
-derivative at the next block's first node, which the last midpoint
-needs, reads the buffer's last node before that overwrite. Every value
-comes from the same expression, evaluated in the same order, as in a
-loop that reads and appends a whole-run lag grid step by step, so the
-results are bit-identical to it. When s = 0 the system is an ODE, the
-delayed factor is the stage's own state, and blocks of _MAX_BLOCK steps
-only bound the row list.
+component, so a run's memory is its states plus one delay: a node's
+derivative is the model's right-hand side at the node, so the
+trajectory derives it from the states where dense output needs it, and
+the run keeps only the current block's. _Run hands each block's Python
+loop the delayed losses, formed from that buffer by one numpy
+expression, and a row list; the loop does only the RK4 stage algebra,
+appends a row per step and checks the bound. Then two slice assignments
+store the rows and two strided ones overwrite the buffer with the
+block's nodes and midpoints. The derivative at the next block's first
+node, which the last midpoint needs, takes the block's last delayed
+loss. Every value comes from the same expression, evaluated in the same
+order, as in a loop that reads and appends a whole-run lag grid step by
+step, so the results are bit-identical to it. When s = 0 the system is
+an ODE, the delayed factor is the stage's own state, and blocks of
+_MAX_BLOCK steps only bound the row list.
 
 simulate advances the three-variable reduced system in which the memory
 variable w obeys its own ODE. simulate_distributed instead evaluates
@@ -190,19 +192,25 @@ class HistorySpec:
 class Trajectory:
     """Fixed-step solution with dense cubic Hermite output.
 
-    states[k] is the state at t0 + k*step and dense_coeffs[k] the exact
-    right-hand side there; between nodes __call__ evaluates the Hermite
-    cubic through the bracketing pair, and at a node it returns the
-    stored row bit for bit. left_positive_orthant_at is the first node
-    time at which u or v is negative, or None; step_error_estimate is
-    set where simulate_to_tolerance kept the run.
+    states[k] is the state at t0 + k*step. The slope there, bit for bit
+    the run's own, is reduced_rhs of params with the (u, v) a delay
+    back: from the states, or from history_nodes, the history at the
+    nodes of [-s, 0], before the run (for s = 0, the node's own). It is
+    derived where needed and not kept; dense_coeffs derives every row.
+    Between nodes __call__ evaluates the Hermite cubic through the
+    bracketing pair, and at a node it returns the stored row bit for
+    bit; without params there is no dense output.
+    left_positive_orthant_at is the first node time at which u or v is
+    negative, or None; step_error_estimate is set where
+    simulate_to_tolerance kept the run.
     """
 
     t0: float
     t_end: float
     step: float
     states: np.ndarray
-    dense_coeffs: np.ndarray
+    params: ModelParams | None = None
+    history_nodes: np.ndarray | None = None
     left_positive_orthant_at: float | None = None
     steps_per_delay: int | None = None
     step_error_estimate: float | None = None
@@ -210,6 +218,22 @@ class Trajectory:
     @property
     def times(self) -> np.ndarray:
         return self.t0 + self.step * np.arange(len(self.states))
+
+    @property
+    def dense_coeffs(self) -> np.ndarray:
+        """The slope at every node, derived on each access."""
+        return self._slopes(np.arange(len(self.states)))
+
+    def _slopes(self, k: np.ndarray) -> np.ndarray:
+        """reduced_rhs at the nodes k, as rows."""
+        if self.params is None:
+            raise ValueError("a trajectory built without params has no dense output")
+        nd = self.steps_per_delay if self.params.s > 0.0 else 0
+        y, delayed = self.states[k], self.states[np.maximum(k - nd, 0), :2]
+        early = k < nd
+        if early.any():
+            delayed[early] = self.history_nodes[k[early]]
+        return np.column_stack(reduced_rhs(State(*y.T), State(*delayed.T, 0.0), self.params))
 
     def __call__(self, t):
         ts = np.asarray(t, dtype=float).ravel()
@@ -225,7 +249,7 @@ class Trajectory:
         th = ((ts - tk) / h)[:, None]
         om = 1.0 - th
         y0, y1 = self.states[k], self.states[k + 1]
-        d0, d1 = self.dense_coeffs[k], self.dense_coeffs[k + 1]
+        d0, d1 = np.split(self._slopes(np.concatenate([k, k + 1])), 2)
         out = (om * om * (1.0 + 2.0 * th) * y0
                + th * om * om * h * d0
                + th * th * (3.0 - 2.0 * th) * y1
@@ -336,9 +360,12 @@ class _Run:
     stage uses its own product) and an empty list, to which the caller
     appends per step the row (k1u, k1v, k1w, u, v, w): the derivative at
     the step's first node and the state at its last. Asking for the next
-    block stores the rows. A row past the bound is appended too, and
-    diverged() stores them all. rates are the constants of the stage
-    algebra that both integrators share.
+    block stores the states and keeps the (u, v) derivatives of that
+    block alone in slopes, for its midpoints. A row past the bound is
+    appended too, and diverged() stores them all. rates are the
+    constants of the stage algebra that both integrators share;
+    history_nodes the history at the nodes of [-s, 0], for the
+    trajectory to derive its slopes from.
     """
 
     def __init__(self, params: ModelParams, history: HistorySpec, t_end: float,
@@ -356,8 +383,9 @@ class _Run:
         self.block = nd if self.lagged else _MAX_BLOCK
         back = 2 * nd if self.lagged else 0
         self.lag = np.stack(history.at(np.arange(-back, 1) * (0.5 * h)))
+        self.history_nodes = self.lag[:, 0::2].T.copy()
         self.states = np.empty((n + 1, 3))
-        self.derivs = np.empty((n + 1, 3))
+        self.slopes = np.empty((self.block + 1, 2))
         self.states[0, :2] = self.lag[:, -1]
 
     def blocks(self):
@@ -366,30 +394,30 @@ class _Run:
         for i0 in range(0, self.n, self.block):
             m = min(self.block, self.n - i0)
             rows = []
-            if self.lagged:
-                F = (br1 * lag[0, :2 * m + 1] * lag[1, :2 * m + 1]).tolist()
-                yield i0, zip(F[0:-1:2], F[1::2], F[2::2]), rows
-            else:
+            if not self.lagged:
                 yield i0, repeat((0.0, 0.0, 0.0), m), rows
-            self._close(i0, rows)
+                self._store(i0, rows)
+                continue
+            F = (br1 * lag[0, :2 * m + 1] * lag[1, :2 * m + 1]).tolist()
+            yield i0, zip(F[0:-1:2], F[1::2], F[2::2]), rows
+            if self._store(i0, rows) < self.n:
+                self._next_lag(i0, rows[-3:], F[-1])
 
-    def _close(self, i0: int, rows: list) -> None:
-        """Store a finished block and make the lag buffer the next block's.
+    def _next_lag(self, i0: int, last: list, loss: float) -> None:
+        """Make the lag buffer the next block's, after the full block from
+        step i0 whose last state is last.
 
         The midpoint of the block's last step needs the derivative at the
-        next block's first node, whose delayed value is a delay back and
-        so the buffer's last column until it is overwritten; it is the
-        same expression the next block's first step evaluates, and is
-        the final row if no block follows.
+        next block's first node, whose delayed loss, loss, is the block's
+        last; it is formed here in the order the next block's first step
+        forms its k1.
         """
-        b = self._store(i0, rows)
-        state = State(*rows[-3:])
-        delayed = State(*self.lag[:, 2 * (b - i0)].tolist(), 0.0) if self.lagged else state
-        self.derivs[b] = reduced_rhs(state, delayed, self.params)
-        if self.lagged and b < self.n:
-            y, d = self.states[i0:b + 1, :2].T, self.derivs[i0:b + 1, :2].T
-            self.lag[:, 1::2] = 0.5 * (y[:, :-1] + y[:, 1:]) + 0.125 * self.h * (d[:, :-1] - d[:, 1:])
-            self.lag[:, 0::2] = y
+        r1, a1, r2, a2, _, br2 = self.rates[:6]
+        u, v, w = last
+        self.slopes[-1] = r1 * u * (1.0 - a1 * u) - loss, r2 * v * (1.0 - a2 * v) + br2 * w
+        y, d = self.states[i0:i0 + self.block + 1, :2].T, self.slopes.T
+        self.lag[:, 1::2] = 0.5 * (y[:, :-1] + y[:, 1:]) + 0.125 * self.h * (d[:, :-1] - d[:, 1:])
+        self.lag[:, 0::2] = y
 
     def diverged(self, i0: int, rows: list) -> SimulationDiverged:
         """The exception for a block whose last row is past the bound."""
@@ -397,10 +425,10 @@ class _Run:
         return SimulationDiverged(b * self.h, self._orthant_exit(b), self.nd)
 
     def _store(self, i0: int, rows: list) -> int:
-        """Put the rows of steps i0, i0+1, ... into states and derivs; the next node index."""
+        """Put the rows of steps i0, i0+1, ... into slopes and states; the next node index."""
         m = len(rows) // 6
         block = np.fromiter(rows, float, len(rows)).reshape(m, 6)
-        self.derivs[i0:i0 + m] = block[:, :3]
+        self.slopes[:m] = block[:, :2]
         self.states[i0 + 1:i0 + m + 1] = block[:, 3:]
         return i0 + m
 
@@ -415,7 +443,7 @@ class _Run:
     def trajectory(self) -> Trajectory:
         """The finished run."""
         return Trajectory(t0=0.0, t_end=self.n * self.h, step=self.h, states=self.states,
-                          dense_coeffs=self.derivs,
+                          params=self.params, history_nodes=self.history_nodes,
                           left_positive_orthant_at=self._orthant_exit(self.n),
                           steps_per_delay=self.nd)
 
@@ -666,7 +694,7 @@ def simulate_distributed(params: ModelParams, history: HistorySpec, t_end: float
             if not lagged:
                 f1 = br1 * u * v
             k1u = r1 * u * (1.0 - a1 * u) - f1
-            k1v = r2 * v * (1.0 - a2 * v) + br2 * (S + w0_tail * u * v)
+            k1v = r2 * v * (1.0 - a2 * v) + br2 * w_cur
             k1w = u * v - mr * w_cur
             if i:
                 # replace last step's seeded half product with its Hermite value
@@ -705,13 +733,20 @@ def simulate_distributed(params: ModelParams, history: HistorySpec, t_end: float
 def fft_period(values, step: float) -> float | None:
     """Dominant period of a uniformly sampled signal, or None if flat.
 
-    The spectral peak is sharpened by parabolic interpolation of the
-    magnitude across the peak bin, which recovers off-bin frequencies to
-    far better than one bin width.
+    Only the newest _fast_length(n) of the n samples are transformed:
+    numpy's FFT takes a length with a large prime factor (a run's tail
+    of 61,882 = 2*30,941 samples, say) by Bluestein's algorithm, in
+    several times the time and with a workspace several times the
+    signal. The oldest samples it drops are under 10% of any signal of
+    64 samples or more, and under 4% past 10,000. The spectral peak is
+    sharpened by parabolic interpolation of the magnitude across the
+    peak bin, which recovers off-bin frequencies to far better than one
+    bin width.
     """
     x = np.asarray(values, dtype=float)
     if x.ndim != 1 or len(x) < 8:
         return None
+    x = x[len(x) - _fast_length(len(x)):]
     x = x - x.mean()
     mag = np.abs(np.fft.rfft(x))
     # k >= 1, and mag[0] is at rounding level after the mean removal, so
@@ -723,6 +758,21 @@ def fft_period(values, step: float) -> float | None:
     if k < len(mag) - 1:
         return len(x) * step / (k + float(_vertex_shift(*mag[k - 1:k + 2])))
     return len(x) * step / k
+
+
+def _fast_length(n: int) -> int:
+    """The largest length up to n with no prime factor above 5."""
+    best, p2 = 1, 1
+    while p2 <= n:
+        p3 = p2
+        while p3 <= n:
+            p5 = p3
+            while 5 * p5 <= n:
+                p5 *= 5
+            best = max(best, p5)
+            p3 *= 3
+        p2 *= 2
+    return best
 
 
 def _vertex_shift(left, mid, right):

@@ -213,6 +213,21 @@ def test_run_checks_the_model_before_anything_is_written(tmp_path):
 
 
 @pytest.mark.parametrize("params, sweep, message", [
+    (dict(REFERENCE, s=2.0, a1=-1.0), ("s", 1.0, 3.0, 3), "a1 must be positive, got -1.0"),
+    (dict(REFERENCE, s=2.0, mu=-1.0), ("r1", -0.5, 0.5, 3), "mu must be nonnegative, got -1.0"),
+], ids=["fixed key", "fixed key, swept from an invalid point"])
+def test_run_checks_a_sweeps_fixed_model_keys_before_anything_is_written(tmp_path, params,
+                                                                          sweep, message):
+    # a Sweep RunConfig built by hand checks its fixed model keys; its
+    # grid may start at an invalid point (test_sweep_rows_equal_the_one_point_chain)
+    out = tmp_path / "out"
+    with pytest.raises(ValueError) as err:
+        run(RunConfig(Command.SWEEP, params, sweep=SweepOpts(*sweep)), out)
+    assert str(err.value) == message
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("params, sweep, message", [
     (dict(REFERENCE, s=2.0), None,
      "missing required keys: sweep_param, sweep_min, sweep_max, sweep_count"),
     ({k: v for k, v in REFERENCE.items() if k != "mu"}, ("s", 1.0, 3.0, 3),

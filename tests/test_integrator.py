@@ -29,8 +29,8 @@ from infodelay import (
 )
 import infodelay
 from infodelay import integrator
-from infodelay.integrator import (_CSV_CHUNK, _MAX_BLOCK, _Run, _first_node_from, _prominent_peaks,
-                                  _step_error)
+from infodelay.integrator import (_CSV_CHUNK, _MAX_BLOCK, _Run, _fast_length, _first_node_from,
+                                  _prominent_peaks, _step_error)
 from infodelay.model import State, distributed_w_oracle, reduced_rhs
 from conftest import ESTAR, S_STAR, draw_params, make_params, screen_for_flip
 
@@ -170,8 +170,7 @@ def test_first_node_from_is_the_search_of_the_node_times(t0):
     rng = np.random.default_rng(20)
     steps = [2.02 / 25, 2.02 / 50, 0.0101, 1.0 / 3.0, *rng.uniform(1e-3, 1.0, 12)]
     for step, rows in zip(steps, rng.integers(2, 5000, len(steps))):
-        traj = Trajectory(t0, t0 + step * (rows - 1), step, np.zeros((rows, 3)),
-                          np.zeros((rows, 3)))
+        traj = Trajectory(t0, t0 + step * (rows - 1), step, np.zeros((rows, 3)))
         times = traj.times
         ts = np.concatenate([times, np.nextafter(times, -np.inf), np.nextafter(times, np.inf),
                              rng.uniform(t0 - step, traj.t_end + step, 1000)])
@@ -228,22 +227,26 @@ def _per_step_rk4(p, hist, t_end, spd):
 _RAMP = HistorySpec.sampled([-2.0, 0.0], [[0.9, 1.1], [1.01, 0.99]])
 
 
-@pytest.mark.parametrize("s, hist, t_end, spd", [
-    (2.02, _flat(1.01, 0.99), 120.0, 20),
-    (2.02, _flat(1.01, 0.99), 120.0, 37),
-    (2.02, _flat(1.05, 0.95), 101.3, 50),
-    (2.02, _flat(1.05, 0.95), 0.7, 50),
-    (0.0, _flat(1.05, 0.95), 250.0, 20),
-    (2.0, _RAMP, 60.0, 50),
-    (2.0, _flat(1e3, 1e3), 10.0, 50),
-    (2.0, _flat(1.0, -0.05), 20.0, 50),
-    (0.3, _flat(1.05, 0.95), 2.0, 5000),
+@pytest.mark.parametrize("s, hist, t_end, spd, overrides", [
+    (2.02, _flat(1.01, 0.99), 120.0, 20, {}),
+    (2.02, _flat(1.01, 0.99), 120.0, 37, {}),
+    (2.02, _flat(1.05, 0.95), 101.3, 50, {}),
+    (2.02, _flat(1.05, 0.95), 0.7, 50, {}),
+    (0.0, _flat(1.05, 0.95), 250.0, 20, {}),
+    (2.0, _RAMP, 60.0, 50, {}),
+    (2.0, _flat(1e3, 1e3), 10.0, 50, {}),
+    (2.0, _flat(1.0, -0.05), 20.0, 50, {}),
+    (0.3, _flat(1.05, 0.95), 2.0, 5000, {}),
+    (2.02, _flat(1.01, 0.99), 120.0, 50, {"r1": 0.3, "r2": 0.3}),
 ], ids=["spd20", "spd37", "partial-last-block", "t_end-below-s", "s0-past-block-cap",
-        "ramp-history", "diverging-start", "negative-v-start", "delay-block-past-cap"])
-def test_delay_blocks_match_per_step_rk4(s, hist, t_end, spd):
+        "ramp-history", "diverging-start", "negative-v-start", "delay-block-past-cap",
+        "rates-not-powers-of-2"])
+def test_delay_blocks_match_per_step_rk4(s, hist, t_end, spd, overrides):
     # the block loop evaluates the same expressions in the same order as
-    # a per-step loop, so states, dense rows and event times agree bit for bit
-    p = make_params(s)
+    # a per-step loop, so states, dense rows and event times agree bit for
+    # bit; the reference r1 = r2 = 0.5 multiplies exactly, so one case
+    # has rates whose products round and an order change shows
+    p = make_params(s, **overrides)
     want_states, want_derivs, want_time, want_left = _per_step_rk4(p, hist, t_end, spd)
     if want_time is not None:
         with pytest.raises(SimulationDiverged) as exc:
@@ -281,7 +284,7 @@ def _special_trajectory(rows):
     states[0] = (-0.0, 5e-324, -1e5 * math.pi)
     states[-1, 1:] = (-2.2250738585072014e-308 / 3.0, 123456.789)
     return Trajectory(t0=-12.375, t_end=-12.375 + 0.0101 * (rows - 1), step=0.0101,
-                      states=states, dense_coeffs=np.zeros_like(states))
+                      states=states)
 
 
 def _savetxt_bytes(traj, tmp_path):
@@ -338,7 +341,7 @@ def _percent_g_mismatches(values, step):
     a row after the t column of the given step, that differ from
     '%.17g' % v, as (want, got) pairs."""
     states = np.resize(values, (-(-len(values) // 3), 3))
-    traj = Trajectory(0.0, step * (len(states) - 1), step, states, np.zeros_like(states))
+    traj = Trajectory(0.0, step * (len(states) - 1), step, states)
     buf = io.BytesIO()
     traj._write_rows(buf)
     got = buf.getvalue().decode().replace("\n", ",").split(",")[:-1]
@@ -375,7 +378,7 @@ def test_row_formatter_matches_percent_g(tmp_path):
     states = rng.uniform(0.05, 1.5, (3001, 3))
     specials = [5e-324, -1e-300, 1e-5, 1e17, 1e300, math.inf, -math.inf, math.nan]
     states.flat[rng.choice(states.size, 300, replace=False)] = rng.choice(specials, 300)
-    traj = Trajectory(0.0, 0.04 * 3000, 0.04, states, np.zeros_like(states))
+    traj = Trajectory(0.0, 0.04 * 3000, 0.04, states)
     traj.to_csv(tmp_path / "mixed.csv")
     assert (tmp_path / "mixed.csv").read_bytes() == _savetxt_bytes(traj, tmp_path)
 
@@ -463,16 +466,22 @@ def _traced_peak(fn, *args) -> int:
 
 
 @pytest.mark.parametrize("stage, bound", [
-    ("simulate", 2.2), ("cycle_metrics", 1.1), ("_step_error", 0.4), ("traj(t)", 0.05),
+    ("simulate", 1.25), ("simulate_distributed", 1.25), ("simulate_to_tolerance", 1.25),
+    ("cycle_metrics", 1.1), ("_step_error", 0.4), ("traj(t)", 0.05),
 ])
-def test_working_memory_is_bounded_by_the_states(stage, bound):
-    # a run holds its states and dense rows plus one delay of lag, and
-    # the stages after it copy no whole run (dense output at one point
-    # forms no node times); bounds in states.nbytes
+def test_working_memory_is_bounded_by_the_states(monkeypatch, stage, bound):
+    # a run holds its states plus one delay of lag and one block of
+    # slopes, and the stages after it copy no whole run (dense output at
+    # one point forms no node times); bounds in states.nbytes of the spd
+    # 50 run. The ladder's spd 25 run is forked into a shared map, which
+    # tracemalloc does not see, so what is bounded is the spd 50 run here
+    monkeypatch.setattr(integrator, "_spare_cpu", lambda: True)
     p, hist = make_params(2.02), _flat(1.01, 0.99)
     traj = simulate(p, hist, 1000.0, 50)
     calls = {
         "simulate": (simulate, p, hist, 1000.0, 50),
+        "simulate_distributed": (simulate_distributed, p, hist, 1000.0, 50),
+        "simulate_to_tolerance": (simulate_to_tolerance, p, hist, 1000.0),
         "cycle_metrics": (cycle_metrics, traj, ESTAR),
         "_step_error": (_step_error, 25, simulate(p, hist, 1000.0, 25).states, 50, traj.states),
         "traj(t)": (traj, 537.37),
@@ -787,8 +796,7 @@ def test_distributed_w0_on_slow_kernel(hist):
 def _synthetic(times, u, eq=1.0):
     states = np.column_stack([u, np.full_like(u, eq), np.full_like(u, eq)])
     return Trajectory(t0=float(times[0]), t_end=float(times[-1]),
-                      step=float(times[1] - times[0]), states=states,
-                      dense_coeffs=np.zeros_like(states))
+                      step=float(times[1] - times[0]), states=states)
 
 
 def test_metrics_converged_signal():
@@ -894,6 +902,22 @@ def test_import_leaves_scipy_out():
 def test_fft_period_recovers_off_bin_frequency():
     step = 0.5
     t = np.arange(0.0, 2048.0, step)
+    got = fft_period(np.sin(2 * np.pi * t / 17.3), step)
+    assert abs(got - 17.3) / 17.3 < 0.01
+
+
+@pytest.mark.parametrize("n, fast", [
+    (61_882, 61_440), (61_968, 61_440), (10_007, 10_000), (65_536, 65_536), (8, 8), (7, 6),
+    (1, 1),
+], ids=["reference tail", "ladder tail", "prime", "power of 2", "8", "7", "1"])
+def test_fast_length_is_the_largest_5_smooth_length(n, fast):
+    assert _fast_length(n) == fast
+
+
+def test_fft_period_on_a_prime_length():
+    # 4099 samples, a prime: the newest 4096 are transformed
+    step = 0.5
+    t = np.arange(4099) * step
     got = fft_period(np.sin(2 * np.pi * t / 17.3), step)
     assert abs(got - 17.3) / 17.3 < 0.01
 
