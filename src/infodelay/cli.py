@@ -21,7 +21,13 @@ Every run writes report.json and report.csv (the same content, nested
 vs. flattened); Simulate adds trajectory.csv and, with --plot, five SVG
 figures; Sweep adds sweep.csv. run() returns the document report.json
 holds: an ordered dict of the _REPORT_KEYS, each section filled in by
-the command that computes it. Outputs are byte-stable for identical
+the command that computes it. report.json is exactly
+json.dumps(doc, indent=2) + "\n" of that document, and report.csv
+exactly what csv.writer makes of its dotted-key leaves (floats at
+%.17g, everything else JSON-encoded). A Sweep's rows are the one part
+not encoded that way: _SweepTable formats each cell once per
+representation, a block of rows at a time, and writes the same bytes
+into both reports and sweep.csv. Outputs are byte-stable for identical
 inputs. Exit codes: 0 on success (including analytically degenerate
 cases, which are reported in-band), 1 for an invalid config, 2 for
 filesystem trouble.
@@ -30,6 +36,8 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
+import itertools
 import json
 import math
 import sys
@@ -78,6 +86,8 @@ _REPORT_KEYS = ("command", "params", "equilibria", "h1_holds", "char_coeffs", "g
 _CYCLE_KEYS = tuple(f.name for f in fields(CycleMetrics))
 # the columns of a Sweep row, in sweep.csv's order after the param name
 _SWEEP_COLUMNS = ("value", "s0", "chi1", "chi2", "direction")
+# stands in for a Sweep's rows while the rest of its report is encoded
+_ROWS_MARK = "\0rows"
 
 
 class Command(str, Enum):
@@ -308,14 +318,24 @@ def _csv_cell(value) -> str:
     return json.dumps(value)
 
 
-def _write_report(doc: dict, out_dir: Path) -> None:
-    with open(out_dir / "report.json", "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
-    with open(out_dir / "report.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
+def _write_report(doc: dict, out_dir: Path, table: _SweepTable | None = None) -> None:
+    """Write report.json, json.dumps(doc, indent=2) + "\n", and report.csv,
+    csv.writer's rows of doc's dotted leaves. A Sweep's doc holds
+    _ROWS_MARK in place of its rows: the table writes their text where
+    the mark lands in each file, and sweep.csv beside them."""
+    head, _, tail = (json.dumps(doc, indent=2) + "\n").partition(json.dumps(_ROWS_MARK))
+    with open(out_dir / "report.json", "w", encoding="utf-8") as fj, \
+            open(out_dir / "report.csv", "w", newline="", encoding="utf-8") as fc:
+        fj.write(head)
+        writer = csv.writer(fc, lineterminator="\n")
         writer.writerow(["key", "value"])
-        writer.writerows([key, _csv_cell(value)] for key, value in _flatten(doc))
+        for key, value in _flatten(doc):
+            if value == _ROWS_MARK:
+                line = head[head.rfind("\n") + 1:]
+                table.write(fj, fc, key, len(line) - len(line.lstrip(" ")))
+            else:
+                writer.writerow([key, _csv_cell(value)])
+        fj.write(tail)
 
 
 def _missing_estar_note(estar, consequence: str) -> str:
@@ -440,41 +460,91 @@ def _run_simulate(report: dict, config: RunConfig, params: ModelParams,
         trajectory_plots(traj, out_dir)
 
 
-def _sweep_rows(values: np.ndarray, nfs: NormalForms) -> list[dict]:
-    """Sweep rows of one block: s0 where the point has a switch, chi1,
-    chi2 and direction where its normal form was computed."""
-    rows = []
-    for i, value in enumerate(values.tolist()):
-        row = dict(dict.fromkeys(_SWEEP_COLUMNS), value=value)
-        if not math.isnan(nfs.s0[i]):
-            row["s0"] = float(nfs.s0[i])
-        if nfs.ok[i]:
-            chi1, chi2 = float(nfs.Gamma1[i].real), float(nfs.Gamma2[i].real)
-            row.update(chi1=chi1, chi2=chi2, direction=classify(chi1, chi2).value)
-        rows.append(row)
-    return rows
+def _csv_field(text: str) -> str:
+    """text as csv.writer writes it among other fields of a row."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow([text, ""])
+    return buf.getvalue()[:-2]
 
 
-def _run_sweep(report: dict, config: RunConfig, out_dir: Path) -> None:
+# a direction cell's document value, JSON text, report.csv text and
+# sweep.csv text
+_WORD_CELLS = {None: (None, "null", "null", ""),
+               **{d.value: (d.value, json.dumps(d.value), _csv_field(json.dumps(d.value)),
+                            _csv_field(d.value)) for d in Direction}}
+
+
+def _float_cells(x: np.ndarray, present: np.ndarray) -> tuple:
+    """A float column's document values, JSON texts, report.csv texts and
+    sweep.csv texts. An absent cell is None, null, null and empty; a
+    present one that is not finite is None, null, null and its %.17g."""
+    values = x.tolist()
+    shown = (present & np.isfinite(x)).tolist()
+    digits = list(map("%.17g".__mod__, values))
+    return ([v if s else None for v, s in zip(values, shown)],
+            [repr(v) if s else "null" for v, s in zip(values, shown)],
+            [d if s else "null" for d, s in zip(digits, shown)],
+            [d if p else "" for d, p in zip(digits, present.tolist())])
+
+
+class _SweepTable:
+    """A Sweep's rows, kept as columns until they are written. Each cell
+    is formatted once per representation, a block of rows at a time,
+    and report.json, report.csv and sweep.csv are written from those
+    texts; rows then holds the row dicts of the report document."""
+
+    def __init__(self, param: str, path: Path):
+        self.param, self.path = param, path
+        self.blocks = []
+        self.rows = []
+
+    def add(self, values: np.ndarray, nfs: NormalForms) -> None:
+        """One block of rows: s0 where the point has a switch, chi1, chi2
+        and direction where its normal form was computed."""
+        chi1, chi2 = nfs.Gamma1.real, nfs.Gamma2.real
+        c1, c2 = chi1.tolist(), chi2.tolist()
+        words = [None] * len(values)
+        for i in np.flatnonzero(nfs.ok).tolist():
+            words[i] = classify(c1[i], c2[i]).value
+        self.blocks.append(((values, np.ones(len(values), bool)), (nfs.s0, ~np.isnan(nfs.s0)),
+                            (chi1, nfs.ok), (chi2, nfs.ok), words))
+
+    def write(self, fj, fc, key: str, pad: int) -> None:
+        """Write the rows into report.json as the list at indent pad and
+        into report.csv under key, and sweep.csv; the key, the column
+        names and the param are identifiers, which csv.writer never
+        quotes."""
+        ind = " " * pad
+        members = ",\n".join(f"{ind}    {json.dumps(c)}: %s" for c in _SWEEP_COLUMNS)
+        json_row = f"{ind}  {{\n{members}\n{ind}  }}"
+        csv_row = "".join(f"{key}.{{0}}.{c},{{{j}}}\n" for j, c in enumerate(_SWEEP_COLUMNS, 1))
+        sweep_row = ",".join([self.param] + ["%s"] * len(_SWEEP_COLUMNS)) + "\n"
+        sep, start = "[\n", 0
+        with open(self.path, "w", newline="", encoding="utf-8") as fs:
+            csv.writer(fs, lineterminator="\n").writerow(["param", *_SWEEP_COLUMNS])
+            for *floats, words in self.blocks:
+                cells = [_float_cells(x, present) for x, present in floats]
+                cells.append(zip(*map(_WORD_CELLS.__getitem__, words)))
+                values, json_text, csv_text, sweep_text = zip(*cells)
+                self.rows += [dict(zip(_SWEEP_COLUMNS, row)) for row in zip(*values)]
+                fj.write(sep + ",\n".join(map(json_row.__mod__, zip(*json_text))))
+                index = range(start, start + len(words))
+                fc.write("".join(itertools.starmap(csv_row.format, zip(index, *csv_text))))
+                fs.write("".join(map(sweep_row.__mod__, zip(*sweep_text))))
+                sep, start = ",\n", start + len(words)
+        fj.write(f"\n{ind}]" if self.blocks else "[]")
+
+
+def _run_sweep(report: dict, config: RunConfig, out_dir: Path) -> _SweepTable:
     opts = config.sweep
     grid = np.linspace(opts.lo, opts.hi, opts.count)
-    rows = []
+    table = _SweepTable(opts.param, out_dir / "sweep.csv")
     for start in range(0, opts.count, _SWEEP_BLOCK):
         values = grid[start:start + _SWEEP_BLOCK]
-        rows += _sweep_rows(values, normal_forms(ParamGrid.of(
-            {**config.param_values, opts.param: values})))
+        table.add(values, normal_forms(ParamGrid.of({**config.param_values, opts.param: values})))
     report["sweep"] = {"param": opts.param, "min": opts.lo, "max": opts.hi,
-                       "count": opts.count, "rows": rows}
-    with open(out_dir / "sweep.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["param", *_SWEEP_COLUMNS])
-        for row in rows:
-            writer.writerow([opts.param, *map(_sweep_cell, row.values())])
-
-
-def _sweep_cell(value) -> str:
-    # empty where the point has nothing, floats at 17 digits, words as is
-    return "" if value is None else format(value, ".17g") if isinstance(value, float) else value
+                       "count": opts.count, "rows": _ROWS_MARK}
+    return table
 
 
 def run(config: RunConfig, output_dir=".", plot: bool = False) -> dict:
@@ -496,8 +566,9 @@ def run(config: RunConfig, output_dir=".", plot: bool = False) -> dict:
     out_dir.mkdir(parents=True, exist_ok=True)
     report = dict.fromkeys(_REPORT_KEYS)
     report.update(command=command, params=config.param_values, notes=[])
+    table = None
     if command is Command.SWEEP:
-        _run_sweep(report, config, out_dir)
+        table = _run_sweep(report, config, out_dir)
     elif command is Command.SIMULATE:
         _run_simulate(report, config, params, history, out_dir, plot)
     else:
@@ -507,7 +578,9 @@ def run(config: RunConfig, output_dir=".", plot: bool = False) -> dict:
             want_direction=command in (Command.ANALYZE, Command.DIRECTION),
         )
     doc = _jsonify(report)
-    _write_report(doc, out_dir)
+    _write_report(doc, out_dir, table)
+    if table is not None:
+        doc["sweep"]["rows"] = table.rows
     return doc
 
 

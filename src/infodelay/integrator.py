@@ -358,8 +358,8 @@ class _Run:
     b1*r1*u*v at each step's first node, midpoint and last node (one
     numpy expression per block; placeholder zeros when s = 0, where each
     stage uses its own product) and an empty list, to which the caller
-    appends per step the row (k1u, k1v, k1w, u, v, w): the derivative at
-    the step's first node and the state at its last. Asking for the next
+    appends per step the row (k1u, k1v, u, v, w): the (u, v) derivative
+    at the step's first node and the state at its last. Asking for the next
     block stores the states and keeps the (u, v) derivatives of that
     block alone in slopes, for its midpoints. A row past the bound is
     appended too, and diverged() stores them all. rates are the
@@ -426,10 +426,10 @@ class _Run:
 
     def _store(self, i0: int, rows: list) -> int:
         """Put the rows of steps i0, i0+1, ... into slopes and states; the next node index."""
-        m = len(rows) // 6
-        block = np.fromiter(rows, float, len(rows)).reshape(m, 6)
+        m = len(rows) // 5
+        block = np.fromiter(rows, float, len(rows)).reshape(m, 5)
         self.slopes[:m] = block[:, :2]
-        self.states[i0 + 1:i0 + m + 1] = block[:, 3:]
+        self.states[i0 + 1:i0 + m + 1] = block[:, 2:]
         return i0 + m
 
     def _orthant_exit(self, last: int) -> float | None:
@@ -493,7 +493,7 @@ def simulate(params: ModelParams, history: HistorySpec, t_end: float,
             u += sixth * (k1u + 2.0 * (k2u + k3u) + k4u)
             v += sixth * (k1v + 2.0 * (k2v + k3v) + k4v)
             w += sixth * (k1w + 2.0 * (k2w + k3w) + k4w)
-            rows.extend((k1u, k1v, k1w, u, v, w))
+            rows.extend((k1u, k1v, u, v, w))
             if not (abs(u) <= bound and abs(v) <= bound and abs(w) <= bound):
                 raise run.diverged(i0, rows)
     return run.trajectory()
@@ -695,7 +695,6 @@ def simulate_distributed(params: ModelParams, history: HistorySpec, t_end: float
                 f1 = br1 * u * v
             k1u = r1 * u * (1.0 - a1 * u) - f1
             k1v = r2 * v * (1.0 - a2 * v) + br2 * w_cur
-            k1w = u * v - mr * w_cur
             if i:
                 # replace last step's seeded half product with its Hermite value
                 um = 0.5 * (pu + u) + eighth * (pku - k1u)
@@ -724,7 +723,7 @@ def simulate_distributed(params: ModelParams, history: HistorySpec, t_end: float
             v += sixth * (k1v + 2.0 * (k2v + k3v) + k4v)
             uv = u * v
             w_cur = S + w0_tail * uv
-            rows.extend((k1u, k1v, k1w, u, v, w_cur))
+            rows.extend((k1u, k1v, u, v, w_cur))
             if not (abs(u) <= bound and abs(v) <= bound and abs(w_cur) <= bound):
                 raise run.diverged(i0, rows)
     return run.trajectory()

@@ -2,8 +2,10 @@
 
 import csv
 import hashlib
+import io
 import json
 import math
+import re
 import textwrap
 from dataclasses import fields
 
@@ -350,7 +352,26 @@ def test_report_json_is_deterministic(tmp_path):
 
 
 def test_report_csv_round_trips_json(tmp_path):
-    run(parse_config(cfg("Analyze")), tmp_path)
+    _assert_report_csv_round_trips(tmp_path, cfg("Analyze"))
+
+
+def test_sweep_report_csv_round_trips_json(tmp_path):
+    # a grid with empty cells and both direction words
+    extra = "sweep_param = b1\nsweep_min = -0.3\nsweep_max = 1.3\nsweep_count = 40\n"
+    _assert_report_csv_round_trips(tmp_path, cfg("Sweep", extra=extra))
+
+
+def _dotted_leaves(node, prefix=""):
+    if isinstance(node, (dict, list)):
+        items = node.items() if isinstance(node, dict) else enumerate(node)
+        for k, v in items:
+            yield from _dotted_leaves(v, f"{prefix}.{k}" if prefix else str(k))
+    else:
+        yield prefix, node
+
+
+def _assert_report_csv_round_trips(tmp_path, text):
+    run(parse_config(text), tmp_path)
     doc = json.loads((tmp_path / "report.json").read_text())
     with open(tmp_path / "report.csv", newline="") as fh:
         rows = list(csv.reader(fh))
@@ -360,19 +381,7 @@ def test_report_csv_round_trips_json(tmp_path):
 
     # every flattened leaf must agree with the JSON document: floats as
     # 17-digit decimals, everything else JSON-encoded
-    leaves = {}
-
-    def walk(node, prefix):
-        if isinstance(node, dict):
-            for k, v in node.items():
-                walk(v, f"{prefix}.{k}" if prefix else k)
-        elif isinstance(node, list):
-            for i, v in enumerate(node):
-                walk(v, f"{prefix}.{i}")
-        else:
-            leaves[prefix] = node
-
-    walk(doc, "")
+    leaves = dict(_dotted_leaves(doc))
     assert set(got) == set(leaves)
     for key, node in leaves.items():
         if isinstance(node, float):
@@ -766,6 +775,57 @@ def test_sweep_rows_equal_the_one_point_chain(tmp_path, param, lo, hi, count):
             assert abs(row["chi1"] - nf.chi1) <= 1e-12 * abs(nf.Gamma1)
             assert abs(row["chi2"] - nf.chi2) <= 1e-12 * abs(nf.Gamma2)
     assert count == 1 or len(kinds) >= 2, kinds
+
+
+def _csv_text(rows):
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("name", list(_SWEEP_GRIDS))
+def test_sweep_files_equal_the_reference_encoders(tmp_path, name):
+    param, lo, hi, count = _SWEEP_GRIDS[name]
+    config = RunConfig(command=Command.SWEEP, param_values={**REFERENCE, "s": 2.0},
+                       sweep=SweepOpts(param=param, lo=lo, hi=hi, count=count))
+    doc = run(config, tmp_path)
+    report_json = (tmp_path / "report.json").read_text(encoding="utf-8")
+    assert report_json == json.dumps(doc, indent=2) + "\n"
+    leaves = [[key, format(v, ".17g") if isinstance(v, float) else json.dumps(v)]
+              for key, v in _dotted_leaves(doc)]
+    assert (tmp_path / "report.csv").read_text(encoding="utf-8") == _csv_text(
+        [["key", "value"], *leaves])
+    rows = doc["sweep"]["rows"]
+    cells = [[param, *("" if v is None else format(v, ".17g") if isinstance(v, float) else v
+                       for v in row.values())] for row in rows]
+    assert (tmp_path / "sweep.csv").read_text(encoding="utf-8") == _csv_text(
+        [["param", "value", "s0", "chi1", "chi2", "direction"], *cells])
+    assert len(rows) == count
+    if name == "no crossing near b1 = 0, subcritical":
+        # one chi1 near the super/subcritical border, 6.05e-05, is a cell
+        # that repr and %.17g both print in exponent form
+        assert re.search(r'": -?\d\.\d+e-\d+,?$', report_json, re.MULTILINE)
+
+
+def test_sweep_cell_that_is_not_finite(tmp_path, monkeypatch):
+    # a computed chi1 that is not finite is null in both reports, but
+    # sweep.csv prints it, since only absent cells are empty there
+    real = cli.normal_forms
+
+    def with_infinite_chi1(grid):
+        nfs = real(grid)
+        nfs.Gamma1[0] = complex(math.inf, 0.0)
+        return nfs
+
+    monkeypatch.setattr(cli, "normal_forms", with_infinite_chi1)
+    extra = "sweep_param = mu\nsweep_min = 1.5\nsweep_max = 3.0\nsweep_count = 4\n"
+    doc = run(parse_config(cfg("Sweep", extra=extra)), tmp_path)
+    assert (tmp_path / "report.json").read_text() == json.dumps(doc, indent=2) + "\n"
+    row = doc["sweep"]["rows"][0]
+    assert row["chi1"] is None and row["chi2"] is not None and row["direction"] is not None
+    assert "sweep.rows.0.chi1,null\n" in (tmp_path / "report.csv").read_text()
+    cells = (tmp_path / "sweep.csv").read_text().splitlines()[1].split(",")
+    assert cells[3] == "inf" and cells[4] == format(row["chi2"], ".17g")
 
 
 def test_sweep_reports_empty_cells_when_analysis_is_inapplicable(tmp_path):

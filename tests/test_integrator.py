@@ -694,7 +694,6 @@ def _direct_quadrature(p, hist, t_end, spd):
             sn = float(wk_past @ q[2 * i: 2 * i + ns])
             k1u = r1 * u * (1.0 - a1 * u) - f1
             k1v = r2 * v * (1.0 - a2 * v) + br2 * (sn + w0_tail * u * v)
-            k1w = u * v - mr * w_cur
             if i:
                 um = 0.5 * (pu + u) + eighth * (pku - k1u)
                 vm = 0.5 * (pv + v) + eighth * (pkv - k1v)
@@ -722,7 +721,7 @@ def _direct_quadrature(p, hist, t_end, spd):
             v += sixth * (k1v + 2.0 * (k2v + k3v) + k4v)
             q[base + 2] = u * v
             w_cur = sn1 + w0_tail * u * v
-            rows.extend((k1u, k1v, k1w, u, v, w_cur))
+            rows.extend((k1u, k1v, u, v, w_cur))
             if not (abs(u) <= 1e6 and abs(v) <= 1e6 and abs(w_cur) <= 1e6):
                 return run.diverged(i0, rows)
     return run.trajectory()
