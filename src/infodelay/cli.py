@@ -31,6 +31,9 @@ into both reports and sweep.csv. Outputs are byte-stable for identical
 inputs. Exit codes: 0 on success (including analytically degenerate
 cases, which are reported in-band), 1 for an invalid config, 2 for
 filesystem trouble.
+
+Only Simulate loads the time-domain stack, integrator and plots: it
+imports them when it runs, so the other commands never load them.
 """
 from __future__ import annotations
 
@@ -47,14 +50,10 @@ from pathlib import Path
 
 import numpy as np
 
-from . import integrator
-from .integrator import (CycleMetrics, HistorySpec, SimulationDiverged, cycle_metrics, simulate,
-                         simulate_to_tolerance)
 from .model import ModelParams, ParamGrid, State, equilibria
 from .normal_form import (Direction, NormalForm, NormalForms, ResonanceError, classify,
                           compute_normal_form, eigen_residuals, linearize, normal_forms,
                           predicted_amplitude, predicted_component_amplitudes, predicted_period)
-from .plots import trajectory_plots
 from .stability import (char_coeffs, crossing_drift, g_cubic, h1_holds, hopf_candidates,
                         near_double_root)
 
@@ -82,8 +81,6 @@ _SWEEP_BLOCK = 512
 # report.json's top-level keys, in order
 _REPORT_KEYS = ("command", "params", "equilibria", "h1_holds", "char_coeffs", "g_coeffs",
                 "candidates", "s0", "normal_form", "simulation", "sweep", "notes")
-# the Simulate report writes the CycleMetrics fields in their order
-_CYCLE_KEYS = tuple(f.name for f in fields(CycleMetrics))
 # the columns of a Sweep row, in sweep.csv's order after the param name
 _SWEEP_COLUMNS = ("value", "s0", "chi1", "chi2", "direction")
 # stands in for a Sweep's rows while the rest of its report is encoded
@@ -410,6 +407,13 @@ def _prediction(nf: NormalForm, delta: float) -> dict | None:
 
 def _run_simulate(report: dict, config: RunConfig, params: ModelParams,
                   history: HistorySpec, out_dir: Path, plot: bool) -> None:
+    # the time-domain stack is imported by the one command that runs it
+    from .integrator import (_STEP_RTOL, CycleMetrics, SimulationDiverged, cycle_metrics,
+                             simulate, simulate_to_tolerance)
+    from .plots import trajectory_plots
+
+    # the Simulate report writes the CycleMetrics fields in their order
+    cycle_keys = tuple(f.name for f in fields(CycleMetrics))
     eqs = report["equilibria"] = equilibria(params)
     estar = eqs[3]
     # every outcome writes these keys in this order; null where a
@@ -427,7 +431,7 @@ def _run_simulate(report: dict, config: RunConfig, params: ModelParams,
         "t_end": None,
         "step": None,
         "final_state": None,
-        **dict.fromkeys(_CYCLE_KEYS),
+        **dict.fromkeys(cycle_keys),
     }
     try:
         if config.steps_per_delay is None:
@@ -440,7 +444,7 @@ def _run_simulate(report: dict, config: RunConfig, params: ModelParams,
         report["notes"].append(f"simulation diverged at t = {exc.time:g}; "
                                "no trajectory written")
         return
-    spd, estimate, rtol = traj.steps_per_delay, traj.step_error_estimate, integrator._STEP_RTOL
+    spd, estimate, rtol = traj.steps_per_delay, traj.step_error_estimate, _STEP_RTOL
     if config.steps_per_delay is None and (estimate is None or estimate > rtol):
         report["notes"].append(
             f"steps_per_delay = {spd}: no step-doubling error estimate, no coarser run "
@@ -453,7 +457,7 @@ def _run_simulate(report: dict, config: RunConfig, params: ModelParams,
                step=traj.step, final_state=list(traj.states[-1]))
     if estar.exists:
         metrics = cycle_metrics(traj, estar.point, config.transient_fraction)
-        sim.update({key: getattr(metrics, key) for key in _CYCLE_KEYS})
+        sim.update({key: getattr(metrics, key) for key in cycle_keys})
     else:
         report["notes"].append(_missing_estar_note(estar, "cycle metrics skipped"))
     if plot:
@@ -560,8 +564,10 @@ def run(config: RunConfig, output_dir=".", plot: bool = False) -> dict:
     # the model and the history are checked before anything is written
     command = config.command
     params = None if command is Command.SWEEP else config.model_params()
-    history = (HistorySpec.constant(config.u0, config.v0, config.w0)
-               if command is Command.SIMULATE else None)
+    history = None
+    if command is Command.SIMULATE:
+        from .integrator import HistorySpec
+        history = HistorySpec.constant(config.u0, config.v0, config.w0)
     out_dir = Path(output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     report = dict.fromkeys(_REPORT_KEYS)

@@ -9,9 +9,9 @@ for an exponentially weighted integral over the past of u*v:
     w' = u*v - (mu + r)*w
 
 With the unnormalized weight kernel exp(-(mu+r)*tau) the w-equation is
-the exact reduction of the distributed form; ``distributed_w_oracle``
-evaluates that integral directly so the reduction can be cross-checked
-against quadrature instead of trusted blindly.
+the exact reduction of the distributed form. The test suite's
+``distributed_w_oracle`` (tests/conftest.py) evaluates that integral by
+quadrature, so the reduction is cross-checked instead of trusted.
 
 ``ParamGrid`` carries the parameters of N points as arrays, for the
 analysis chain that evaluates many points at once; ``params_valid`` and
@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from enum import Enum
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,14 +34,12 @@ __all__ = [
     "Stability",
     "Equilibrium",
     "ParamGrid",
-    "WOracleResult",
     "coexistence",
     "coexistence_points",
     "equilibria",
     "estar_exists",
     "params_valid",
     "reduced_rhs",
-    "distributed_w_oracle",
 ]
 
 class State(NamedTuple):
@@ -246,43 +244,3 @@ def coexistence(params: ModelParams) -> Equilibrium:
     """The EStar entry of ``equilibria``, existing or not."""
     return equilibria(params)[3]
 
-
-class WOracleResult(NamedTuple):
-    value: float
-    truncation_bound: float
-
-
-def distributed_w_oracle(times: Sequence[float],
-                         u: Sequence[float],
-                         v: Sequence[float],
-                         params: ModelParams) -> WOracleResult:
-    """Exponentially weighted integral of u*v over a stored history.
-
-    Evaluates int_0^T exp(-(mu+r)*tau) * u(t-tau) * v(t-tau) dtau by
-    composite trapezoid on the given grid, where t = times[-1] and
-    T = times[-1] - times[0]. Truncating the infinite past at T discards
-    at most exp(-(mu+r)*T) * sup|uv| / (mu+r), which is returned
-    alongside the value. The history must span at least 30/(mu+r) so the
-    discarded tail is at the exp(-30) level.
-
-    On a constant history (u0, v0) the value is u0*v0/(mu+r) up to
-    quadrature error, which is also the consistent starting value for
-    the memory variable w of the reduced system.
-    """
-    t_arr = np.asarray(times, dtype=float)
-    u_arr = np.asarray(u, dtype=float)
-    v_arr = np.asarray(v, dtype=float)
-    if t_arr.ndim != 1 or t_arr.shape != u_arr.shape or t_arr.shape != v_arr.shape:
-        raise ValueError("times, u, v must be 1-D arrays of equal length")
-    if t_arr.size < 2:
-        raise ValueError("history needs at least two samples")
-    mr = params.mu + params.r
-    span = float(t_arr[-1] - t_arr[0])
-    if span * mr < 30.0 * (1.0 - 1e-12):
-        raise ValueError(
-            f"history span {span:g} too short: need at least 30/(mu+r) = {30.0 / mr:g}")
-    prod = u_arr * v_arr
-    integrand = np.exp(-mr * (t_arr[-1] - t_arr)) * prod
-    value = float(np.trapezoid(integrand, t_arr))
-    bound = math.exp(-mr * span) * float(np.max(np.abs(prod))) / mr
-    return WOracleResult(value, bound)

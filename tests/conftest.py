@@ -1,10 +1,14 @@
-"""Shared fixtures, parameter draws, and the acceptance summary hook.
+"""Shared fixtures, parameter draws, the memory-integral oracle, and the
+acceptance summary hook.
 
 The reference parameter set used throughout is the one whose coexistence
 point sits at (1, 1, 1/6) with a first delay switch near s = 2.015.
 Long simulations are session-scoped so the acceptance tests and the
 invariant tests share them instead of re-integrating.
 """
+
+import math
+from typing import NamedTuple, Sequence
 
 import numpy as np
 import pytest
@@ -98,6 +102,47 @@ def screen_for_flip(p):
         if not amp_u >= 4 * 0.01 * max(est.point.u, est.point.v):
             return None
     return est, nf
+
+
+class WOracleResult(NamedTuple):
+    value: float
+    truncation_bound: float
+
+
+def distributed_w_oracle(times: Sequence[float],
+                         u: Sequence[float],
+                         v: Sequence[float],
+                         params: ModelParams) -> WOracleResult:
+    """Exponentially weighted integral of u*v over a stored history.
+
+    Evaluates int_0^T exp(-(mu+r)*tau) * u(t-tau) * v(t-tau) dtau by
+    composite trapezoid on the given grid, where t = times[-1] and
+    T = times[-1] - times[0]. Truncating the infinite past at T discards
+    at most exp(-(mu+r)*T) * sup|uv| / (mu+r), which is returned
+    alongside the value. The history must span at least 30/(mu+r) so the
+    discarded tail is at the exp(-30) level.
+
+    On a constant history (u0, v0) the value is u0*v0/(mu+r) up to
+    quadrature error, which is also the consistent starting value for
+    the memory variable w of the reduced system.
+    """
+    t_arr = np.asarray(times, dtype=float)
+    u_arr = np.asarray(u, dtype=float)
+    v_arr = np.asarray(v, dtype=float)
+    if t_arr.ndim != 1 or t_arr.shape != u_arr.shape or t_arr.shape != v_arr.shape:
+        raise ValueError("times, u, v must be 1-D arrays of equal length")
+    if t_arr.size < 2:
+        raise ValueError("history needs at least two samples")
+    mr = params.mu + params.r
+    span = float(t_arr[-1] - t_arr[0])
+    if span * mr < 30.0 * (1.0 - 1e-12):
+        raise ValueError(
+            f"history span {span:g} too short: need at least 30/(mu+r) = {30.0 / mr:g}")
+    prod = u_arr * v_arr
+    integrand = np.exp(-mr * (t_arr[-1] - t_arr)) * prod
+    value = float(np.trapezoid(integrand, t_arr))
+    bound = math.exp(-mr * span) * float(np.max(np.abs(prod))) / mr
+    return WOracleResult(value, bound)
 
 
 @pytest.fixture(scope="session")

@@ -513,7 +513,6 @@ def spds(monkeypatch, in_process):
         calls.append(a[3])
         return simulate(*a, **k)
 
-    monkeypatch.setattr(cli, "simulate", record)
     monkeypatch.setattr(integrator, "simulate", record)
     return calls
 

@@ -31,8 +31,9 @@ import infodelay
 from infodelay import integrator
 from infodelay.integrator import (_CSV_CHUNK, _MAX_BLOCK, _Run, _fast_length, _first_node_from,
                                   _prominent_peaks, _step_error)
-from infodelay.model import State, distributed_w_oracle, reduced_rhs
-from conftest import ESTAR, S_STAR, draw_params, make_params, screen_for_flip
+from infodelay.model import State, reduced_rhs
+from conftest import (ESTAR, REFERENCE, S_STAR, distributed_w_oracle, draw_params,
+                      make_params, screen_for_flip)
 
 
 def _flat(u, v):
@@ -896,6 +897,58 @@ def test_import_leaves_scipy_out():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+def _loaded_after(code: str, cwd=None) -> list[str]:
+    """The infodelay submodules, numpy and scipy that a fresh interpreter
+    holds after running code, from the last line it prints."""
+    src = str(Path(infodelay.__file__).resolve().parents[1])
+    code = (f"import sys; sys.path.insert(0, {src!r}); {code}; "
+            "print(*sorted(m for m in sys.modules "
+            "if m.startswith('infodelay.') or m in ('numpy', 'scipy')))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, cwd=cwd)
+    return out.stdout.splitlines()[-1].split()
+
+
+# the whole namespace, sorted as _loaded_after prints it
+_ALL_LOADED = [f"infodelay.{m}" for m in ("cli", "cubic", "integrator", "model", "normal_form",
+                                          "plots", "stability")] + ["numpy"]
+
+
+@pytest.mark.parametrize("code, loaded", [
+    ("import infodelay", []),
+    ("import infodelay; infodelay.cubic", ["infodelay.cubic", "numpy"]),
+    ("import infodelay; assert not hasattr(infodelay, '__wrapped__')", []),
+    # a public name loads the whole namespace, and still no scipy
+    ("import infodelay; infodelay.simulate", _ALL_LOADED),
+    ("import infodelay; dir(infodelay)", _ALL_LOADED),
+    ("import infodelay; infodelay.__all__", _ALL_LOADED),
+    ("from infodelay import *", _ALL_LOADED),
+], ids=["bare", "submodule", "unknown dunder", "public name", "dir", "__all__", "star"])
+def test_package_names_load_on_first_use(code, loaded):
+    assert _loaded_after(code) == loaded
+
+
+# the keys a command needs beyond the model's
+_COMMAND_KEYS = {
+    "Sweep": "sweep_param = a2\nsweep_min = 1.0\nsweep_max = 1.1\nsweep_count = 3\n",
+    "Simulate": "t_end = 30\nu0 = 1.05\nv0 = 0.95\nsteps_per_delay = 20\n",
+}
+
+
+@pytest.mark.parametrize("command", ["Analyze", "Critical", "Direction", "Sweep", "Simulate"])
+def test_only_simulate_loads_the_time_domain_stack(tmp_path, command):
+    params = "".join(f"{k} = {v!r}\n" for k, v in REFERENCE.items())
+    (tmp_path / "run.cfg").write_text(
+        f"command = {command}\n{params}s = 2.02\n{_COMMAND_KEYS.get(command, '')}")
+    code = "from infodelay.cli import main; assert main(['run.cfg', '--plot']) == 0"
+    loaded = _loaded_after(code, cwd=tmp_path)
+    stack = {"infodelay.integrator", "infodelay.plots"}
+    if command == "Simulate":
+        assert stack <= set(loaded)
+    else:
+        assert not stack & set(loaded), loaded
 
 
 def test_fft_period_recovers_off_bin_frequency():

@@ -17,7 +17,6 @@ from infodelay import (
     Stability,
     State,
     coexistence,
-    distributed_w_oracle,
     equilibria,
     estar_exists,
     params_valid,
@@ -26,7 +25,7 @@ from infodelay import (
 )
 from infodelay.model import _PARAM_FIELDS, coexistence_points
 from infodelay.stability import _coeffs_at, _jacobian
-from conftest import ESTAR, make_params
+from conftest import ESTAR, distributed_w_oracle, make_params
 
 _f = dict(allow_nan=False, allow_infinity=False)
 
