@@ -264,17 +264,6 @@ def _jsonify(obj):
     """JSON-ready copy: complex split into re/im, non-finite floats to
     null, enums to their values, arrays to lists, a dataclass to its
     fields and a State to u, v, w, all in declaration order."""
-    # the exact built-in types, which most of a report is, skip the
-    # isinstance chain; subclasses such as the str enums go through it
-    cls = type(obj)
-    if cls is float:
-        return obj if math.isfinite(obj) else None
-    if cls is str or cls is int or cls is bool or obj is None:
-        return obj
-    if cls is dict:
-        return {str(k): _jsonify(v) for k, v in obj.items()}
-    if cls is list:
-        return [_jsonify(v) for v in obj]
     if isinstance(obj, Enum):
         return obj.value
     if obj is None or isinstance(obj, (bool, int, str)):
@@ -382,7 +371,7 @@ def _analysis_sections(report: dict, params: ModelParams,
         report["normal_form"] = dict(
             section,
             # the cycle the amplitude equation predicts at the configured s
-            prediction=_prediction(nf, params.s - nf.s_star),
+            prediction=_prediction(nf, params.s - nf.s_star, estar.point.u, notes),
             # residuals of the eigenvector equations and of Gamma1 against
             # the crossing root's drift
             self_checks={
@@ -393,16 +382,36 @@ def _analysis_sections(report: dict, params: ModelParams,
         )
 
 
-def _prediction(nf: NormalForm, delta: float) -> dict | None:
-    """The cycle the amplitude equation predicts at s = s* + delta; the
-    period is None where no cycle exists on that side of the switch."""
+def _prediction(nf: NormalForm, delta: float, u_star: float, notes: list) -> dict | None:
+    """The cycle the amplitude equation predicts at s = s* + delta.
+
+    valid_below bounds |delta| on the cycle's side of the switch: the
+    smaller of where the predicted u-amplitude 2*rho*|c_u| reaches u*
+    and where T(delta)'s denominator vanishes. The period is None where
+    no cycle exists on that side, and past the bound, with a note.
+    """
     if nf.direction is Direction.DEGENERATE:
         return None
     amplitude = predicted_amplitude(nf, delta)
+    side = nf.chi1 / nf.chi2   # rho^2 = delta * side
+    reach = (u_star / (2.0 * abs(nf.c_vec[0]))) ** 2 / abs(side)
+    # the denominator omega*s* + delta*k vanishes at delta = -omega*s*/k
+    k = nf.Gamma1.imag - nf.Gamma2.imag * side
+    pole = nf.omega_star * nf.s_star / abs(k) if k * side < 0 else math.inf
+    valid_below = min(reach, pole)
+    period = None
+    if amplitude > 0 and abs(delta) < valid_below:
+        period = predicted_period(nf, delta)
+    elif amplitude > 0:
+        where = ("the predicted u-amplitude reaches u*" if reach <= pole
+                 else "T(delta)'s denominator vanishes")
+        notes.append(f"no predicted period: |delta| = {abs(delta):.6g} is past "
+                     f"valid_below = {valid_below:.6g}, where {where}")
     return {"delta": delta,
             "amplitude": amplitude,
             "component_amplitudes": predicted_component_amplitudes(nf, delta),
-            "period": predicted_period(nf, delta) if amplitude > 0 else None}
+            "period": period,
+            "valid_below": valid_below}
 
 
 def _run_simulate(report: dict, config: RunConfig, params: ModelParams,
@@ -548,6 +557,9 @@ def _run_sweep(report: dict, config: RunConfig, out_dir: Path) -> _SweepTable:
         table.add(values, normal_forms(ParamGrid.of({**config.param_values, opts.param: values})))
     report["sweep"] = {"param": opts.param, "min": opts.lo, "max": opts.hi,
                        "count": opts.count, "rows": _ROWS_MARK}
+    if opts.param == "s":
+        report["notes"].append("s0, chi1, chi2 and the direction do not depend on s: "
+                               "every row of a sweep over s is the same")
     return table
 
 

@@ -279,10 +279,12 @@ def _polish_pair(omega, s, coeffs: CharCoeffs):
 class Crossings(NamedTuple):
     """Crossing candidates of N characteristic equations, each (N, 3).
 
-    Column k belongs to the k-th root of G (ascending real part). kept
-    marks the positive real roots whose (sin, cos) recovery is regular;
-    the other entries hold no candidate. off_g marks a kept omega^2
-    that fails G's root residual, where ``transversality_sign`` raises.
+    One column per root of G: first the candidates, by ascending base
+    delay (ties in root order), so column 0 is the first switch, then
+    the entries that hold none. kept marks the candidates, the positive
+    real roots whose (sin, cos) recovery is regular. off_g marks a kept
+    omega^2 that fails G's root residual, where ``transversality_sign``
+    raises.
     """
 
     omega: np.ndarray
@@ -336,14 +338,18 @@ def crossing_candidates(coeffs: CharCoeffs) -> Crossings:
     omega, s_base = _polish_pair(omega, theta / omega, c)
     s_base = np.where(s_base < 0, s_base + 2.0 * math.pi / omega, s_base)
     off_g, slope = _g_slope(omega * omega, _columns(g))
-    return Crossings(omega, s_base, slope, off_g & kept, kept)
+    # the one statement of the first-switch rule; stable, so ties keep root order
+    order = np.argsort(np.where(kept, s_base, np.inf), axis=1, kind="stable")
+    return Crossings(*(np.take_along_axis(a, order, axis=1)
+                       for a in (omega, s_base, slope, off_g & kept, kept)))
 
 
 def hopf_candidates(coeffs: CharCoeffs, j_max: int = DEFAULT_J_MAX) -> list[HopfCandidate]:
     """Imaginary-axis crossing candidates with their delay ladders.
 
-    The one-equation case of ``crossing_candidates``, sorted by base
-    delay. Raises when a candidate's omega^2 fails G's root residual.
+    The one-equation case of ``crossing_candidates``, in its order of
+    ascending base delay. Raises when a candidate's omega^2 fails G's
+    root residual.
     """
     if j_max < 0:
         raise ValueError("j_max must be nonnegative")
@@ -357,7 +363,6 @@ def hopf_candidates(coeffs: CharCoeffs, j_max: int = DEFAULT_J_MAX) -> list[Hopf
         delays = tuple(s_base + 2.0 * math.pi * j / omega for j in range(j_max + 1))
         out.append(HopfCandidate(z=omega * omega, omega=omega, delays=delays,
                                  transversality_sign=_direction(x.g_slope[0, k])))
-    out.sort(key=lambda cand: cand.delays[0])
     return out
 
 
@@ -389,9 +394,9 @@ def first_switches(p: ParamGrid) -> Switches:
     """The first stability switch of every point of a parameter grid.
 
     The smallest base delay over each point's candidates, which is the
-    smallest element of all its ladders. Points that break a
-    ModelParams rule, lack the coexistence point, or have no crossing
-    have none.
+    smallest element of all its ladders: column 0 of
+    ``crossing_candidates``. Points that break a ModelParams rule, lack
+    the coexistence point, or have no crossing have none.
     """
     errors: dict[int, Exception] = {}
     idx = np.flatnonzero(params_valid(p))
@@ -400,18 +405,15 @@ def first_switches(p: ParamGrid) -> Switches:
     errors.update({i: ValueError(_NO_COEXISTENCE) for i in idx[~exists].tolist()})
     idx, p, point = idx[exists], p.take(exists), State(*(a[exists] for a in point))
     x = crossing_candidates(_coeffs_at(p, point))
-    first = np.argmin(np.where(x.kept, x.s_base, np.inf), axis=1)
     off = x.off_g.any(axis=1)
     for i in np.flatnonzero(off):
         omega = x.omega[i, x.off_g[i]][0]
         errors[int(idx[i])] = _not_a_root(omega * omega)
-    has = x.kept.any(axis=1)
-    errors.update({i: ValueError(_NO_CROSSING) for i in idx[~has].tolist()})
-    has &= ~off
-    rows = np.arange(len(idx))
+    errors.update({i: ValueError(_NO_CROSSING) for i in idx[~x.kept[:, 0]].tolist()})
+    has = x.kept[:, 0] & ~off
     return Switches(
         idx=idx[has], params=p.take(has), point=State(*(a[has] for a in point)),
-        omega=x.omega[rows, first][has], s0=x.s_base[rows, first][has], errors=errors)
+        omega=x.omega[has, 0], s0=x.s_base[has, 0], errors=errors)
 
 
 def s0(params: ModelParams) -> tuple[float, HopfCandidate] | None:

@@ -13,15 +13,24 @@ import numpy as np
 import pytest
 
 from infodelay import (
+    CharCoeffs,
     Command,
     ConfigError,
     CycleMetrics,
+    Direction,
     HistorySpec,
+    HopfCandidate,
+    ModelParams,
     ResonanceError,
     SimulationDiverged,
+    State,
+    Transversality,
     coexistence,
     compute_normal_form,
     parse_config,
+    predicted_amplitude,
+    predicted_component_amplitudes,
+    predicted_period,
     run,
     s0,
     simulate,
@@ -260,6 +269,58 @@ def test_parse_sweep_over_swept_key_without_value():
 
 
 # --------------------------------------------------------------------------
+# report encoding
+
+
+def _typed(x):
+    """x with each dict as its item list and each leaf beside its exact
+    type, so that equality also checks key order and int against float."""
+    if type(x) is dict:
+        return [(k, _typed(v)) for k, v in x.items()]
+    if type(x) is list:
+        return [_typed(v) for v in x]
+    return type(x), x
+
+
+# (object, its JSON value) by what the case pins
+_JSON_CASES = {
+    "nan": (math.nan, None),
+    "inf": (math.inf, None),
+    "-inf": (-math.inf, None),
+    "numpy -inf": (np.float64(-np.inf), None),
+    "float32": (np.float32(0.5), 0.5),
+    "int64": (np.int64(7), 7),
+    "bool": (True, True),
+    "None": (None, None),
+    "complex": (1.5 - 2j, {"re": 1.5, "im": -2.0}),
+    "numpy complex": (np.complex128(complex(np.nan, 1.0)), {"re": None, "im": 1.0}),
+    "State": (State(1.0, 2.0, 3.0), {"u": 1.0, "v": 2.0, "w": 3.0}),
+    "dataclass": (CharCoeffs(6.0, 5.0, 4.0, 3.0, 2.0, 1.0),
+                  {"p0": 6.0, "p1": 5.0, "p2": 4.0, "q0": 3.0, "q1": 2.0, "q2": 1.0}),
+    "dataclass of tuple and enum": (
+        HopfCandidate(z=0.25, omega=0.5, delays=(1.0, 13.5),
+                      transversality_sign=Transversality.NEGATIVE),
+        {"z": 0.25, "omega": 0.5, "delays": [1.0, 13.5], "transversality_sign": "Negative"}),
+    "str enum": (Direction.SUPERCRITICAL, "Supercritical"),
+    "tuple": ((1, "x", 2.5), [1, "x", 2.5]),
+    "ndarray": (np.array([1.0, np.inf, -0.0]), [1.0, None, -0.0]),
+    "nested": ({"a": [1, {"b": (np.int64(2), np.nan)}], 3: {"c": []}},
+               {"a": [1, {"b": [2, None]}], "3": {"c": []}}),
+}
+
+
+@pytest.mark.parametrize("obj, want", list(_JSON_CASES.values()), ids=list(_JSON_CASES))
+def test_jsonify_makes_plain_json_values(obj, want):
+    assert _typed(cli._jsonify(obj)) == _typed(want)
+
+
+@pytest.mark.parametrize("obj", [object(), {1, 2}, b"bytes", [1, {"k": object()}]])
+def test_jsonify_rejects_unknown_types(obj):
+    with pytest.raises(TypeError, match="cannot serialize"):
+        cli._jsonify(obj)
+
+
+# --------------------------------------------------------------------------
 # analysis commands
 
 
@@ -284,7 +345,8 @@ def test_analyze_report(tmp_path):
     assert 0.0 <= checks["gamma1_drift_residual"] < 1e-10
     # s = 2.0 lies below the supercritical switch: no cycle, no period
     pred = nf["prediction"]
-    assert list(pred) == ["delta", "amplitude", "component_amplitudes", "period"]
+    assert list(pred) == ["delta", "amplitude", "component_amplitudes", "period",
+                          "valid_below"]
     assert abs(pred["delta"] - (2.0 - S_STAR)) < 1e-15
     assert pred["amplitude"] == 0.0
     assert pred["component_amplitudes"] == [0.0, 0.0, 0.0]
@@ -308,6 +370,69 @@ def test_analyze_report_predicts_the_cycle(tmp_path):
     assert nf["linear_period"] < pred["period"]
     assert nf["self_checks"]["gamma1_drift_residual"] < 1e-10
     assert (tmp_path / "report.csv").exists()
+    # every value is the library's own, and delta lies inside the bound:
+    # the u-amplitude reaches u* = 1 first, near delta = 0.0226
+    want = compute_normal_form(make_params(2.02))
+    delta = 2.02 - want.s_star
+    assert pred["delta"] == delta
+    assert pred["amplitude"] == predicted_amplitude(want, delta)
+    assert pred["component_amplitudes"] == predicted_component_amplitudes(want, delta).tolist()
+    assert pred["period"] == predicted_period(want, delta)
+    assert abs(pred["valid_below"] - 0.0226031) < 1e-7
+    assert d["notes"] == []
+
+
+def test_prediction_past_valid_below_has_no_period(tmp_path):
+    # the reference at s = 40: the amplitude equation's cycle would have
+    # u-amplitude 41 against u* = 1 and period T(delta) < 0
+    d = run(parse_config(cfg("Analyze", s="40")), tmp_path)
+    pred = d["normal_form"]["prediction"]
+    assert pred["period"] is None
+    assert abs(pred["valid_below"] - 0.0226031) < 1e-7
+    # the amplitude itself is not clipped
+    nf = compute_normal_form(make_params(40.0))
+    assert pred["component_amplitudes"] == predicted_component_amplitudes(
+        nf, 40.0 - nf.s_star).tolist()
+    assert pred["component_amplitudes"][0] > 40.0
+    assert predicted_period(nf, 40.0 - nf.s_star) < 0
+    assert d["notes"] == [
+        "no predicted period: |delta| = 37.9848 is past valid_below = 0.0226031, "
+        "where the predicted u-amplitude reaches u*"]
+
+
+# a point per bound and side: (params, direction, the side of the
+# cycle, what the note names)
+_BOUNDS = {
+    "subcritical, u-amplitude": (
+        dict(r1=0.49, r2=0.8, a1=0.2, a2=1.23, b1=0.85, b2=0.36, mu=2.2, r=2.6),
+        Direction.SUBCRITICAL, -1.0, "the predicted u-amplitude reaches u*"),
+    "supercritical, period pole": (
+        dict(r1=3.27, r2=8.21, a1=0.564, a2=0.129, b1=-0.288, b2=-4.92, mu=7.08, r=4.63),
+        Direction.SUPERCRITICAL, 1.0, "T(delta)'s denominator vanishes"),
+}
+
+
+@pytest.mark.parametrize("params, direction, side, where", list(_BOUNDS.values()),
+                         ids=list(_BOUNDS))
+def test_prediction_bound_on_the_cycles_side(params, direction, side, where):
+    p = ModelParams(**params, s=1.0)
+    nf = compute_normal_form(p)
+    u_star = coexistence(p).point.u
+    assert nf.direction is direction
+    notes = []
+    bound = cli._prediction(nf, 0.0, u_star, notes)["valid_below"]
+    assert bound > 0.05 and nf.s_star + 1.01 * side * bound > 0   # s > 0 at every case
+    inside = cli._prediction(nf, 0.99 * side * bound, u_star, notes)
+    assert inside["period"] == predicted_period(nf, 0.99 * side * bound) > 0
+    assert inside["component_amplitudes"][0] < u_star
+    # the other side has no cycle, so no period and no note
+    assert cli._prediction(nf, -0.5 * side * bound, u_star, notes)["period"] is None
+    assert notes == []
+    past = cli._prediction(nf, 1.01 * side * bound, u_star, notes)
+    assert past["period"] is None and past["valid_below"] == bound
+    assert (past["component_amplitudes"][0] > u_star
+            or predicted_period(nf, 1.01 * side * bound) < 0)
+    assert len(notes) == 1 and notes[0].endswith(where)
 
 
 def test_critical_and_direction_sections(tmp_path):
@@ -825,6 +950,20 @@ def test_sweep_cell_that_is_not_finite(tmp_path, monkeypatch):
     assert "sweep.rows.0.chi1,null\n" in (tmp_path / "report.csv").read_text()
     cells = (tmp_path / "sweep.csv").read_text().splitlines()[1].split(",")
     assert cells[3] == "inf" and cells[4] == format(row["chi2"], ".17g")
+
+
+def test_sweep_over_s_notes_that_its_rows_do_not_depend_on_s(tmp_path):
+    extra = "sweep_param = s\nsweep_min = 0.5\nsweep_max = 40\nsweep_count = 6\n"
+    doc = run(parse_config(cfg("Sweep", extra=extra, s=None)), tmp_path)
+    rows = doc["sweep"]["rows"]
+    assert [row["value"] for row in rows] == np.linspace(0.5, 40.0, 6).tolist()
+    assert all({**row, "value": 0} == {**rows[0], "value": 0} for row in rows)
+    assert rows[0]["s0"] == S_STAR and rows[0]["direction"] == "Supercritical"
+    assert doc["notes"] == ["s0, chi1, chi2 and the direction do not depend on s: "
+                            "every row of a sweep over s is the same"]
+    # any other swept key gets no such note
+    extra = "sweep_param = mu\nsweep_min = 1.5\nsweep_max = 3.0\nsweep_count = 2\n"
+    assert run(parse_config(cfg("Sweep", extra=extra)), tmp_path / "mu")["notes"] == []
 
 
 def test_sweep_reports_empty_cells_when_analysis_is_inapplicable(tmp_path):

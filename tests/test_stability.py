@@ -2,6 +2,7 @@
 
 import cmath
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -19,7 +20,9 @@ from infodelay import (
     s0,
     transversality_sign,
 )
-from infodelay.stability import GCubic, crossing_candidates, near_double_root
+from infodelay.model import ParamGrid, State, coexistence_points, params_valid
+from infodelay.stability import (GCubic, _coeffs_at, crossing_candidates, first_switches,
+                                 near_double_root)
 from conftest import OMEGA_STAR, S_STAR, draw_params, draw_with_candidates, make_params
 
 
@@ -283,3 +286,48 @@ def test_model_point_with_three_crossings():
     # two crossings with h = p0^2 - q0^2 > 0: "a crossing exists iff
     # |p0| < |q0|" does not hold
     assert g_cubic(two).h > 0
+
+
+def test_candidates_come_in_base_delay_order():
+    # the first-switch rule lives in crossing_candidates' column order:
+    # first_switches reads column 0 and hopf_candidates keeps the order.
+    # 50,000 wide draws keep 9419 points with a coexistence point; 133
+    # of them have two or three crossings, and in 100 of those the roots
+    # of G, ascending, are out of base-delay order. The "two" and
+    # "three" points close the grid
+    rng = np.random.default_rng(41)
+    n = 50_000
+
+    def log_uniform(lo, hi):
+        return np.exp(rng.uniform(lo, hi, n))
+
+    draws = dict(r1=log_uniform(-3, 3), r2=log_uniform(-3, 3), a1=log_uniform(-4, 2),
+                 a2=log_uniform(-4, 2), b1=rng.uniform(-5, 5, n), b2=rng.uniform(-5, 5, n),
+                 mu=log_uniform(-4, 2), r=log_uniform(-4, 2), s=np.ones(n))
+    two = dict(r1=3.4, r2=2.2, a1=6.2, a2=1.2, b1=-2.7, b2=-5.0, mu=0.093, r=1.6, s=1.0)
+    three = dict(r1=3.3, r2=0.096, a1=1.1, a2=2.0, b1=1.7, b2=0.95, mu=0.039, r=0.042, s=1.0)
+    grid = ParamGrid.of({k: np.append(v, [two[k], three[k]]) for k, v in draws.items()})
+    exists, point = coexistence_points(grid)
+    at = np.flatnonzero(params_valid(grid) & exists)
+    cc = _coeffs_at(grid.take(at), State(*(a[at] for a in point)))
+    x = crossing_candidates(cc)
+
+    count = x.kept.sum(axis=1)
+    assert (x.kept == (np.arange(3) < count[:, None])).all()
+    base = np.where(x.kept, x.s_base, np.inf)
+    assert (base[:, 1:] >= base[:, :-1]).all()
+    multi = np.flatnonzero(count > 1)
+    assert len(multi) >= 100 and count[-2:].tolist() == [2, 3]
+
+    sw = first_switches(grid)
+    has = x.kept[:, 0] & ~x.off_g.any(axis=1)
+    assert sw.idx.tolist() == at[has].tolist()
+    assert sw.s0.tolist() == x.s_base[has, 0].tolist()
+    assert sw.omega.tolist() == x.omega[has, 0].tolist()
+
+    for i in [*range(1000), *multi.tolist()]:
+        cands = hopf_candidates(CharCoeffs(*(float(getattr(cc, f.name)[i])
+                                             for f in fields(cc))))
+        assert [c.delays[0] for c in cands] == x.s_base[i, x.kept[i]].tolist()
+        assert [c.omega for c in cands] == x.omega[i, x.kept[i]].tolist()
+
