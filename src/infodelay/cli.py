@@ -51,8 +51,8 @@ from pathlib import Path
 import numpy as np
 
 from .model import ModelParams, ParamGrid, State, equilibria
-from .normal_form import (Direction, NormalForm, NormalForms, ResonanceError, classify,
-                          compute_normal_form, eigen_residuals, linearize, normal_forms,
+from .normal_form import (Direction, NormalForm, NormalForms, ResonanceError, _phase_rate,
+                          classify, compute_normal_form, eigen_residuals, linearize, normal_forms,
                           predicted_amplitude, predicted_component_amplitudes, predicted_period)
 from .stability import (char_coeffs, crossing_drift, g_cubic, h1_holds, hopf_candidates,
                         near_double_root)
@@ -371,7 +371,7 @@ def _analysis_sections(report: dict, params: ModelParams,
         report["normal_form"] = dict(
             section,
             # the cycle the amplitude equation predicts at the configured s
-            prediction=_prediction(nf, params.s - nf.s_star, estar.point.u, notes),
+            prediction=_prediction(nf, params.s - nf.s_star, estar.point, notes),
             # residuals of the eigenvector equations and of Gamma1 against
             # the crossing root's drift
             self_checks={
@@ -382,29 +382,39 @@ def _analysis_sections(report: dict, params: ModelParams,
         )
 
 
-def _prediction(nf: NormalForm, delta: float, u_star: float, notes: list) -> dict | None:
+def _prediction(nf: NormalForm, delta: float, point: State, notes: list) -> dict | None:
     """The cycle the amplitude equation predicts at s = s* + delta.
 
     valid_below bounds |delta| on the cycle's side of the switch: the
-    smaller of where the predicted u-amplitude 2*rho*|c_u| reaches u*
-    and where T(delta)'s denominator vanishes. The period is None where
-    no cycle exists on that side, and past the bound, with a note.
+    smallest of where a predicted component amplitude 2*rho*|c_x|
+    reaches the coexistence point's x* (x = u, v, w), where T(delta)'s
+    denominator vanishes, and, on the side below s*, where s reaches 0.
+    The period is None where no cycle exists on that side, and past the
+    bound, with a note naming the bound.
     """
     if nf.direction is Direction.DEGENERATE:
         return None
     amplitude = predicted_amplitude(nf, delta)
     side = nf.chi1 / nf.chi2   # rho^2 = delta * side
-    reach = (u_star / (2.0 * abs(nf.c_vec[0]))) ** 2 / abs(side)
+    # each amplitude grows as sqrt|delta|: ratio holds amplitude over x*
+    # at |delta| = 1, so component x reaches x* at 1/ratio[x]^2
+    ratio = predicted_component_amplitudes(nf, math.copysign(1.0, side)) / np.array(point)
+    x = int(np.argmax(ratio))
+    name = State._fields[x]
     # the denominator omega*s* + delta*k vanishes at delta = -omega*s*/k
-    k = nf.Gamma1.imag - nf.Gamma2.imag * side
-    pole = nf.omega_star * nf.s_star / abs(k) if k * side < 0 else math.inf
-    valid_below = min(reach, pole)
+    k = _phase_rate(nf)
+    bounds = {
+        f"the predicted {name}-amplitude reaches {name}*": 1.0 / ratio[x] ** 2,
+        "T(delta)'s denominator vanishes":
+            nf.omega_star * nf.s_star / abs(k) if k * side < 0 else math.inf,
+        "s reaches 0": nf.s_star if side < 0 else math.inf,
+    }
+    where = min(bounds, key=bounds.get)
+    valid_below = bounds[where]
     period = None
     if amplitude > 0 and abs(delta) < valid_below:
         period = predicted_period(nf, delta)
     elif amplitude > 0:
-        where = ("the predicted u-amplitude reaches u*" if reach <= pole
-                 else "T(delta)'s denominator vanishes")
         notes.append(f"no predicted period: |delta| = {abs(delta):.6g} is past "
                      f"valid_below = {valid_below:.6g}, where {where}")
     return {"delta": delta,

@@ -401,21 +401,20 @@ class _Run:
             F = (br1 * lag[0, :2 * m + 1] * lag[1, :2 * m + 1]).tolist()
             yield i0, zip(F[0:-1:2], F[1::2], F[2::2]), rows
             if self._store(i0, rows) < self.n:
-                self._next_lag(i0, rows[-3:], F[-1])
+                self._next_lag(i0)
 
-    def _next_lag(self, i0: int, last: list, loss: float) -> None:
+    def _next_lag(self, i0: int) -> None:
         """Make the lag buffer the next block's, after the full block from
-        step i0 whose last state is last.
+        step i0.
 
-        The midpoint of the block's last step needs the derivative at the
-        next block's first node, whose delayed loss, loss, is the block's
-        last; it is formed here in the order the next block's first step
-        forms its k1.
+        The midpoint of the block's last step needs the slope at the next
+        block's first node, whose delayed (u, v) is the buffer's last
+        column: bit for bit the k1 of the next block's first step.
         """
-        r1, a1, r2, a2, _, br2 = self.rates[:6]
-        u, v, w = last
-        self.slopes[-1] = r1 * u * (1.0 - a1 * u) - loss, r2 * v * (1.0 - a2 * v) + br2 * w
-        y, d = self.states[i0:i0 + self.block + 1, :2].T, self.slopes.T
+        end = i0 + self.block
+        self.slopes[-1] = reduced_rhs(State(*self.states[end]), State(*self.lag[:, -1], 0.0),
+                                      self.params)[:2]
+        y, d = self.states[i0:end + 1, :2].T, self.slopes.T
         self.lag[:, 1::2] = 0.5 * (y[:, :-1] + y[:, 1:]) + 0.125 * self.h * (d[:, :-1] - d[:, 1:])
         self.lag[:, 0::2] = y
 

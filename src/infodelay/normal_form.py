@@ -93,11 +93,11 @@ class Linearization:
     """First- and second-order Taylor data of the flow at an equilibrium.
 
     A acts on the current state, As on the state one delay in the past.
-    F_quadratic holds the four nonzero quadratic coefficients of the
-    right-hand side: keys "u2" (u^2, instantaneous), "uv_delayed"
-    (product of delayed u and v), "v2" (v^2), "uv" (instantaneous u*v
-    feeding the memory variable). For a stack of N equilibria A and As
-    have shape (N, 3, 3) and the coefficients shape (N,).
+    F_quadratic holds the parameter-dependent quadratic coefficients:
+    keys "u2" (u^2, instantaneous), "uv_delayed" (product of delayed u
+    and v), "v2" (v^2); the u*v feeding w has unit coefficient. For a
+    stack of N equilibria A and As have shape (N, 3, 3) and the
+    coefficients shape (N,).
     """
 
     A: np.ndarray
@@ -139,7 +139,6 @@ def _linearize(params, point: State) -> Linearization:
         "u2": -params.a1 * params.r1,
         "uv_delayed": -params.b1 * params.r1,
         "v2": -params.a2 * params.r2,
-        "uv": 1.0,
     }
     return Linearization(A=a, As=a_s, F_quadratic=fq)
 
@@ -181,20 +180,18 @@ def _inf_norm(x: np.ndarray) -> np.ndarray:
     return np.abs(x).max(axis=1)
 
 
-def _null_vectors(lin: Linearization, omega: np.ndarray, s: np.ndarray,
-                  c_given: np.ndarray | None = None
+def _null_vectors(lin: Linearization, omega: np.ndarray, s: np.ndarray
                   ) -> tuple[np.ndarray, np.ndarray, dict[int, Exception], dict[int, Exception]]:
     """Right and left null vectors of N crossing matrices, one SVD each.
 
     c is pinned to middle component 1, which fixes the free phase: the
     middle component never vanishes at a genuine crossing of this model
     (it is coupled to both others). d has the bilinear normalization
-    d*(I + s*As*E)*c = 1 against c_given, or against c when none is
-    given; the factor is the lambda-derivative of the characteristic
-    matrix sandwiched between the null vectors and vanishes only at a
-    double root. Returns c, d, then the failures of the crossing test,
-    the middle component and the residual (right), and those of the
-    crossing test and the normalization (left).
+    d*(I + s*As*E)*c = 1; the factor is the lambda-derivative of the
+    characteristic matrix sandwiched between the null vectors and
+    vanishes only at a double root. Returns c, d, then the failures of
+    the crossing test, the middle component and the residual (right),
+    and those of the crossing test and the normalization (left).
     """
     n, e = _cross_matrix(lin, omega, s)
     u, sig, vh = np.linalg.svd(n)
@@ -203,11 +200,10 @@ def _null_vectors(lin: Linearization, omega: np.ndarray, s: np.ndarray,
     flat = np.abs(mid) < 1e-12 * np.linalg.norm(c, axis=1)
     c = c / np.where(flat, 1.0, mid)[:, None]
     resid = _inf_norm(_matvec(n, c)) / _inf_norm(c)
-    c_norm = c if c_given is None else c_given
     d = u[:, :, -1].conj()
-    den = (d * _matvec(_EYE + s[:, None, None] * lin.As * e[:, None, None], c_norm)).sum(axis=1)
+    den = (d * _matvec(_EYE + s[:, None, None] * lin.As * e[:, None, None], c)).sum(axis=1)
     degenerate = np.abs(den) < _DEGENERATE_PRODUCT * np.maximum(
-        1.0, np.linalg.norm(c_norm, axis=1))
+        1.0, np.linalg.norm(c, axis=1))
     d = d / np.where(degenerate, 1.0, den)[:, None]
 
     right: dict[int, Exception] = {}
@@ -237,13 +233,13 @@ def right_eigvec(lin: Linearization, omega: float, s: float) -> np.ndarray:
     return c[0]
 
 
-def left_eigvec(lin: Linearization, omega: float, s: float, c: np.ndarray) -> np.ndarray:
-    """Left null vector d with the bilinear normalization d*(I + s*As*E)*c = 1.
+def left_eigvec(lin: Linearization, omega: float, s: float) -> np.ndarray:
+    """Left null vector d with d*(I + s*As*E)*c = 1 for ``right_eigvec``'s c.
 
     The one-point case of ``_null_vectors``; a double root is rejected
     as degenerate.
     """
-    _, d, _, errors = _null_vectors(_stack(lin), _one(omega), _one(s), _one(c))
+    _, d, _, errors = _null_vectors(_stack(lin), _one(omega), _one(s))
     _raise_first(errors)
     return d[0]
 
@@ -270,12 +266,12 @@ def _quad_products(fq: dict, c: np.ndarray, e2: np.ndarray) -> tuple[np.ndarray,
     p2 = np.stack(np.broadcast_arrays(
         fq["u2"] * c1 * c1 + fq["uv_delayed"] * c1 * c2 * e2,
         fq["v2"] * c2 * c2,
-        fq["uv"] * c1 * c2), axis=1)
+        c1 * c2), axis=1)
     cross = 2.0 * (c1 * np.conj(c2)).real
     p0 = np.stack(np.broadcast_arrays(
         2.0 * fq["u2"] * np.abs(c1) ** 2 + fq["uv_delayed"] * cross,
         2.0 * fq["v2"] * np.abs(c2) ** 2,
-        fq["uv"] * cross), axis=1)
+        cross), axis=1)
     return p2, p0
 
 
@@ -358,7 +354,7 @@ def _gammas(lin: Linearization, omega: np.ndarray, s: np.ndarray, c: np.ndarray,
     m_vec = np.stack(np.broadcast_arrays(
         2.0 * fq["u2"] * (c1 * f1 + np.conj(c1) * e1) + fq["uv_delayed"] * ex * mix_uv,
         2.0 * fq["v2"] * (c2 * f2 + np.conj(c2) * e2c),
-        fq["uv"] * mix_uv), axis=1)
+        mix_uv), axis=1)
     return gamma1, -s * np.einsum("ni,ni->n", d, m_vec)
 
 
@@ -392,12 +388,18 @@ def predicted_component_amplitudes(nf: NormalForm, delta: float) -> np.ndarray:
     return 2.0 * rho * np.abs(nf.c_vec)
 
 
+def _phase_rate(nf: NormalForm) -> float:
+    """Im Gamma1 - Im Gamma2*chi1/chi2: on the cycle at s* + delta the
+    phase of H turns delta times this in tau, on top of omega*s*."""
+    return nf.Gamma1.imag - nf.Gamma2.imag * nf.chi1 / nf.chi2
+
+
 def predicted_period(nf: NormalForm, delta: float) -> float:
     """Period in t of the cycle at delay s = s* + delta: the module
     docstring's T(delta) = 2*pi*s / (omega*s* + delta*(Im Gamma1 -
     Im Gamma2*chi1/chi2)). Meaningful where predicted_amplitude > 0."""
     _require_direction(nf)
-    drift = delta * (nf.Gamma1.imag - nf.Gamma2.imag * nf.chi1 / nf.chi2)
+    drift = delta * _phase_rate(nf)
     return 2.0 * math.pi * (nf.s_star + delta) / (nf.omega_star * nf.s_star + drift)
 
 

@@ -63,7 +63,7 @@ _MIN_DET = 1e-14
 # |G'(z)| below this is treated as a degenerate (tangential) crossing
 _DEGENERATE_GPRIME = 1e-9
 
-DEFAULT_J_MAX = 3
+_LADDER = 4   # delays per ladder, s_0 to s_3
 
 # computed roots of G closer than this, relative, may be a pair that
 # double precision does not resolve: rounding puts the computed roots
@@ -295,16 +295,16 @@ class Crossings(NamedTuple):
 
 
 def _columns(obj):
-    """A CharCoeffs or GCubic of (N,) arrays as (N, 1) columns."""
-    return type(obj)(*(np.asarray(getattr(obj, f.name))[:, None] for f in fields(obj)))
+    """A CharCoeffs or GCubic of floats or (N,) arrays as (N, 1) columns."""
+    return type(obj)(*(np.atleast_1d(getattr(obj, f.name))[:, None] for f in fields(obj)))
 
 
 def crossing_candidates(coeffs: CharCoeffs) -> Crossings:
     """Imaginary-axis crossing candidates of N equations at once.
 
-    coeffs holds (N,) arrays. For each positive root z of G,
-    omega = sqrt(z) and the pair (sin(omega*s), cos(omega*s)) is
-    recovered by solving the linear 2x2 system obtained from the real
+    coeffs holds (N,) arrays, or floats for one equation. For each
+    positive root z of G, omega = sqrt(z) and the pair (sin(omega*s),
+    cos(omega*s)) is recovered by solving the linear 2x2 system obtained from the real
     and imaginary parts of the characteristic equation. The
     two-argument angle then fixes the base delay in [0, 2*pi/omega),
     which dodges the sign loss a bare arccos would suffer on half the
@@ -344,23 +344,20 @@ def crossing_candidates(coeffs: CharCoeffs) -> Crossings:
                        for a in (omega, s_base, slope, off_g & kept, kept)))
 
 
-def hopf_candidates(coeffs: CharCoeffs, j_max: int = DEFAULT_J_MAX) -> list[HopfCandidate]:
-    """Imaginary-axis crossing candidates with their delay ladders.
+def hopf_candidates(coeffs: CharCoeffs) -> list[HopfCandidate]:
+    """Imaginary-axis crossing candidates with their first four delays.
 
     The one-equation case of ``crossing_candidates``, in its order of
     ascending base delay. Raises when a candidate's omega^2 fails G's
     root residual.
     """
-    if j_max < 0:
-        raise ValueError("j_max must be nonnegative")
-    x = crossing_candidates(CharCoeffs(*(np.array([getattr(coeffs, f.name)])
-                                         for f in fields(coeffs))))
+    x = crossing_candidates(coeffs)
     out = []
     for k in np.flatnonzero(x.kept[0]):
         omega, s_base = float(x.omega[0, k]), float(x.s_base[0, k])
         if x.off_g[0, k]:
             raise _not_a_root(omega * omega)
-        delays = tuple(s_base + 2.0 * math.pi * j / omega for j in range(j_max + 1))
+        delays = tuple(s_base + 2.0 * math.pi * j / omega for j in range(_LADDER))
         out.append(HopfCandidate(z=omega * omega, omega=omega, delays=delays,
                                  transversality_sign=_direction(x.g_slope[0, k])))
     return out

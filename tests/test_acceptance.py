@@ -259,7 +259,7 @@ def test_criterion_8_crossing_residuals_on_random_draws():
                     abs(a * math.cos(th) + b * math.sin(th) - rr),
                     abs(b * math.cos(th) - a * math.sin(th) - ii))
                 c = right_eigvec(lin, om, s)
-                d = left_eigvec(lin, om, s, c)
+                d = left_eigvec(lin, om, s)
                 worst_eig = max(worst_eig, *eigen_residuals(lin, om, s, c, d))
     elapsed = time.perf_counter() - t0
     ok = (worst_char < 1e-8 and worst_split < 1e-8 and worst_eig < 1e-9

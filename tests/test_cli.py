@@ -21,12 +21,14 @@ from infodelay import (
     HistorySpec,
     HopfCandidate,
     ModelParams,
+    ParamGrid,
     ResonanceError,
     SimulationDiverged,
     State,
     Transversality,
     coexistence,
     compute_normal_form,
+    normal_forms,
     parse_config,
     predicted_amplitude,
     predicted_component_amplitudes,
@@ -371,14 +373,15 @@ def test_analyze_report_predicts_the_cycle(tmp_path):
     assert nf["self_checks"]["gamma1_drift_residual"] < 1e-10
     assert (tmp_path / "report.csv").exists()
     # every value is the library's own, and delta lies inside the bound:
-    # the u-amplitude reaches u* = 1 first, near delta = 0.0226
+    # the w-amplitude reaches w* = 1/6 first, near delta = 0.0210, before
+    # the u-amplitude reaches u* = 1 near 0.0226
     want = compute_normal_form(make_params(2.02))
     delta = 2.02 - want.s_star
     assert pred["delta"] == delta
     assert pred["amplitude"] == predicted_amplitude(want, delta)
     assert pred["component_amplitudes"] == predicted_component_amplitudes(want, delta).tolist()
     assert pred["period"] == predicted_period(want, delta)
-    assert abs(pred["valid_below"] - 0.0226031) < 1e-7
+    assert abs(pred["valid_below"] - 0.0210385) < 1e-7
     assert d["notes"] == []
 
 
@@ -388,7 +391,7 @@ def test_prediction_past_valid_below_has_no_period(tmp_path):
     d = run(parse_config(cfg("Analyze", s="40")), tmp_path)
     pred = d["normal_form"]["prediction"]
     assert pred["period"] is None
-    assert abs(pred["valid_below"] - 0.0226031) < 1e-7
+    assert abs(pred["valid_below"] - 0.0210385) < 1e-7
     # the amplitude itself is not clipped
     nf = compute_normal_form(make_params(40.0))
     assert pred["component_amplitudes"] == predicted_component_amplitudes(
@@ -396,18 +399,31 @@ def test_prediction_past_valid_below_has_no_period(tmp_path):
     assert pred["component_amplitudes"][0] > 40.0
     assert predicted_period(nf, 40.0 - nf.s_star) < 0
     assert d["notes"] == [
-        "no predicted period: |delta| = 37.9848 is past valid_below = 0.0226031, "
-        "where the predicted u-amplitude reaches u*"]
+        "no predicted period: |delta| = 37.9848 is past valid_below = 0.0210385, "
+        "where the predicted w-amplitude reaches w*"]
+
+
+@pytest.mark.parametrize("delta", [0.0215, 0.0225])
+def test_prediction_between_the_w_and_u_bounds_has_no_period(delta):
+    # past w's bound, before u's: the predicted w-amplitude exceeds w*
+    p = make_params(S_STAR + delta)
+    nf, point = compute_normal_form(p), coexistence(p).point
+    notes = []
+    pred = cli._prediction(nf, delta, point, notes)
+    assert pred["period"] is None
+    assert pred["component_amplitudes"][2] > point.w
+    assert pred["component_amplitudes"][0] < point.u
+    assert len(notes) == 1 and notes[0].endswith("the predicted w-amplitude reaches w*")
 
 
 # a point per bound and side: (params, direction, the side of the
 # cycle, what the note names)
 _BOUNDS = {
     "subcritical, u-amplitude": (
-        dict(r1=0.49, r2=0.8, a1=0.2, a2=1.23, b1=0.85, b2=0.36, mu=2.2, r=2.6),
+        dict(r1=4.47, r2=15.5, a1=2.48, a2=5.19, b1=1.36, b2=2.34, mu=0.621, r=0.0299),
         Direction.SUBCRITICAL, -1.0, "the predicted u-amplitude reaches u*"),
     "supercritical, period pole": (
-        dict(r1=3.27, r2=8.21, a1=0.564, a2=0.129, b1=-0.288, b2=-4.92, mu=7.08, r=4.63),
+        dict(r1=0.295, r2=11.7, a1=6.34, a2=0.391, b1=-2.31, b2=-1.33, mu=0.634, r=0.733),
         Direction.SUPERCRITICAL, 1.0, "T(delta)'s denominator vanishes"),
 }
 
@@ -417,22 +433,63 @@ _BOUNDS = {
 def test_prediction_bound_on_the_cycles_side(params, direction, side, where):
     p = ModelParams(**params, s=1.0)
     nf = compute_normal_form(p)
-    u_star = coexistence(p).point.u
+    point = coexistence(p).point
     assert nf.direction is direction
     notes = []
-    bound = cli._prediction(nf, 0.0, u_star, notes)["valid_below"]
+    bound = cli._prediction(nf, 0.0, point, notes)["valid_below"]
     assert bound > 0.05 and nf.s_star + 1.01 * side * bound > 0   # s > 0 at every case
-    inside = cli._prediction(nf, 0.99 * side * bound, u_star, notes)
+    inside = cli._prediction(nf, 0.99 * side * bound, point, notes)
     assert inside["period"] == predicted_period(nf, 0.99 * side * bound) > 0
-    assert inside["component_amplitudes"][0] < u_star
+    assert (np.array(inside["component_amplitudes"]) < point).all()
     # the other side has no cycle, so no period and no note
-    assert cli._prediction(nf, -0.5 * side * bound, u_star, notes)["period"] is None
+    assert cli._prediction(nf, -0.5 * side * bound, point, notes)["period"] is None
     assert notes == []
-    past = cli._prediction(nf, 1.01 * side * bound, u_star, notes)
+    past = cli._prediction(nf, 1.01 * side * bound, point, notes)
     assert past["period"] is None and past["valid_below"] == bound
-    assert (past["component_amplitudes"][0] > u_star
+    assert ((np.array(past["component_amplitudes"]) > point).any()
             or predicted_period(nf, 1.01 * side * bound) < 0)
     assert len(notes) == 1 and notes[0].endswith(where)
+
+
+def test_prediction_bound_holds_on_random_draws():
+    # valid_below on the first 500 classified draws of a wide box: 0.99
+    # of it on the cycle's side keeps every predicted amplitude below the
+    # coexistence point and T > 0; at 1.01 of it a component has reached
+    # its x*, or T <= 0, or the delay s* + delta is no longer positive
+    rng = np.random.default_rng(27)
+    n = 8000
+
+    def log_uniform(lo, hi):
+        return np.exp(rng.uniform(lo, hi, n))
+
+    draws = dict(r1=log_uniform(-3, 3), r2=log_uniform(-3, 3), a1=log_uniform(-4, 2),
+                 a2=log_uniform(-4, 2), b1=rng.uniform(-5, 5, n), b2=rng.uniform(-5, 5, n),
+                 mu=log_uniform(-4, 2), r=log_uniform(-4, 2), s=np.ones(n))
+    kinds, count = set(), 0
+    for i in np.flatnonzero(normal_forms(ParamGrid.of(draws)).ok):
+        p = ModelParams(**{k: float(v[i]) for k, v in draws.items()})
+        nf = compute_normal_form(p)
+        if nf.direction is Direction.DEGENERATE:
+            continue
+        point = coexistence(p).point
+        side = math.copysign(1.0, nf.chi1 / nf.chi2)
+        notes = []
+        bound = cli._prediction(nf, 0.0, point, notes)["valid_below"]
+        inside, past = 0.99 * side * bound, 1.01 * side * bound
+        assert (predicted_component_amplitudes(nf, inside) < point).all(), p
+        assert predicted_period(nf, inside) > 0, p
+        assert ((predicted_component_amplitudes(nf, past) >= point).any()
+                or predicted_period(nf, past) <= 0 or nf.s_star + past <= 0), p
+        cli._prediction(nf, past, point, notes)
+        kinds.add(notes[0].split(", where ")[1])
+        count += 1
+        if count == 500:
+            break
+    assert count == 500
+    # every bound binds somewhere in the box
+    assert kinds == {"the predicted u-amplitude reaches u*", "the predicted v-amplitude reaches v*",
+                     "the predicted w-amplitude reaches w*", "T(delta)'s denominator vanishes",
+                     "s reaches 0"}
 
 
 def test_critical_and_direction_sections(tmp_path):

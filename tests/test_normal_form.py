@@ -44,7 +44,7 @@ E_VEC = np.array([144.62892403 + 102.84132719j, 6.18374057 - 0.41636626j,
                   30.07073144 + 16.68131218j])
 F_VEC = np.array([-1160.82158573, -50.01316229, -194.16424778])
 
-_FQ = ("u2", "uv_delayed", "v2", "uv")
+_FQ = ("u2", "uv_delayed", "v2")
 
 
 def _dlambda_ds(cc, omega, s):
@@ -75,7 +75,6 @@ def test_linearization_matrices(reference_lin):
     assert abs(lin.F_quadratic["u2"] - (-0.025)) < 1e-12
     assert abs(lin.F_quadratic["uv_delayed"] - (-0.475)) < 1e-12
     assert abs(lin.F_quadratic["v2"] - (-0.5225)) < 1e-12
-    assert lin.F_quadratic["uv"] == 1.0
 
 
 def test_reference_normal_form():
@@ -100,7 +99,7 @@ def test_eigenvector_identities(reference_lin):
     p, lin = reference_lin
     om, s = OMEGA_STAR, S_STAR
     c = right_eigvec(lin, om, s)
-    d = left_eigvec(lin, om, s, c)
+    d = left_eigvec(lin, om, s)
     ju, jv, mr, b2r2 = 0.45, -0.545, 6.0, 0.135
     ex = cmath.exp(-1j * om * s)
     est = coexistence(p).point
@@ -131,8 +130,8 @@ def test_conjugate_frequency_gives_conjugate_vectors(reference_lin):
     c = right_eigvec(lin, OMEGA_STAR, S_STAR)
     c_neg = right_eigvec(lin, -OMEGA_STAR, S_STAR)
     assert np.allclose(c_neg, np.conj(c), atol=1e-9)
-    d = left_eigvec(lin, OMEGA_STAR, S_STAR, c)
-    d_neg = left_eigvec(lin, -OMEGA_STAR, S_STAR, c_neg)
+    d = left_eigvec(lin, OMEGA_STAR, S_STAR)
+    d_neg = left_eigvec(lin, -OMEGA_STAR, S_STAR)
     assert np.allclose(d_neg, np.conj(d), atol=1e-9)
 
 

@@ -103,13 +103,6 @@ def test_no_candidates_without_delayed_coupling():
     assert s0(p) is None
 
 
-def test_j_max_controls_ladder_length(reference_cc):
-    (cand,) = hopf_candidates(reference_cc, j_max=0)
-    assert len(cand.delays) == 1
-    with pytest.raises(ValueError):
-        hopf_candidates(reference_cc, j_max=-1)
-
-
 def test_transversality_signs_on_crafted_cubics():
     # G has roots {1, 2, 4}; the middle one is a leftward crossing
     cc = CharCoeffs(p0=1.0, p1=4.0, p2=1.0, q0=3.0, q1=0.0, q2=0.0)
@@ -260,8 +253,13 @@ def test_near_double_root_ignores_separated_roots():
 
 
 
-def _model_cc(r1, r2, a1, a2, b1, b2, mu, r):
-    p = ModelParams(r1=r1, r2=r2, a1=a1, a2=a2, b1=b1, b2=b2, mu=mu, r=r, s=1.0)
+# model points with two and three crossings
+_TWO = dict(r1=3.4, r2=2.2, a1=6.2, a2=1.2, b1=-2.7, b2=-5.0, mu=0.093, r=1.6, s=1.0)
+_THREE = dict(r1=3.3, r2=0.096, a1=1.1, a2=2.0, b1=1.7, b2=0.95, mu=0.039, r=0.042, s=1.0)
+
+
+def _model_cc(point):
+    p = ModelParams(**point)
     return char_coeffs(p, coexistence(p))
 
 
@@ -270,8 +268,7 @@ def test_model_point_with_three_crossings():
     # crossings, so the three-column candidate path and near_double_root
     # serve model points, not only synthetic cubics
     pos, neg = Transversality.POSITIVE, Transversality.NEGATIVE
-    three = _model_cc(3.3, 0.096, 1.1, 2.0, 1.7, 0.95, 0.039, 0.042)
-    two = _model_cc(3.4, 2.2, 6.2, 1.2, -2.7, -5.0, 0.093, 1.6)
+    three, two = _model_cc(_THREE), _model_cc(_TWO)
     for cc, signs in ((three, [pos, neg, pos]), (two, [pos, neg])):
         assert h1_holds(cc)
         cands = hopf_candidates(cc)
@@ -304,9 +301,7 @@ def test_candidates_come_in_base_delay_order():
     draws = dict(r1=log_uniform(-3, 3), r2=log_uniform(-3, 3), a1=log_uniform(-4, 2),
                  a2=log_uniform(-4, 2), b1=rng.uniform(-5, 5, n), b2=rng.uniform(-5, 5, n),
                  mu=log_uniform(-4, 2), r=log_uniform(-4, 2), s=np.ones(n))
-    two = dict(r1=3.4, r2=2.2, a1=6.2, a2=1.2, b1=-2.7, b2=-5.0, mu=0.093, r=1.6, s=1.0)
-    three = dict(r1=3.3, r2=0.096, a1=1.1, a2=2.0, b1=1.7, b2=0.95, mu=0.039, r=0.042, s=1.0)
-    grid = ParamGrid.of({k: np.append(v, [two[k], three[k]]) for k, v in draws.items()})
+    grid = ParamGrid.of({k: np.append(v, [_TWO[k], _THREE[k]]) for k, v in draws.items()})
     exists, point = coexistence_points(grid)
     at = np.flatnonzero(params_valid(grid) & exists)
     cc = _coeffs_at(grid.take(at), State(*(a[at] for a in point)))
@@ -331,3 +326,13 @@ def test_candidates_come_in_base_delay_order():
         assert [c.delays[0] for c in cands] == x.s_base[i, x.kept[i]].tolist()
         assert [c.omega for c in cands] == x.omega[i, x.kept[i]].tolist()
 
+
+def test_float_coeffs_are_one_equation(reference_cc):
+    # a CharCoeffs of floats gives, bit for bit, the Crossings of its
+    # one-point arrays: the path hopf_candidates takes
+    for cc in (reference_cc, _model_cc(_TWO), _model_cc(_THREE)):
+        floats = CharCoeffs(*(float(getattr(cc, f.name)) for f in fields(cc)))
+        arrays = CharCoeffs(*(np.array([getattr(cc, f.name)]) for f in fields(cc)))
+        for got, want in zip(crossing_candidates(floats), crossing_candidates(arrays)):
+            assert got.shape == want.shape == (1, 3) and got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
