@@ -51,11 +51,9 @@ from pathlib import Path
 import numpy as np
 
 from .model import ModelParams, ParamGrid, State, equilibria
-from .normal_form import (Direction, NormalForm, NormalForms, ResonanceError, _phase_rate,
-                          classify, compute_normal_form, eigen_residuals, linearize, normal_forms,
-                          predicted_amplitude, predicted_component_amplitudes, predicted_period)
-from .stability import (char_coeffs, crossing_drift, g_cubic, h1_holds, hopf_candidates,
-                        near_double_root)
+from .normal_form import (Direction, NormalForm, NormalForms, ResonanceError, classify,
+                          compute_normal_form, cycle_prediction, normal_forms, self_checks)
+from .stability import char_coeffs, g_cubic, h1_holds, hopf_candidates, near_double_root
 
 __all__ = [
     "Command",
@@ -340,8 +338,8 @@ def _analysis_sections(report: dict, params: ModelParams,
     if not estar.exists:
         notes.append(_missing_estar_note(estar, "delay analysis is not applicable"))
         return
-    coeffs = char_coeffs(params, estar)
     if want_critical:
+        coeffs = char_coeffs(params, estar)
         g = g_cubic(coeffs)
         candidates = hopf_candidates(coeffs)
         report.update(h1_holds=h1_holds(coeffs), char_coeffs=coeffs, g_coeffs=g,
@@ -362,66 +360,14 @@ def _analysis_sections(report: dict, params: ModelParams,
             notes.append(f"bifurcation direction not computed: {exc}")
             return
         report["s0"] = nf.s_star
-        rc, rd = eigen_residuals(linearize(params, estar), nf.omega_star, nf.s_star,
-                                 nf.c_vec, nf.d_vec)
-        drift = 1j * nf.omega_star + nf.s_star * crossing_drift(nf.omega_star, nf.s_star, coeffs)
+        prediction, note = cycle_prediction(nf, params.s - nf.s_star, estar.point)
+        if note is not None:
+            notes.append(note)
         # the NormalForm fields in their order, the linear period after s_star
         section = [(f.name, getattr(nf, f.name)) for f in fields(NormalForm)]
         section.insert(2, ("linear_period", 2.0 * math.pi / nf.omega_star))
-        report["normal_form"] = dict(
-            section,
-            # the cycle the amplitude equation predicts at the configured s
-            prediction=_prediction(nf, params.s - nf.s_star, estar.point, notes),
-            # residuals of the eigenvector equations and of Gamma1 against
-            # the crossing root's drift
-            self_checks={
-                "right_eigenvector_residual": rc,
-                "left_eigenvector_residual": rd,
-                "gamma1_drift_residual": float(abs(nf.Gamma1 - drift) / abs(nf.Gamma1)),
-            },
-        )
-
-
-def _prediction(nf: NormalForm, delta: float, point: State, notes: list) -> dict | None:
-    """The cycle the amplitude equation predicts at s = s* + delta.
-
-    valid_below bounds |delta| on the cycle's side of the switch: the
-    smallest of where a predicted component amplitude 2*rho*|c_x|
-    reaches the coexistence point's x* (x = u, v, w), where T(delta)'s
-    denominator vanishes, and, on the side below s*, where s reaches 0.
-    The period is None where no cycle exists on that side, and past the
-    bound, with a note naming the bound.
-    """
-    if nf.direction is Direction.DEGENERATE:
-        return None
-    amplitude = predicted_amplitude(nf, delta)
-    side = nf.chi1 / nf.chi2   # rho^2 = delta * side
-    # each amplitude grows as sqrt|delta|: ratio holds amplitude over x*
-    # at |delta| = 1, so component x reaches x* at 1/ratio[x]^2
-    ratio = predicted_component_amplitudes(nf, math.copysign(1.0, side)) / np.array(point)
-    x = int(np.argmax(ratio))
-    name = State._fields[x]
-    # the denominator omega*s* + delta*k vanishes at delta = -omega*s*/k
-    k = _phase_rate(nf)
-    bounds = {
-        f"the predicted {name}-amplitude reaches {name}*": 1.0 / ratio[x] ** 2,
-        "T(delta)'s denominator vanishes":
-            nf.omega_star * nf.s_star / abs(k) if k * side < 0 else math.inf,
-        "s reaches 0": nf.s_star if side < 0 else math.inf,
-    }
-    where = min(bounds, key=bounds.get)
-    valid_below = bounds[where]
-    period = None
-    if amplitude > 0 and abs(delta) < valid_below:
-        period = predicted_period(nf, delta)
-    elif amplitude > 0:
-        notes.append(f"no predicted period: |delta| = {abs(delta):.6g} is past "
-                     f"valid_below = {valid_below:.6g}, where {where}")
-    return {"delta": delta,
-            "amplitude": amplitude,
-            "component_amplitudes": predicted_component_amplitudes(nf, delta),
-            "period": period,
-            "valid_below": valid_below}
+        report["normal_form"] = dict(section, prediction=prediction,
+                                     self_checks=self_checks(nf, params, estar.point))
 
 
 def _run_simulate(report: dict, config: RunConfig, params: ModelParams,

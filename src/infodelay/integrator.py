@@ -412,8 +412,8 @@ class _Run:
         column: bit for bit the k1 of the next block's first step.
         """
         end = i0 + self.block
-        self.slopes[-1] = reduced_rhs(State(*self.states[end]), State(*self.lag[:, -1], 0.0),
-                                      self.params)[:2]
+        self.slopes[-1] = reduced_rhs(State(*self.states[end].tolist()),
+                                      State(*self.lag[:, -1].tolist(), 0.0), self.params)[:2]
         y, d = self.states[i0:end + 1, :2].T, self.slopes.T
         self.lag[:, 1::2] = 0.5 * (y[:, :-1] + y[:, 1:]) + 0.125 * self.h * (d[:, :-1] - d[:, 1:])
         self.lag[:, 0::2] = y

@@ -50,7 +50,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .model import Equilibrium, EquilibriumLabel, ModelParams, ParamGrid, State
-from .stability import _jacobian, first_switches
+from .stability import _coeffs_at, _jacobian, crossing_drift, first_switches
 
 __all__ = [
     "Direction",
@@ -67,6 +67,8 @@ __all__ = [
     "predicted_amplitude",
     "predicted_component_amplitudes",
     "predicted_period",
+    "cycle_prediction",
+    "self_checks",
     "compute_normal_form",
     "normal_forms",
 ]
@@ -388,19 +390,70 @@ def predicted_component_amplitudes(nf: NormalForm, delta: float) -> np.ndarray:
     return 2.0 * rho * np.abs(nf.c_vec)
 
 
-def _phase_rate(nf: NormalForm) -> float:
-    """Im Gamma1 - Im Gamma2*chi1/chi2: on the cycle at s* + delta the
-    phase of H turns delta times this in tau, on top of omega*s*."""
-    return nf.Gamma1.imag - nf.Gamma2.imag * nf.chi1 / nf.chi2
+def _period_denominator(nf: NormalForm) -> tuple[float, float]:
+    """T(delta)'s denominator omega*s* + delta*k as (omega*s*, k): on the
+    cycle at s* + delta the phase of H turns delta*k in tau."""
+    return nf.omega_star * nf.s_star, nf.Gamma1.imag - nf.Gamma2.imag * nf.chi1 / nf.chi2
 
 
 def predicted_period(nf: NormalForm, delta: float) -> float:
-    """Period in t of the cycle at delay s = s* + delta: the module
-    docstring's T(delta) = 2*pi*s / (omega*s* + delta*(Im Gamma1 -
-    Im Gamma2*chi1/chi2)). Meaningful where predicted_amplitude > 0."""
+    """Period in t of the cycle at delay s = s* + delta, the module
+    docstring's T(delta); meaningful where predicted_amplitude > 0."""
     _require_direction(nf)
-    drift = delta * _phase_rate(nf)
-    return 2.0 * math.pi * (nf.s_star + delta) / (nf.omega_star * nf.s_star + drift)
+    onset, k = _period_denominator(nf)
+    return 2.0 * math.pi * (nf.s_star + delta) / (onset + delta * k)
+
+
+def cycle_prediction(nf: NormalForm, delta: float, point: State) -> tuple[dict | None, str | None]:
+    """The cycle the amplitude equation predicts at s = s* + delta, and
+    the note that says why it has no period, or None.
+
+    valid_below bounds |delta| on the cycle's side of the switch: the
+    smallest of where a predicted component amplitude 2*rho*|c_x|
+    reaches the coexistence point's x* (x = u, v, w), where T(delta)'s
+    denominator vanishes, and, on the side below s*, where s reaches 0.
+    The period is None where no cycle exists on that side, and past the
+    bound, where the note names the bound. A degenerate direction
+    predicts nothing: (None, None).
+    """
+    if nf.direction is Direction.DEGENERATE:
+        return None, None
+    amplitude = predicted_amplitude(nf, delta)
+    side = nf.chi1 / nf.chi2   # rho^2 = delta * side
+    # each amplitude grows as sqrt|delta|: ratio holds amplitude over x*
+    # at |delta| = 1, so component x reaches x* at 1/ratio[x]^2
+    ratio = predicted_component_amplitudes(nf, math.copysign(1.0, side)) / np.array(point)
+    x = int(np.argmax(ratio))
+    name = State._fields[x]
+    onset, k = _period_denominator(nf)
+    bounds = {
+        f"the predicted {name}-amplitude reaches {name}*": 1.0 / ratio[x] ** 2,
+        "T(delta)'s denominator vanishes": onset / abs(k) if k * side < 0 else math.inf,
+        "s reaches 0": nf.s_star if side < 0 else math.inf,
+    }
+    where = min(bounds, key=bounds.get)
+    valid_below = bounds[where]
+    period = note = None
+    if amplitude > 0 and abs(delta) < valid_below:
+        period = predicted_period(nf, delta)
+    elif amplitude > 0:
+        note = (f"no predicted period: |delta| = {abs(delta):.6g} is past "
+                f"valid_below = {valid_below:.6g}, where {where}")
+    return {"delta": delta, "amplitude": amplitude,
+            "component_amplitudes": predicted_component_amplitudes(nf, delta),
+            "period": period, "valid_below": valid_below}, note
+
+
+def self_checks(nf: NormalForm, params: ModelParams, point: State) -> dict[str, float]:
+    """Residuals of the eigenvector equations, on a linearization at the
+    coexistence point, and of Gamma1 against the crossing root's drift
+    i*omega* + s*dlambda/ds from the characteristic equation."""
+    rc, rd = eigen_residuals(_linearize(params, point), nf.omega_star, nf.s_star,
+                             nf.c_vec, nf.d_vec)
+    drift = 1j * nf.omega_star + nf.s_star * crossing_drift(nf.omega_star, nf.s_star,
+                                                            _coeffs_at(params, point))
+    return {"right_eigenvector_residual": rc, "left_eigenvector_residual": rd,
+            "gamma1_drift_residual": float(abs(nf.Gamma1 - drift) / abs(nf.Gamma1))}
 
 
 class NormalForms(NamedTuple):

@@ -28,6 +28,7 @@ from infodelay import (
     Transversality,
     coexistence,
     compute_normal_form,
+    cycle_prediction,
     normal_forms,
     parse_config,
     predicted_amplitude,
@@ -408,12 +409,11 @@ def test_prediction_between_the_w_and_u_bounds_has_no_period(delta):
     # past w's bound, before u's: the predicted w-amplitude exceeds w*
     p = make_params(S_STAR + delta)
     nf, point = compute_normal_form(p), coexistence(p).point
-    notes = []
-    pred = cli._prediction(nf, delta, point, notes)
+    pred, note = cycle_prediction(nf, delta, point)
     assert pred["period"] is None
     assert pred["component_amplitudes"][2] > point.w
     assert pred["component_amplitudes"][0] < point.u
-    assert len(notes) == 1 and notes[0].endswith("the predicted w-amplitude reaches w*")
+    assert note.endswith("the predicted w-amplitude reaches w*")
 
 
 # a point per bound and side: (params, direction, the side of the
@@ -435,20 +435,22 @@ def test_prediction_bound_on_the_cycles_side(params, direction, side, where):
     nf = compute_normal_form(p)
     point = coexistence(p).point
     assert nf.direction is direction
-    notes = []
-    bound = cli._prediction(nf, 0.0, point, notes)["valid_below"]
+    at_switch, note = cycle_prediction(nf, 0.0, point)
+    bound = at_switch["valid_below"]
+    assert note is None
     assert bound > 0.05 and nf.s_star + 1.01 * side * bound > 0   # s > 0 at every case
-    inside = cli._prediction(nf, 0.99 * side * bound, point, notes)
+    inside, note = cycle_prediction(nf, 0.99 * side * bound, point)
     assert inside["period"] == predicted_period(nf, 0.99 * side * bound) > 0
     assert (np.array(inside["component_amplitudes"]) < point).all()
+    assert note is None
     # the other side has no cycle, so no period and no note
-    assert cli._prediction(nf, -0.5 * side * bound, point, notes)["period"] is None
-    assert notes == []
-    past = cli._prediction(nf, 1.01 * side * bound, point, notes)
+    other, note = cycle_prediction(nf, -0.5 * side * bound, point)
+    assert other["period"] is None and note is None
+    past, note = cycle_prediction(nf, 1.01 * side * bound, point)
     assert past["period"] is None and past["valid_below"] == bound
     assert ((np.array(past["component_amplitudes"]) > point).any()
             or predicted_period(nf, 1.01 * side * bound) < 0)
-    assert len(notes) == 1 and notes[0].endswith(where)
+    assert note.endswith(where)
 
 
 def test_prediction_bound_holds_on_random_draws():
@@ -473,15 +475,13 @@ def test_prediction_bound_holds_on_random_draws():
             continue
         point = coexistence(p).point
         side = math.copysign(1.0, nf.chi1 / nf.chi2)
-        notes = []
-        bound = cli._prediction(nf, 0.0, point, notes)["valid_below"]
+        bound = cycle_prediction(nf, 0.0, point)[0]["valid_below"]
         inside, past = 0.99 * side * bound, 1.01 * side * bound
         assert (predicted_component_amplitudes(nf, inside) < point).all(), p
         assert predicted_period(nf, inside) > 0, p
         assert ((predicted_component_amplitudes(nf, past) >= point).any()
                 or predicted_period(nf, past) <= 0 or nf.s_star + past <= 0), p
-        cli._prediction(nf, past, point, notes)
-        kinds.add(notes[0].split(", where ")[1])
+        kinds.add(cycle_prediction(nf, past, point)[1].split(", where ")[1])
         count += 1
         if count == 500:
             break

@@ -900,12 +900,12 @@ def test_import_leaves_scipy_out():
 
 
 def _loaded_after(code: str, cwd=None) -> list[str]:
-    """The infodelay submodules, numpy and scipy that a fresh interpreter
-    holds after running code, from the last line it prints."""
+    """The infodelay submodules, numpy, numpy.ma and scipy that a fresh
+    interpreter holds after running code, from the last line it prints."""
     src = str(Path(infodelay.__file__).resolve().parents[1])
     code = (f"import sys; sys.path.insert(0, {src!r}); {code}; "
             "print(*sorted(m for m in sys.modules "
-            "if m.startswith('infodelay.') or m in ('numpy', 'scipy')))")
+            "if m.startswith('infodelay.') or m in ('numpy', 'numpy.ma', 'scipy')))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, cwd=cwd)
     return out.stdout.splitlines()[-1].split()
@@ -951,6 +951,19 @@ def test_only_simulate_loads_the_time_domain_stack(tmp_path, command):
         assert not stack & set(loaded), loaded
 
 
+def test_a_long_simulate_plot_leaves_numpy_ma_unloaded(tmp_path):
+    # about 4,160 rows, which the plots decimate to 4000 points
+    params = "".join(f"{k} = {v!r}\n" for k, v in REFERENCE.items())
+    (tmp_path / "run.cfg").write_text(
+        f"command = Simulate\n{params}s = 2.02\n"
+        "t_end = 210\nu0 = 1.05\nv0 = 0.95\nsteps_per_delay = 40\n")
+    code = "from infodelay.cli import main; assert main(['run.cfg', '--plot']) == 0"
+    loaded = _loaded_after(code, cwd=tmp_path)
+    with open(tmp_path / "trajectory.csv") as f:
+        assert sum(1 for _ in f) - 1 > 4000
+    assert "infodelay.plots" in loaded and "numpy.ma" not in loaded
+
+
 def test_fft_period_recovers_off_bin_frequency():
     step = 0.5
     t = np.arange(0.0, 2048.0, step)
@@ -972,6 +985,12 @@ def test_fft_period_on_a_prime_length():
     t = np.arange(4099) * step
     got = fft_period(np.sin(2 * np.pi * t / 17.3), step)
     assert abs(got - 17.3) / 17.3 < 0.01
+
+
+def test_fft_period_with_its_peak_in_the_last_bin():
+    # an alternating signal peaks at the Nyquist bin, past which there is
+    # no neighbour to interpolate against: the period is two steps
+    assert fft_period(np.tile([1.0, -1.0], 50), 0.5) == 1.0
 
 
 def test_fft_period_flat_and_short_signals():

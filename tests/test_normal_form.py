@@ -15,6 +15,7 @@ from infodelay import (
     classify,
     coexistence,
     compute_normal_form,
+    cycle_prediction,
     eigen_residuals,
     left_eigvec,
     linearize,
@@ -23,6 +24,7 @@ from infodelay import (
     predicted_period,
     right_eigvec,
     second_order,
+    self_checks,
     transversality_sign,
 )
 from infodelay.model import ParamGrid
@@ -265,6 +267,23 @@ def test_predicted_amplitude_requires_clean_direction():
     broken = replace(nf, direction=Direction.DEGENERATE)
     with pytest.raises(ValueError):
         predicted_amplitude(broken, 0.01)
+
+
+def test_degenerate_direction_predicts_no_cycle():
+    p = make_params(2.02)
+    nf = replace(compute_normal_form(p), direction=Direction.DEGENERATE)
+    assert cycle_prediction(nf, 2.02 - nf.s_star, coexistence(p).point) == (None, None)
+
+
+def test_self_checks_at_the_reference():
+    p = make_params(2.0)
+    est = coexistence(p)
+    nf = compute_normal_form(p)
+    checks = self_checks(nf, p, est.point)
+    rc, rd = eigen_residuals(linearize(p, est), nf.omega_star, nf.s_star, nf.c_vec, nf.d_vec)
+    assert (checks["right_eigenvector_residual"], checks["left_eigenvector_residual"]) == (rc, rd)
+    drift = 1j * OMEGA_STAR + S_STAR * DLAMBDA_DS
+    assert abs(checks["gamma1_drift_residual"] - abs(GAMMA1 - drift) / abs(GAMMA1)) < 1e-10
 
 
 def test_compute_normal_form_requires_crossing():

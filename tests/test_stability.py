@@ -23,7 +23,8 @@ from infodelay import (
 from infodelay.model import ParamGrid, State, coexistence_points, params_valid
 from infodelay.stability import (GCubic, _coeffs_at, crossing_candidates, first_switches,
                                  near_double_root)
-from conftest import OMEGA_STAR, S_STAR, draw_params, draw_with_candidates, make_params
+from conftest import (OMEGA_STAR, REFERENCE, S_STAR, draw_params, draw_with_candidates,
+                      make_params)
 
 
 def _pq(lam, cc):
@@ -336,3 +337,20 @@ def test_float_coeffs_are_one_equation(reference_cc):
         for got, want in zip(crossing_candidates(floats), crossing_candidates(arrays)):
             assert got.shape == want.shape == (1, 3) and got.dtype == want.dtype
             assert got.tobytes() == want.tobytes()
+
+
+# z = 0.138 is a root of G to 1.3e-16 of the size of its terms, yet G's
+# coefficients reach 3.6e11 while its residual is judged against
+# max(1, z^3), so the candidate counts as off G
+_OFF_G = dict(r1=339.0, r2=1.31, a1=13.5, a2=0.0622, b1=-8.52, b2=-16.1, mu=4.94, r=34.7)
+
+
+def test_a_candidate_off_g_raises_and_fails_only_its_own_point():
+    p = ModelParams(**_OFF_G, s=1.0)
+    with pytest.raises(ValueError, match="is not a root of G") as raised:
+        hopf_candidates(char_coeffs(p, coexistence(p)))
+    grid = {k: np.array([REFERENCE[k], _OFF_G[k], REFERENCE[k]]) for k in REFERENCE}
+    sw = first_switches(ParamGrid.of({**grid, "s": np.ones(3)}))
+    assert sw.idx.tolist() == [0, 2]
+    assert list(sw.errors) == [1] and str(sw.errors[1]) == str(raised.value)
+    assert np.allclose(sw.s0, S_STAR, rtol=1e-12)
