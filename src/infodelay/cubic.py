@@ -32,10 +32,8 @@ _STEP_SHRINK = 1.000000000000001
 # a monotone Newton sequence in floats ends long before this; it only
 # bounds the loop should a non-finite coefficient stop it from ending
 _MAX_NEWTON = 200
-# a root counts as real and positive when |imag| <= _REL_IMAG * |root|
-# and real > _MIN_REAL
+# a root counts as real when |imag| <= _REL_IMAG * |root|
 _REL_IMAG = 1e-9
-_MIN_REAL = 1e-9
 
 
 def _eval(x, m, n, h):
@@ -124,9 +122,10 @@ def real_positive_mask(roots: np.ndarray) -> np.ndarray:
 
     A root is accepted when its imaginary part is below ``_REL_IMAG``
     relative to its modulus (guards against spurious complex pairs that
-    merely graze the real axis) and its real part exceeds ``_MIN_REAL``.
+    merely graze the real axis) and its real part is positive. No
+    absolute floor: the roots scale with the coefficients' units.
     """
-    return (np.abs(roots.imag) <= _REL_IMAG * np.abs(roots)) & (roots.real > _MIN_REAL)
+    return (np.abs(roots.imag) <= _REL_IMAG * np.abs(roots)) & (roots.real > 0.0)
 
 
 def real_positive_roots(m: float, n: float, h: float) -> list[float]:

@@ -255,26 +255,21 @@ def eigen_residuals(lin: Linearization, omega: float, s: float,
     return float(rc), float(rd)
 
 
-def _quad_products(fq: dict, c: np.ndarray, e2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Quadratic forcing at twice the crossing frequency and at zero, (N, 3).
+def _quadratic(fq: dict, x: np.ndarray, y: np.ndarray, delay) -> np.ndarray:
+    """Q(x, y) = B(x, y) + B(y, x) for the model's quadratic part, (N, 3).
 
-    The first-order wave c*exp(i*omega*t) squares into a double-frequency
-    part (coefficient of H^2) and a constant part (coefficient of
-    H*conj(H), hence the factor 2 from the two cross terms). Delayed
-    factors pick up exp(-i*omega*s) per delayed slot: e2 at double
-    frequency, unit modulus squared (nothing) at zero.
+    B is the bilinear form of F = (u2*u^2 + uv_delayed*u_s*v_s, v2*v^2,
+    u*v), F(X) = B(X, X), on waves x and y; the delayed product u_s*v_s
+    is scaled by delay, the net delay factor of the pair (exp(-i*omega*s)
+    per delayed slot at frequency omega).
     """
-    c1, c2 = c[:, 0], c[:, 1]
-    p2 = np.stack(np.broadcast_arrays(
-        fq["u2"] * c1 * c1 + fq["uv_delayed"] * c1 * c2 * e2,
-        fq["v2"] * c2 * c2,
-        c1 * c2), axis=1)
-    cross = 2.0 * (c1 * np.conj(c2)).real
-    p0 = np.stack(np.broadcast_arrays(
-        2.0 * fq["u2"] * np.abs(c1) ** 2 + fq["uv_delayed"] * cross,
-        2.0 * fq["v2"] * np.abs(c2) ** 2,
-        cross), axis=1)
-    return p2, p0
+    x1, x2 = x[:, 0], x[:, 1]
+    y1, y2 = y[:, 0], y[:, 1]
+    uv = x1 * y2 + x2 * y1
+    return np.stack(np.broadcast_arrays(
+        2.0 * fq["u2"] * x1 * y1 + fq["uv_delayed"] * uv * delay,
+        2.0 * fq["v2"] * x2 * y2,
+        uv), axis=1)
 
 
 def _solve(m: np.ndarray, rhs: np.ndarray, skip: np.ndarray) -> np.ndarray:
@@ -296,7 +291,10 @@ def _second_order(lin: Linearization, omega: np.ndarray, s: np.ndarray, c: np.nd
     an ill-conditioned solve.
     """
     e2 = np.exp(-2j * omega * s)
-    p2, p0 = _quad_products(lin.F_quadratic, c, e2)
+    # the wave c*H*exp(i*omega*t) squares into an H^2 part at twice the
+    # frequency and an H*conj(H) part at zero, where the delays cancel
+    p2 = 0.5 * _quadratic(lin.F_quadratic, c, c, e2)
+    p0 = _quadratic(lin.F_quadratic, c, np.conj(c), 1.0)
     shift = 2j * omega * s
 
     m2 = s[:, None, None] * (lin.A + lin.As * e2[:, None, None])
@@ -341,22 +339,14 @@ def _gammas(lin: Linearization, omega: np.ndarray, s: np.ndarray, c: np.ndarray,
     Gamma1 = d*(A + As*E)*c equals i*omega + s*dlambda/ds, the per-unit-
     delay drift of the crossing root. Gamma2 collects the cubic-order
     secular forcing: the first-order wave beating against its own
-    second-order response. The resonant part of each quadratic term is
-    assembled from the component products, delayed slots weighted by E
-    (the net delay factor of a wave at frequency +omega).
+    second-order response, c against f and conj(c) against e, each pair
+    at frequency +omega with net delay factor E.
     """
     ex = np.exp(-1j * omega * s)
     gamma1 = np.einsum("ni,nij,nj->n", d, lin.A + lin.As * ex[:, None, None], c)
 
     fq = lin.F_quadratic
-    c1, c2 = c[:, 0], c[:, 1]
-    e1, e2c = e_vec[:, 0], e_vec[:, 1]
-    f1, f2 = f_vec[:, 0], f_vec[:, 1]
-    mix_uv = c1 * f2 + np.conj(c1) * e2c + c2 * f1 + np.conj(c2) * e1
-    m_vec = np.stack(np.broadcast_arrays(
-        2.0 * fq["u2"] * (c1 * f1 + np.conj(c1) * e1) + fq["uv_delayed"] * ex * mix_uv,
-        2.0 * fq["v2"] * (c2 * f2 + np.conj(c2) * e2c),
-        mix_uv), axis=1)
+    m_vec = _quadratic(fq, c, f_vec, ex) + _quadratic(fq, np.conj(c), e_vec, ex)
     return gamma1, -s * np.einsum("ni,ni->n", d, m_vec)
 
 

@@ -113,20 +113,15 @@ def trajectory_plots(traj: Trajectory, out_dir) -> list[Path]:
     idx = _decimate(len(traj.states))
     t = traj.t0 + traj.step * idx
     u, v, w = (traj.states[idx, k] for k in range(3))
+    figures = [(f"waveform_{name}", t, comp, f"{name}(t)", "t", name)
+               for name, comp in (("u", u), ("v", v), ("w", w))]
+    figures += [("phase_uv", u, v, "orbit in the (u, v) plane", "u", "v"),
+                ("phase_uvw_projection", (u - v) / _SQ2, (u + v - 2.0 * w) / _SQ6,
+                 "orbit projected orthogonal to (1, 1, 1)",
+                 "(u - v)/sqrt(2)", "(u + v - 2w)/sqrt(6)")]
     written = []
-    for name, comp in (("u", u), ("v", v), ("w", w)):
-        path = out / f"waveform_{name}.svg"
-        path.write_text(line_plot(t, comp, f"{name}(t)", "t", name), encoding="utf-8")
+    for name, x, y, title, xlabel, ylabel in figures:
+        path = out / f"{name}.svg"
+        path.write_text(line_plot(x, y, title, xlabel, ylabel), encoding="utf-8")
         written.append(path)
-    path = out / "phase_uv.svg"
-    path.write_text(line_plot(u, v, "orbit in the (u, v) plane", "u", "v"),
-                    encoding="utf-8")
-    written.append(path)
-    path = out / "phase_uvw_projection.svg"
-    path.write_text(
-        line_plot((u - v) / _SQ2, (u + v - 2.0 * w) / _SQ6,
-                  "orbit projected orthogonal to (1, 1, 1)",
-                  "(u - v)/sqrt(2)", "(u + v - 2w)/sqrt(6)"),
-        encoding="utf-8")
-    written.append(path)
     return written

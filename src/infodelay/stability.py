@@ -58,10 +58,15 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
+# Each floor is a fraction of the size of the terms that the tested
+# quantity sums, so no verdict depends on the time unit: rescaling t
+# scales every term of one test by the same power of the factor.
 # determinant floor of the (sin, cos) recovery system
 _MIN_DET = 1e-14
 # |G'(z)| below this is treated as a degenerate (tangential) crossing
 _DEGENERATE_GPRIME = 1e-9
+# |G(z)| above this marks z as off G's roots
+_OFF_G = 1e-6
 
 _LADDER = 4   # delays per ladder, s_0 to s_3
 
@@ -228,15 +233,20 @@ def near_double_root(g: GCubic) -> float | None:
 
 
 def _g_slope(z, g: GCubic):
-    """Whether z fails G's root residual, and G'(z); elementwise."""
-    off = abs(((z + g.m) * z + g.n) * z + g.h) > 1e-6 * np.maximum(1.0, abs(z) ** 3)
-    return off, (3.0 * z + 2.0 * g.m) * z + g.n
+    """Whether z fails G's root residual, and G'(z), exactly 0 where it
+    is degenerate; elementwise. Both tests are relative to the size of
+    the terms summed, |z|^3 + |m|z^2 + |n||z| + |h| and 3z^2 + 2|m||z| + |n|."""
+    az, m, n = abs(z), abs(g.m), abs(g.n)
+    off = abs(((z + g.m) * z + g.n) * z + g.h) > _OFF_G * (((az + m) * az + n) * az + abs(g.h))
+    slope = (3.0 * z + 2.0 * g.m) * z + g.n
+    return off, np.where(abs(slope) < _DEGENERATE_GPRIME * ((3.0 * az + 2.0 * m) * az + n),
+                         0.0, slope)
 
 
-def _direction(gp: float) -> Transversality:
-    if abs(gp) < _DEGENERATE_GPRIME:
+def _direction(slope: float) -> Transversality:
+    if slope == 0.0:
         return Transversality.DEGENERATE
-    return Transversality.POSITIVE if gp > 0 else Transversality.NEGATIVE
+    return Transversality.POSITIVE if slope > 0 else Transversality.NEGATIVE
 
 
 def _not_a_root(z: float) -> ValueError:
@@ -250,10 +260,10 @@ def transversality_sign(z: float, coeffs: CharCoeffs) -> Transversality:
     G'(z), so a Positive sign means eigenvalues march rightward as the
     delay grows through the ladder.
     """
-    off, gp = _g_slope(z, g_cubic(coeffs))
+    off, slope = _g_slope(z, g_cubic(coeffs))
     if off:
         raise _not_a_root(z)
-    return _direction(gp)
+    return _direction(slope)
 
 
 def _polish_pair(omega, s, coeffs: CharCoeffs):
@@ -282,9 +292,10 @@ class Crossings(NamedTuple):
     One column per root of G: first the candidates, by ascending base
     delay (ties in root order), so column 0 is the first switch, then
     the entries that hold none. kept marks the candidates, the positive
-    real roots whose (sin, cos) recovery is regular. off_g marks a kept
-    omega^2 that fails G's root residual, where ``transversality_sign``
-    raises.
+    real roots whose (sin, cos) recovery is regular. g_slope is G' at
+    omega^2, exactly 0 where the crossing is degenerate. off_g marks a
+    kept omega^2 that fails G's root residual, where
+    ``transversality_sign`` raises.
     """
 
     omega: np.ndarray
@@ -324,7 +335,7 @@ def crossing_candidates(coeffs: CharCoeffs) -> Crossings:
     rr = c.p2 * z - c.p0
     ii = omega * z - c.p1 * omega
     det = a * a + b * b
-    dropped = positive & (det < _MIN_DET)
+    dropped = positive & (det <= _MIN_DET * (abs(c.q0) + abs(c.q2) * z + abs(b)) ** 2)
     for i, k in zip(*np.nonzero(dropped)):
         logger.warning(
             "dropping crossing candidate at omega=%g: delayed part vanishes "

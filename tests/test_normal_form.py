@@ -10,13 +10,16 @@ import pytest
 from infodelay import (
     Direction,
     Linearization,
+    ModelParams,
     ResonanceError,
+    Transversality,
     char_coeffs,
     classify,
     coexistence,
     compute_normal_form,
     cycle_prediction,
     eigen_residuals,
+    hopf_candidates,
     left_eigvec,
     linearize,
     predicted_amplitude,
@@ -27,9 +30,9 @@ from infodelay import (
     self_checks,
     transversality_sign,
 )
-from infodelay.model import ParamGrid
-from infodelay.normal_form import _second_order, _stack, normal_forms
-from infodelay.stability import crossing_drift
+from infodelay.model import ParamGrid, State, reduced_rhs
+from infodelay.normal_form import _linearize, _quadratic, _second_order, _stack, normal_forms
+from infodelay.stability import crossing_drift, first_switches
 from conftest import REFERENCE, OMEGA_STAR, S_STAR, draw_with_candidates, make_params
 
 # frozen values for the reference set, computed once from the assembled
@@ -94,6 +97,63 @@ def test_reference_normal_form():
     assert np.allclose(nf.f_vec, F_VEC, atol=1e-6)
     assert np.max(np.abs(F_VEC.imag)) == 0.0  # frozen real part only
     assert float(np.max(np.abs(np.imag(nf.f_vec)))) < 1e-9
+
+
+def test_quadratic_is_the_polarization_of_the_model():
+    # the model's right-hand side f is a quadratic polynomial without a
+    # constant term, so f(x + y) - f(x) - f(y) = B(x, y) + B(y, x) = Q(x, y).
+    # Each wave's delayed slots carry its delay factor, so the pair's
+    # delayed product carries dx*dy. The oracle is model.reduced_rhs: a
+    # wrong sign or coefficient in F_quadratic fails here
+    rng = np.random.default_rng(29)
+    n = 1000
+
+    def log_uniform():
+        return np.exp(rng.uniform(-2.0, 2.0, n))
+
+    p = ParamGrid.of(dict(r1=log_uniform(), r2=log_uniform(), a1=log_uniform(),
+                          a2=log_uniform(), b1=rng.uniform(-5, 5, n), b2=rng.uniform(-5, 5, n),
+                          mu=log_uniform(), r=log_uniform(), s=np.ones(n)))
+
+    def wave():
+        x = rng.normal(size=(n, 3)) + 1j * rng.normal(size=(n, 3))
+        return x, np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, n))
+
+    def f(*waves):
+        now = sum(x for x, _ in waves)
+        past = sum(x * delay[:, None] for x, delay in waves)
+        return np.stack(reduced_rhs(State(*now.T), State(*past.T), p), axis=1)
+
+    (x, dx), (y, dy) = wave(), wave()
+    want = f((x, dx), (y, dy)) - f((x, dx)) - f((y, dy))
+    fq = _linearize(p, State(1.0, 1.0, 1.0)).F_quadratic
+    got = _quadratic(fq, x, y, dx * dy)
+    assert (np.abs(got - want).max(axis=1) <= 1e-12 * np.abs(want).max(axis=1)).all()
+
+
+@pytest.mark.parametrize("k", [1e-6, 1e-4, 1e-3, 3e-3, 1e-2, 1.0, 100.0])
+def test_verdicts_do_not_depend_on_the_time_unit(k):
+    # a time unit k times longer is an exact rescaling of the model: r1,
+    # r2, mu, r and b2 times k, the delay over k, w over k. The crossing, its direction
+    # and the normal form must follow it, so no floor on the way may be
+    # absolute in the time unit
+    kw = dict(REFERENCE, s=2.02 / k)
+    kw.update({name: REFERENCE[name] * k for name in ("r1", "r2", "mu", "r", "b2")})
+    p = ModelParams(**kw)
+    (cand,) = hopf_candidates(char_coeffs(p, coexistence(p)))
+    assert cand.delays[0] * k == pytest.approx(S_STAR, rel=1e-12)
+    assert cand.omega / k == pytest.approx(OMEGA_STAR, rel=1e-12)
+    assert cand.transversality_sign is Transversality.POSITIVE
+    sw = first_switches(ParamGrid.of(p))
+    assert sw.idx.tolist() == [0] and not sw.errors
+    assert sw.s0[0] * k == pytest.approx(S_STAR, rel=1e-12)
+    nf = compute_normal_form(p)
+    assert nf.s_star * k == pytest.approx(S_STAR, rel=1e-12)
+    assert nf.omega_star / k == pytest.approx(OMEGA_STAR, rel=1e-12)
+    assert nf.direction is Direction.SUPERCRITICAL
+    # delta*Gamma1 and Gamma2 are free of the time unit
+    assert nf.Gamma1 / k == pytest.approx(GAMMA1, rel=1e-8)
+    assert nf.Gamma2 == pytest.approx(GAMMA2, rel=1e-8)
 
 
 def test_eigenvector_identities(reference_lin):

@@ -20,6 +20,7 @@ from infodelay import (
     s0,
     transversality_sign,
 )
+from infodelay import stability
 from infodelay.model import ParamGrid, State, coexistence_points, params_valid
 from infodelay.stability import (GCubic, _coeffs_at, crossing_candidates, first_switches,
                                  near_double_root)
@@ -339,17 +340,35 @@ def test_float_coeffs_are_one_equation(reference_cc):
             assert got.tobytes() == want.tobytes()
 
 
-# z = 0.138 is a root of G to 1.3e-16 of the size of its terms, yet G's
-# coefficients reach 3.6e11 while its residual is judged against
-# max(1, z^3), so the candidate counts as off G
-_OFF_G = dict(r1=339.0, r2=1.31, a1=13.5, a2=0.0622, b1=-8.52, b2=-16.1, mu=4.94, r=34.7)
+# G's coefficients reach 3.6e11 here, and z = 0.138 is a root of G to
+# 1.3e-16 of the size of its terms (exact rational evaluation)
+_LARGE = dict(r1=339.0, r2=1.31, a1=13.5, a2=0.0622, b1=-8.52, b2=-16.1, mu=4.94, r=34.7)
 
 
-def test_a_candidate_off_g_raises_and_fails_only_its_own_point():
-    p = ModelParams(**_OFF_G, s=1.0)
+def test_large_coefficients_keep_their_candidate():
+    # G's root residual must be judged against the size of its terms,
+    # which here dwarf z^3
+    p = ModelParams(**_LARGE, s=1.0)
+    (cand,) = hopf_candidates(char_coeffs(p, coexistence(p)))
+    assert cand.z == pytest.approx(0.13849, abs=1e-5)
+    assert cand.transversality_sign is Transversality.POSITIVE
+
+
+def test_a_candidate_off_g_raises_and_fails_only_its_own_point(monkeypatch):
+    # a polishing step that lands 2% off the root, at this one candidate
+    p = ModelParams(**_LARGE, s=1.0)
+    cc = char_coeffs(p, coexistence(p))
+    omega = hopf_candidates(cc)[0].omega
+    polish = stability._polish_pair
+
+    def off_root(w, s, coeffs):
+        w, s = polish(w, s, coeffs)
+        return np.where(w == omega, 1.01 * w, w), s
+
+    monkeypatch.setattr(stability, "_polish_pair", off_root)
     with pytest.raises(ValueError, match="is not a root of G") as raised:
-        hopf_candidates(char_coeffs(p, coexistence(p)))
-    grid = {k: np.array([REFERENCE[k], _OFF_G[k], REFERENCE[k]]) for k in REFERENCE}
+        hopf_candidates(cc)
+    grid = {k: np.array([REFERENCE[k], _LARGE[k], REFERENCE[k]]) for k in REFERENCE}
     sw = first_switches(ParamGrid.of({**grid, "s": np.ones(3)}))
     assert sw.idx.tolist() == [0, 2]
     assert list(sw.errors) == [1] and str(sw.errors[1]) == str(raised.value)
