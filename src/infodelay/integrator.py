@@ -111,8 +111,6 @@ _CSV_CHUNK = 2048
 # error estimate its kept run must meet
 _SPD_LADDER = (25, 50, 100, 200)
 _STEP_RTOL = 1e-6
-# exit status of a forked rung whose run diverged
-_DIVERGED_STATUS = 3
 
 
 class SimulationDiverged(RuntimeError):
@@ -516,15 +514,15 @@ def simulate_to_tolerance(params: ModelParams, history: HistorySpec, t_end: floa
 
     Where the rungs run: spd 25 and 50 are independent, so while this
     process runs spd 50, a forked child runs spd 25 on a second CPU and
-    hands its states back through shared memory (_rung_aside). A
-    diverged spd 25 run discards the spd 50 run beside it; a child that
-    fails otherwise or is killed has its run made again here, after spd
-    50, so any other failure raises from this process. spd 25 runs
-    here instead, first and alone, where os.fork is missing, the
-    affinity set has one CPU, or another thread is alive; a diverged
-    spd 25 run then skips spd 50. spd 100 and 200 always run here, one
-    after the other. Either way the kept run, its estimate and any
-    divergence are the same, and no child outlives the call.
+    hands back its states through shared memory or nothing
+    (_rung_aside). Where it hands back nothing, after a divergence,
+    another failure or a kill, spd 25 runs again here after spd 50, so
+    its divergence (which discards the spd 50 run) or failure raises
+    from this process. spd 25 runs here instead, first and alone, where
+    os.fork is missing, the affinity set has one CPU, or another thread
+    is alive; a diverged spd 25 run then skips spd 50. spd 100 and 200
+    always run here, one after the other. Either way the kept run, its
+    estimate and any divergence are the same; no child outlives the call.
     """
     first, second = _SPD_LADDER[:2]
     coarse = fine = None   # (spd, states) of the finest run so far; the next rung's run
@@ -576,15 +574,14 @@ def _rung_aside(params: ModelParams, history: HistorySpec, t_end: float, spd: in
 
     With a spare CPU (_spare_cpu) a forked child makes the run into a
     shared anonymous mmap, sized by _run_grid, while the caller goes on,
-    and collect() reaps it. The child reports by its exit status alone:
-    0 when the states are in place, _DIVERGED_STATUS when it diverged,
-    with the divergence's time and orthant exit (NaN for None) in the
-    first row, and 1 when it failed otherwise. On any other status,
-    1 or a signal from outside, collect() makes the run here, so a
-    failure raises its own exception and a killed child costs only the
-    run. On leaving the block by an exception before collect(), the
-    child is killed and reaped. Without a spare CPU the run is made here
-    on entry, and its divergence raises from the with statement.
+    and collect() reaps it. The child hands back its states or nothing:
+    exit status 0 means the states are in place. On any other outcome,
+    a divergence, another failure or a signal from outside, collect()
+    makes the run here, so the run's own SimulationDiverged or other
+    exception raises from this process. On leaving the block by an
+    exception before collect(), the child is killed and reaped. Without
+    a spare CPU the run is made here on entry, and its divergence
+    raises from the with statement.
     """
     if not _spare_cpu():
         states = simulate(params, history, t_end, spd).states
@@ -598,10 +595,6 @@ def _rung_aside(params: ModelParams, history: HistorySpec, t_end: float, spd: in
         try:
             shared[:] = simulate(params, history, t_end, spd).states
             status = 0
-        except SimulationDiverged as exc:
-            orthant = exc.left_positive_orthant_at
-            shared[0, :2] = exc.time, math.nan if orthant is None else orthant
-            status = _DIVERGED_STATUS
         finally:
             os._exit(status)
 
@@ -609,9 +602,6 @@ def _rung_aside(params: ModelParams, history: HistorySpec, t_end: float, spd: in
         nonlocal pid
         status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
         pid = None
-        if status == _DIVERGED_STATUS:
-            time, orthant = shared[0, :2].tolist()
-            raise SimulationDiverged(time, None if math.isnan(orthant) else orthant, spd)
         return shared if status == 0 else simulate(params, history, t_end, spd).states
 
     try:

@@ -186,7 +186,10 @@ def _null_vectors(lin: Linearization, omega: np.ndarray, s: np.ndarray
                   ) -> tuple[np.ndarray, np.ndarray, dict[int, Exception], dict[int, Exception]]:
     """Right and left null vectors of N crossing matrices, one SVD each.
 
-    c is pinned to middle component 1, which fixes the free phase: the
+    The SVD is of the matrix with its rows, then its columns, scaled to
+    unit largest entry, and each test is relative to the size of the
+    terms it sums, so that no verdict depends on the time unit. c is
+    pinned to middle component 1, which fixes the free phase: the
     middle component never vanishes at a genuine crossing of this model
     (it is coupled to both others). d has the bilinear normalization
     d*(I + s*As*E)*c = 1; the factor is the lambda-derivative of the
@@ -196,16 +199,20 @@ def _null_vectors(lin: Linearization, omega: np.ndarray, s: np.ndarray
     and those of the crossing test and the normalization (left).
     """
     n, e = _cross_matrix(lin, omega, s)
-    u, sig, vh = np.linalg.svd(n)
+    size = np.abs(n)
+    rows = 1.0 / size.max(axis=2, keepdims=True)
+    cols = 1.0 / (size * rows).max(axis=1, keepdims=True)
+    u, sig, vh = np.linalg.svd(n * (rows * cols))
     c = vh[:, -1, :].conj()
-    mid = c[:, 1]
-    flat = np.abs(mid) < 1e-12 * np.linalg.norm(c, axis=1)
-    c = c / np.where(flat, 1.0, mid)[:, None]
-    resid = _inf_norm(_matvec(n, c)) / _inf_norm(c)
-    d = u[:, :, -1].conj()
-    den = (d * _matvec(_EYE + s[:, None, None] * lin.As * e[:, None, None], c)).sum(axis=1)
-    degenerate = np.abs(den) < _DEGENERATE_PRODUCT * np.maximum(
-        1.0, np.linalg.norm(c, axis=1))
+    flat = np.abs(c[:, 1]) < 1e-12 * np.linalg.norm(c, axis=1)
+    c = c * cols[:, 0]
+    c = c / np.where(flat, 1.0, c[:, 1])[:, None]
+    resid = _inf_norm(_matvec(n, c)) / _inf_norm(_matvec(size, np.abs(c)))
+    d = u[:, :, -1].conj() * rows[:, :, 0]
+    m = _EYE + s[:, None, None] * lin.As * e[:, None, None]
+    den = (d * _matvec(m, c)).sum(axis=1)
+    degenerate = np.abs(den) < _DEGENERATE_PRODUCT * (
+        np.abs(d) * _matvec(np.abs(m), np.abs(c))).sum(axis=1)
     d = d / np.where(degenerate, 1.0, den)[:, None]
 
     right: dict[int, Exception] = {}

@@ -549,6 +549,25 @@ def test_forked_rung_gives_the_in_process_ladder(tmp_path, monkeypatch, forks, p
     assert here_csv == aside_csv
 
 
+def test_diverged_forked_rung_is_run_here(monkeypatch, forks):
+    # a forked child hands back its states or nothing, so the stiff
+    # config's diverged spd 25 run is made again in this process, after
+    # spd 50, and its divergence here sends the ladder to spd 200
+    spds = []
+
+    def record(params, history, t_end, spd):
+        spds.append(spd)
+        return simulate(params, history, t_end, spd)
+
+    monkeypatch.setattr(integrator, "_spare_cpu", lambda: True)
+    monkeypatch.setattr(integrator, "simulate", record)
+    params, start, t_end, spd = _LADDER_ENDS["stiff keeps spd 200 without an estimate"]
+    kept = simulate_to_tolerance(params, _flat(*start), t_end)
+    assert spds == [50, 25, 200] and forks == [1]
+    assert kept.steps_per_delay == spd and kept.step_error_estimate is None
+    _assert_no_child_left()
+
+
 def _interrupted_at_spd_50(params, history, t_end, spd):
     if spd == 50:
         raise KeyboardInterrupt

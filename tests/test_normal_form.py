@@ -31,7 +31,8 @@ from infodelay import (
     transversality_sign,
 )
 from infodelay.model import ParamGrid, State, reduced_rhs
-from infodelay.normal_form import _linearize, _quadratic, _second_order, _stack, normal_forms
+from infodelay.normal_form import (_cross_matrix, _linearize, _quadratic, _second_order, _stack,
+                                  normal_forms)
 from infodelay.stability import crossing_drift, first_switches
 from conftest import REFERENCE, OMEGA_STAR, S_STAR, draw_with_candidates, make_params
 
@@ -131,7 +132,8 @@ def test_quadratic_is_the_polarization_of_the_model():
     assert (np.abs(got - want).max(axis=1) <= 1e-12 * np.abs(want).max(axis=1)).all()
 
 
-@pytest.mark.parametrize("k", [1e-6, 1e-4, 1e-3, 3e-3, 1e-2, 1.0, 100.0])
+@pytest.mark.parametrize("k", [1e-13, 1e-12, 1e-6, 1e-4, 1e-3, 3e-3, 1e-2, 1.0, 100.0, 1e8,
+                               1e10])
 def test_verdicts_do_not_depend_on_the_time_unit(k):
     # a time unit k times longer is an exact rescaling of the model: r1,
     # r2, mu, r and b2 times k, the delay over k, w over k. The crossing, its direction
@@ -154,6 +156,39 @@ def test_verdicts_do_not_depend_on_the_time_unit(k):
     # delta*Gamma1 and Gamma2 are free of the time unit
     assert nf.Gamma1 / k == pytest.approx(GAMMA1, rel=1e-8)
     assert nf.Gamma2 == pytest.approx(GAMMA2, rel=1e-8)
+
+
+def test_null_vectors_keep_their_normalization_on_wide_draws():
+    # _null_vectors takes its SVD of the crossing matrix scaled to unit
+    # rows and columns and maps c and d back: at every point with a
+    # normal form, c has middle component 1, d*(I + s*As*E)*c = 1, and
+    # both are null vectors of the unscaled matrix to the rounding of
+    # its terms
+    rng = np.random.default_rng(30)
+    n = 20_000
+
+    def log_uniform():
+        return np.exp(rng.uniform(-2.0, 2.0, n))
+
+    p = ParamGrid.of(dict(r1=log_uniform(), r2=log_uniform(), a1=log_uniform(),
+                          a2=log_uniform(), b1=rng.uniform(-5, 5, n), b2=rng.uniform(-5, 5, n),
+                          mu=log_uniform(), r=log_uniform(), s=np.ones(n)))
+    nfs = normal_forms(p)
+    ok = np.flatnonzero(nfs.ok)
+    assert len(ok) > 2000
+    sw = first_switches(p.take(ok))
+    assert sw.s0.tolist() == nfs.s0[ok].tolist()
+    lin = _linearize(sw.params, sw.point)
+    cross, e = _cross_matrix(lin, sw.omega, sw.s0)
+    c, d = nfs.c_vec[ok], nfs.d_vec[ok]
+    m = np.eye(3) + sw.s0[:, None, None] * lin.As * e[:, None, None]
+    assert np.abs(c[:, 1] - 1.0).max() < 1e-15
+    assert np.abs(np.einsum("ni,nij,nj->n", d, m, c) - 1.0).max() < 1e-14
+    rc = np.abs(np.einsum("nij,nj->ni", cross, c)).max(axis=1) / np.einsum(
+        "nij,nj->ni", np.abs(cross), np.abs(c)).max(axis=1)
+    rd = np.abs(np.einsum("ni,nij->nj", d, cross)).max(axis=1) / np.einsum(
+        "ni,nij->nj", np.abs(d), np.abs(cross)).max(axis=1)
+    assert rc.max() < 1e-11 and rd.max() < 1e-11
 
 
 def test_eigenvector_identities(reference_lin):
