@@ -51,9 +51,9 @@ from pathlib import Path
 import numpy as np
 
 from .model import ModelParams, ParamGrid, State, equilibria
-from .normal_form import (Direction, NormalForm, NormalForms, ResonanceError, classify,
-                          compute_normal_form, cycle_prediction, normal_forms, self_checks)
-from .stability import char_coeffs, g_cubic, h1_holds, hopf_candidates, near_double_root
+from .normal_form import (Direction, NormalForm, NormalForms, ResonanceError, _normal_form,
+                          classify, cycle_prediction, normal_forms, self_checks)
+from .stability import CharCoeffs, _candidates, g_cubic, h1_holds, near_double_root
 
 __all__ = [
     "Command",
@@ -330,18 +330,21 @@ def _missing_estar_note(estar, consequence: str) -> str:
     return f"coexistence equilibrium does not exist; {consequence}"
 
 
-def _analysis_sections(report: dict, params: ModelParams,
-                       want_critical: bool, want_direction: bool) -> None:
+def _analysis_sections(report: dict, params: ModelParams, command: Command) -> None:
+    """The sections of an Analyze, Critical or Direction report, all read
+    from one normal_forms pass over the point: Critical's coefficients
+    and candidates, Direction's normal form, and Analyze's both."""
     notes = report["notes"]
     eqs = report["equilibria"] = equilibria(params)
     estar = eqs[3]
     if not estar.exists:
         notes.append(_missing_estar_note(estar, "delay analysis is not applicable"))
         return
-    if want_critical:
-        coeffs = char_coeffs(params, estar)
+    nfs = normal_forms(ParamGrid.of(params))
+    if command is not Command.DIRECTION:
+        coeffs = CharCoeffs(*(float(getattr(nfs.coeffs, f.name)[0]) for f in fields(CharCoeffs)))
         g = g_cubic(coeffs)
-        candidates = hopf_candidates(coeffs)
+        candidates = _candidates(nfs.crossings, 0)
         report.update(h1_holds=h1_holds(coeffs), char_coeffs=coeffs, g_coeffs=g,
                       candidates=candidates)
         pair_at = near_double_root(g)
@@ -353,21 +356,22 @@ def _analysis_sections(report: dict, params: ModelParams,
         else:
             notes.append("no imaginary-axis crossings: no delay-induced "
                          "stability switch")
-    if want_direction:
-        try:
-            nf = compute_normal_form(params)
-        except (ValueError, ResonanceError) as exc:
-            notes.append(f"bifurcation direction not computed: {exc}")
-            return
-        report["s0"] = nf.s_star
-        prediction, note = cycle_prediction(nf, params.s - nf.s_star, estar.point)
-        if note is not None:
-            notes.append(note)
-        # the NormalForm fields in their order, the linear period after s_star
-        section = [(f.name, getattr(nf, f.name)) for f in fields(NormalForm)]
-        section.insert(2, ("linear_period", 2.0 * math.pi / nf.omega_star))
-        report["normal_form"] = dict(section, prediction=prediction,
-                                     self_checks=self_checks(nf, params, estar.point))
+    if command is Command.CRITICAL:
+        return
+    try:
+        nf = _normal_form(nfs, 0)
+    except (ValueError, ResonanceError) as exc:
+        notes.append(f"bifurcation direction not computed: {exc}")
+        return
+    report["s0"] = nf.s_star
+    prediction, note = cycle_prediction(nf, params.s - nf.s_star, estar.point)
+    if note is not None:
+        notes.append(note)
+    # the NormalForm fields in their order, the linear period after s_star
+    section = [(f.name, getattr(nf, f.name)) for f in fields(NormalForm)]
+    section.insert(2, ("linear_period", 2.0 * math.pi / nf.omega_star))
+    report["normal_form"] = dict(section, prediction=prediction,
+                                 self_checks=self_checks(nf, params, estar.point))
 
 
 def _run_simulate(report: dict, config: RunConfig, params: ModelParams,
@@ -546,11 +550,7 @@ def run(config: RunConfig, output_dir=".", plot: bool = False) -> dict:
     elif command is Command.SIMULATE:
         _run_simulate(report, config, params, history, out_dir, plot)
     else:
-        _analysis_sections(
-            report, params,
-            want_critical=command in (Command.ANALYZE, Command.CRITICAL),
-            want_direction=command in (Command.ANALYZE, Command.DIRECTION),
-        )
+        _analysis_sections(report, params, command)
     doc = _jsonify(report)
     _write_report(doc, out_dir, table)
     if table is not None:

@@ -33,12 +33,12 @@ shape (N, 3, 3), frequencies and delays of shape (N,), vectors of
 shape (N, 3). One SVD of each crossing matrix gives both null vectors,
 and the second-order eigenvalue checks and solves are stacked LAPACK
 calls. ``normal_forms`` evaluates a whole parameter grid at the
-switches ``stability.first_switches`` finds, starting from the reasons
-it records for points without one. Failures are per point: a failing
-point is left out of the results and its exception recorded, not
-raised. ``right_eigvec``, ``left_eigvec``, ``second_order`` and
-``compute_normal_form`` are the one-point case and raise that
-exception.
+switches ``stability.first_switches`` finds, with their coefficients
+and crossings: the one analysis pass that every report reads.
+Failures are per point: a failing point is left out of the results
+and its exception recorded, not raised. ``compute_normal_form`` is
+the one-point case, read through the reports' ``_normal_form``, and
+raises that exception.
 """
 from __future__ import annotations
 
@@ -49,8 +49,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import Equilibrium, EquilibriumLabel, ModelParams, ParamGrid, State
-from .stability import _coeffs_at, _jacobian, crossing_drift, first_switches
+from .model import ModelParams, ParamGrid, State
+from .stability import (CharCoeffs, Crossings, _coeffs_at, _jacobian, _scatter, crossing_drift,
+                        first_switches)
 
 __all__ = [
     "Direction",
@@ -58,11 +59,7 @@ __all__ = [
     "NormalForm",
     "NormalForms",
     "ResonanceError",
-    "linearize",
-    "right_eigvec",
-    "left_eigvec",
     "eigen_residuals",
-    "second_order",
     "classify",
     "predicted_amplitude",
     "predicted_component_amplitudes",
@@ -145,28 +142,6 @@ def _linearize(params, point: State) -> Linearization:
     return Linearization(A=a, As=a_s, F_quadratic=fq)
 
 
-def linearize(params: ModelParams, estar: Equilibrium) -> Linearization:
-    if estar.label is not EquilibriumLabel.ESTAR or not estar.exists:
-        raise ValueError("linearize requires the existing coexistence equilibrium")
-    return _linearize(params, estar.point)
-
-
-def _stack(lin: Linearization) -> Linearization:
-    """One linearization as a stack of one."""
-    return Linearization(A=np.asarray(lin.A)[None], As=np.asarray(lin.As)[None],
-                         F_quadratic=lin.F_quadratic)
-
-
-def _one(x) -> np.ndarray:
-    """A number or a vector as a stack of one."""
-    return np.asarray(x)[None]
-
-
-def _raise_first(errors: dict[int, Exception]) -> None:
-    if errors:
-        raise errors[0]
-
-
 def _cross_matrix(lin: Linearization, omega: np.ndarray, s: np.ndarray):
     """A + As*E - i*omega*I with E = exp(-i*omega*s), singular exactly at
     a crossing: the (N, 3, 3) stack and E."""
@@ -232,31 +207,10 @@ def _null_vectors(lin: Linearization, omega: np.ndarray, s: np.ndarray
     return c, d, right, left
 
 
-def right_eigvec(lin: Linearization, omega: float, s: float) -> np.ndarray:
-    """Right null vector of the crossing matrix, middle component 1.
-
-    The one-point case of ``_null_vectors``.
-    """
-    c, _, errors, _ = _null_vectors(_stack(lin), _one(omega), _one(s))
-    _raise_first(errors)
-    return c[0]
-
-
-def left_eigvec(lin: Linearization, omega: float, s: float) -> np.ndarray:
-    """Left null vector d with d*(I + s*As*E)*c = 1 for ``right_eigvec``'s c.
-
-    The one-point case of ``_null_vectors``; a double root is rejected
-    as degenerate.
-    """
-    _, d, _, errors = _null_vectors(_stack(lin), _one(omega), _one(s))
-    _raise_first(errors)
-    return d[0]
-
-
 def eigen_residuals(lin: Linearization, omega: float, s: float,
                     c: np.ndarray, d: np.ndarray) -> tuple[float, float]:
     """Scaled residuals of the right and left eigenvector equations."""
-    n = _cross_matrix(_stack(lin), _one(omega), _one(s))[0][0]
+    n = lin.A + lin.As * np.exp(-1j * omega * s) - 1j * omega * _EYE
     rc = np.linalg.norm(n @ c, np.inf) / np.linalg.norm(c, np.inf)
     rd = np.linalg.norm(d @ n, np.inf) / np.linalg.norm(d, np.inf)
     return float(rc), float(rd)
@@ -322,19 +276,6 @@ def _second_order(lin: Linearization, omega: np.ndarray, s: np.ndarray, c: np.nd
         errors.setdefault(i, ResonanceError(
             f"zero eigenvalue: constant-shift matrix within {gap0[i]:.3e} of singular"))
     return e_vec, f_vec, errors
-
-
-def second_order(lin: Linearization, omega: float, s: float, c: np.ndarray
-                 ) -> tuple[np.ndarray, np.ndarray]:
-    """Second-order response vectors: e at frequency 2*omega, f at zero.
-
-    The one-point case of ``_second_order``: raises ResonanceError at a
-    2:1 resonance or a zero eigenvalue instead of returning an
-    ill-conditioned solve.
-    """
-    e_vec, f_vec, errors = _second_order(_stack(lin), _one(omega), _one(s), _one(c))
-    _raise_first(errors)
-    return e_vec[0], f_vec[0]
 
 
 def _gammas(lin: Linearization, omega: np.ndarray, s: np.ndarray, c: np.ndarray,
@@ -457,9 +398,11 @@ class NormalForms(NamedTuple):
     """``compute_normal_form`` over N parameter sets, point axis first.
 
     s0 is the first switch, NaN where there is none. ok marks the
-    points whose normal form was computed; the other fields are NaN
-    elsewhere. errors maps each other point that passes ModelParams'
-    rules to the exception ``compute_normal_form`` raises there.
+    points whose normal form was computed; the fields from omega_star
+    to Gamma2 are NaN elsewhere. errors maps each other point that
+    passes ModelParams' rules to the exception ``compute_normal_form``
+    raises there. coeffs and crossings are ``first_switches``' record of
+    every point's characteristic coefficients and crossing candidates.
     """
 
     s0: np.ndarray
@@ -472,6 +415,8 @@ class NormalForms(NamedTuple):
     Gamma2: np.ndarray
     ok: np.ndarray
     errors: dict[int, Exception]
+    coeffs: CharCoeffs
+    crossings: Crossings
 
 
 def normal_forms(p: ParamGrid) -> NormalForms:
@@ -495,21 +440,29 @@ def normal_forms(p: ParamGrid) -> NormalForms:
     errors.update({int(sw.idx[i]): exc for i, exc in failed.items()})
     good = np.ones(len(sw.idx), dtype=bool)
     good[list(failed)] = False
-
-    ok = np.zeros(n, dtype=bool)
-    ok[sw.idx[good]] = True
+    at = sw.idx[good]
 
     def scatter(values: np.ndarray) -> np.ndarray:
-        out = np.full((n,) + values.shape[1:], np.nan, dtype=values.dtype)
-        out[ok] = values[good]
-        return out
+        return _scatter(n, at, values[good])
 
-    s0 = np.full(n, np.nan)
-    s0[sw.idx] = s
     return NormalForms(
-        s0=s0, omega_star=scatter(omega), c_vec=scatter(c), d_vec=scatter(d),
-        e_vec=scatter(e_vec), f_vec=scatter(f_vec), Gamma1=scatter(gamma1),
-        Gamma2=scatter(gamma2), ok=ok, errors=errors)
+        s0=_scatter(n, sw.idx, s), omega_star=scatter(omega), c_vec=scatter(c),
+        d_vec=scatter(d), e_vec=scatter(e_vec), f_vec=scatter(f_vec), Gamma1=scatter(gamma1),
+        Gamma2=scatter(gamma2), ok=_scatter(n, at, np.ones(len(at), bool)), errors=errors,
+        coeffs=sw.coeffs, crossings=sw.crossings)
+
+
+def _normal_form(nfs: NormalForms, i: int) -> NormalForm:
+    """Point i of a ``normal_forms`` pass, classified; raises the point's
+    exception where it has no normal form."""
+    if i in nfs.errors:
+        raise nfs.errors[i]
+    gamma1, gamma2 = complex(nfs.Gamma1[i]), complex(nfs.Gamma2[i])
+    chi1, chi2 = gamma1.real, gamma2.real
+    return NormalForm(
+        omega_star=float(nfs.omega_star[i]), s_star=float(nfs.s0[i]), c_vec=nfs.c_vec[i],
+        d_vec=nfs.d_vec[i], e_vec=nfs.e_vec[i], f_vec=nfs.f_vec[i], Gamma1=gamma1,
+        Gamma2=gamma2, chi1=chi1, chi2=chi2, direction=classify(chi1, chi2))
 
 
 def compute_normal_form(params: ModelParams) -> NormalForm:
@@ -518,20 +471,4 @@ def compute_normal_form(params: ModelParams) -> NormalForm:
     The one-point case of ``normal_forms``. Raises when the coexistence
     equilibrium is missing, no crossing exists, or a step fails.
     """
-    nfs = normal_forms(ParamGrid.of(params))
-    _raise_first(nfs.errors)
-    gamma1, gamma2 = complex(nfs.Gamma1[0]), complex(nfs.Gamma2[0])
-    chi1, chi2 = gamma1.real, gamma2.real
-    return NormalForm(
-        omega_star=float(nfs.omega_star[0]),
-        s_star=float(nfs.s0[0]),
-        c_vec=nfs.c_vec[0],
-        d_vec=nfs.d_vec[0],
-        e_vec=nfs.e_vec[0],
-        f_vec=nfs.f_vec[0],
-        Gamma1=gamma1,
-        Gamma2=gamma2,
-        chi1=chi1,
-        chi2=chi2,
-        direction=classify(chi1, chi2),
-    )
+    return _normal_form(normal_forms(ParamGrid.of(params)), 0)

@@ -18,8 +18,9 @@ of N points: ``char_coeffs``' arithmetic, ``g_cubic`` and the Jacobian
 entries take (N,) arrays as written, ``crossing_candidates`` gives the
 (N, 3) candidates of N equations (one column per root of G), and
 ``first_switches`` the smallest base delay of N parameter sets, point
-by point. ``hopf_candidates`` and ``transversality_sign`` are their
-one-point case, and ``s0`` is the first of ``hopf_candidates``.
+by point, with each point's coefficients and candidates.
+``hopf_candidates`` reads one equation's through the reports'
+``_candidates``, and ``s0`` is its first.
 """
 from __future__ import annotations
 
@@ -52,7 +53,6 @@ __all__ = [
     "g_cubic",
     "hopf_candidates",
     "near_double_root",
-    "transversality_sign",
     "s0",
 ]
 
@@ -244,6 +244,8 @@ def _g_slope(z, g: GCubic):
 
 
 def _direction(slope: float) -> Transversality:
+    """Crossing direction of the root pair at z = omega^2 from G'(z): the
+    pair's real part moves with its sign as the delay grows."""
     if slope == 0.0:
         return Transversality.DEGENERATE
     return Transversality.POSITIVE if slope > 0 else Transversality.NEGATIVE
@@ -251,19 +253,6 @@ def _direction(slope: float) -> Transversality:
 
 def _not_a_root(z: float) -> ValueError:
     return ValueError(f"z = {float(z)!r} is not a root of G for these coefficients")
-
-
-def transversality_sign(z: float, coeffs: CharCoeffs) -> Transversality:
-    """Crossing direction of the root pair at z = omega^2.
-
-    The real part of the crossing pair moves with the same sign as
-    G'(z), so a Positive sign means eigenvalues march rightward as the
-    delay grows through the ladder.
-    """
-    off, slope = _g_slope(z, g_cubic(coeffs))
-    if off:
-        raise _not_a_root(z)
-    return _direction(slope)
 
 
 def _polish_pair(omega, s, coeffs: CharCoeffs):
@@ -294,8 +283,8 @@ class Crossings(NamedTuple):
     the entries that hold none. kept marks the candidates, the positive
     real roots whose (sin, cos) recovery is regular. g_slope is G' at
     omega^2, exactly 0 where the crossing is degenerate. off_g marks a
-    kept omega^2 that fails G's root residual, where
-    ``transversality_sign`` raises.
+    kept omega^2 that fails G's root residual, where ``_candidates``
+    raises.
     """
 
     omega: np.ndarray
@@ -355,23 +344,25 @@ def crossing_candidates(coeffs: CharCoeffs) -> Crossings:
                        for a in (omega, s_base, slope, off_g & kept, kept)))
 
 
-def hopf_candidates(coeffs: CharCoeffs) -> list[HopfCandidate]:
-    """Imaginary-axis crossing candidates with their first four delays.
-
-    The one-equation case of ``crossing_candidates``, in its order of
+def _candidates(x: Crossings, i: int) -> list[HopfCandidate]:
+    """Point i's candidates with their first four delays, in the order of
     ascending base delay. Raises when a candidate's omega^2 fails G's
-    root residual.
-    """
-    x = crossing_candidates(coeffs)
+    root residual."""
     out = []
-    for k in np.flatnonzero(x.kept[0]):
-        omega, s_base = float(x.omega[0, k]), float(x.s_base[0, k])
-        if x.off_g[0, k]:
+    for k in np.flatnonzero(x.kept[i]):
+        omega, s_base = float(x.omega[i, k]), float(x.s_base[i, k])
+        if x.off_g[i, k]:
             raise _not_a_root(omega * omega)
         delays = tuple(s_base + 2.0 * math.pi * j / omega for j in range(_LADDER))
         out.append(HopfCandidate(z=omega * omega, omega=omega, delays=delays,
-                                 transversality_sign=_direction(x.g_slope[0, k])))
+                                 transversality_sign=_direction(x.g_slope[i, k])))
     return out
+
+
+def hopf_candidates(coeffs: CharCoeffs) -> list[HopfCandidate]:
+    """Imaginary-axis crossing candidates with their first four delays:
+    ``_candidates`` of one equation."""
+    return _candidates(crossing_candidates(coeffs), 0)
 
 
 class Switches(NamedTuple):
@@ -383,7 +374,8 @@ class Switches(NamedTuple):
     candidate with the smallest base delay. errors maps every other
     point that passes ModelParams' rules to the reason it has no
     switch: no coexistence point, a candidate off G's root residual,
-    or no crossing at all.
+    or no crossing at all. coeffs and crossings hold every point of the
+    grid, NaN and no candidate where it has no coexistence point.
     """
 
     idx: np.ndarray
@@ -392,10 +384,21 @@ class Switches(NamedTuple):
     omega: np.ndarray
     s0: np.ndarray
     errors: dict[int, Exception]
+    coeffs: CharCoeffs
+    crossings: Crossings
 
 
 _NO_COEXISTENCE = "coexistence equilibrium does not exist for these parameters"
 _NO_CROSSING = "no imaginary-axis crossings: stability never switches"
+
+
+def _scatter(n: int, idx: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """values, one row per listed point, as n rows with those at idx; the
+    others are NaN, or False for a mask."""
+    out = np.full((n,) + values.shape[1:], False if values.dtype == bool else np.nan,
+                  values.dtype)
+    out[idx] = values
+    return out
 
 
 def first_switches(p: ParamGrid) -> Switches:
@@ -407,12 +410,14 @@ def first_switches(p: ParamGrid) -> Switches:
     the coexistence point, or have no crossing have none.
     """
     errors: dict[int, Exception] = {}
+    n = len(p.r1)
     idx = np.flatnonzero(params_valid(p))
     p = p.take(idx)
     exists, point = coexistence_points(p)
     errors.update({i: ValueError(_NO_COEXISTENCE) for i in idx[~exists].tolist()})
     idx, p, point = idx[exists], p.take(exists), State(*(a[exists] for a in point))
-    x = crossing_candidates(_coeffs_at(p, point))
+    coeffs = _coeffs_at(p, point)
+    x = crossing_candidates(coeffs)
     off = x.off_g.any(axis=1)
     for i in np.flatnonzero(off):
         omega = x.omega[i, x.off_g[i]][0]
@@ -421,7 +426,10 @@ def first_switches(p: ParamGrid) -> Switches:
     has = x.kept[:, 0] & ~off
     return Switches(
         idx=idx[has], params=p.take(has), point=State(*(a[has] for a in point)),
-        omega=x.omega[has, 0], s0=x.s_base[has, 0], errors=errors)
+        omega=x.omega[has, 0], s0=x.s_base[has, 0], errors=errors,
+        coeffs=CharCoeffs(*(_scatter(n, idx, getattr(coeffs, f.name))
+                            for f in fields(CharCoeffs))),
+        crossings=Crossings(*(_scatter(n, idx, a) for a in x)))
 
 
 def s0(params: ModelParams) -> tuple[float, HopfCandidate] | None:

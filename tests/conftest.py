@@ -1,5 +1,6 @@
-"""Shared fixtures, parameter draws, the memory-integral oracle, and the
-acceptance summary hook.
+"""Shared fixtures, parameter draws, the memory-integral oracle, the
+one-point eigenvector and transversality oracles, and the acceptance
+summary hook.
 
 The reference parameter set used throughout is the one whose coexistence
 point sits at (1, 1, 1/6) with a first delay switch near s = 2.015.
@@ -14,6 +15,7 @@ import numpy as np
 import pytest
 
 from infodelay import (
+    EquilibriumLabel,
     HistorySpec,
     ModelParams,
     Transversality,
@@ -21,12 +23,15 @@ from infodelay import (
     coexistence,
     compute_normal_form,
     cycle_metrics,
+    g_cubic,
     h1_holds,
     hopf_candidates,
     predicted_component_amplitudes,
     simulate,
     simulate_distributed,
 )
+from infodelay.normal_form import Linearization, _linearize, _null_vectors, _second_order
+from infodelay.stability import _direction, _g_slope, _not_a_root
 
 REFERENCE = dict(r1=0.5, r2=0.5, a1=0.05, a2=1.045, b1=0.95, b2=0.27,
                  mu=2.0, r=4.0)
@@ -143,6 +148,61 @@ def distributed_w_oracle(times: Sequence[float],
     value = float(np.trapezoid(integrand, t_arr))
     bound = math.exp(-mr * span) * float(np.max(np.abs(prod))) / mr
     return WOracleResult(value, bound)
+
+
+# ---------------------------------------------------------------------------
+# one-point oracles: the stacked steps of the normal-form chain at a
+# single crossing, raising the point's failure
+
+def linearize(params, estar):
+    """Linearization at the existing coexistence equilibrium."""
+    if estar.label is not EquilibriumLabel.ESTAR or not estar.exists:
+        raise ValueError("linearize requires the existing coexistence equilibrium")
+    return _linearize(params, estar.point)
+
+
+def _stack(lin):
+    """One linearization as a stack of one."""
+    return Linearization(A=np.asarray(lin.A)[None], As=np.asarray(lin.As)[None],
+                         F_quadratic=lin.F_quadratic)
+
+
+def _raise_first(errors):
+    if errors:
+        raise errors[0]
+
+
+def right_eigvec(lin, omega, s):
+    """Right null vector of the crossing matrix, middle component 1."""
+    c, _, errors, _ = _null_vectors(_stack(lin), np.array([omega]), np.array([s]))
+    _raise_first(errors)
+    return c[0]
+
+
+def left_eigvec(lin, omega, s):
+    """Left null vector d with d*(I + s*As*E)*c = 1 for right_eigvec's c;
+    a double root is rejected as degenerate."""
+    _, d, _, errors = _null_vectors(_stack(lin), np.array([omega]), np.array([s]))
+    _raise_first(errors)
+    return d[0]
+
+
+def second_order(lin, omega, s, c):
+    """Second-order response vectors: e at frequency 2*omega, f at zero.
+    Raises ResonanceError at a 2:1 resonance or a zero eigenvalue."""
+    e_vec, f_vec, errors = _second_order(_stack(lin), np.array([omega]), np.array([s]),
+                                         np.array([c]))
+    _raise_first(errors)
+    return e_vec[0], f_vec[0]
+
+
+def transversality_sign(z, coeffs):
+    """Crossing direction of the root pair at z = omega^2, from G'(z);
+    raises where z is not a root of G."""
+    off, slope = _g_slope(z, g_cubic(coeffs))
+    if off:
+        raise _not_a_root(z)
+    return _direction(slope)
 
 
 @pytest.fixture(scope="session")

@@ -36,9 +36,6 @@ from infodelay import (
     equilibria,
     estar_exists,
     fft_period,
-    left_eigvec,
-    linearize,
-    right_eigvec,
     s0,
     simulate,
 )
@@ -47,8 +44,11 @@ from conftest import (
     OMEGA_STAR,
     S_STAR,
     draw_with_candidates,
+    left_eigvec,
+    linearize,
     make_params,
     record_criterion,
+    right_eigvec,
 )
 
 

@@ -20,21 +20,18 @@ from infodelay import (
     cycle_prediction,
     eigen_residuals,
     hopf_candidates,
-    left_eigvec,
-    linearize,
     predicted_amplitude,
     predicted_component_amplitudes,
     predicted_period,
-    right_eigvec,
-    second_order,
     self_checks,
-    transversality_sign,
 )
 from infodelay.model import ParamGrid, State, reduced_rhs
-from infodelay.normal_form import (_cross_matrix, _linearize, _quadratic, _second_order, _stack,
+from infodelay.normal_form import (_cross_matrix, _linearize, _quadratic, _second_order,
                                   normal_forms)
 from infodelay.stability import crossing_drift, first_switches
-from conftest import REFERENCE, OMEGA_STAR, S_STAR, draw_with_candidates, make_params
+from conftest import (REFERENCE, OMEGA_STAR, S_STAR, _stack, draw_with_candidates, left_eigvec,
+                      linearize, make_params, right_eigvec, second_order,
+                      transversality_sign)
 
 # frozen values for the reference set, computed once from the assembled
 # linear systems and cross-checked against the closed-form component

@@ -18,14 +18,13 @@ from infodelay import (
     h1_holds,
     hopf_candidates,
     s0,
-    transversality_sign,
 )
 from infodelay import stability
 from infodelay.model import ParamGrid, State, coexistence_points, params_valid
 from infodelay.stability import (GCubic, _coeffs_at, crossing_candidates, first_switches,
                                  near_double_root)
 from conftest import (OMEGA_STAR, REFERENCE, S_STAR, draw_params, draw_with_candidates,
-                      make_params)
+                      make_params, transversality_sign)
 
 
 def _pq(lam, cc):
