@@ -12,6 +12,10 @@ ModelParams' own. The command key selects what happens:
     Simulate   time integration from a constant history, with metrics
     Sweep      s0 / chi1 / chi2 / direction along one parameter axis
 
+Every command but Simulate reads one normal_forms pass: Analyze,
+Critical and Direction make it once on their point and fill their
+sections from its row, and a Sweep makes it per block of rows.
+
 A Simulate config without steps_per_delay is run by
 integrator.simulate_to_tolerance, whose docstring describes the step
 ladder. The simulation section reports the steps per delay used and the
@@ -367,6 +371,14 @@ def _analysis_sections(report: dict, params: ModelParams, command: Command) -> N
     prediction, note = cycle_prediction(nf, params.s - nf.s_star, estar.point)
     if note is not None:
         notes.append(note)
+    # the normal form is local to s*: name the next switch where s lies
+    # past it, the second delay of s*'s ladder or another ladder's first
+    at, sign = min(((d, c.transversality_sign.value) for c in _candidates(nfs.crossings, 0)
+                    for d in c.delays if d > nf.s_star), default=(math.inf, None))
+    if params.s > at:
+        notes.append(f"s = {params.s:.6g} lies past the next stability switch, at {at:.6g} "
+                     f"({sign}): the normal form at s* = {nf.s_star:.6g} does not "
+                     "describe the point there")
     # the NormalForm fields in their order, the linear period after s_star
     section = [(f.name, getattr(nf, f.name)) for f in fields(NormalForm)]
     section.insert(2, ("linear_period", 2.0 * math.pi / nf.omega_star))

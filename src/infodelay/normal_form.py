@@ -209,10 +209,14 @@ def _null_vectors(lin: Linearization, omega: np.ndarray, s: np.ndarray
 
 def eigen_residuals(lin: Linearization, omega: float, s: float,
                     c: np.ndarray, d: np.ndarray) -> tuple[float, float]:
-    """Scaled residuals of the right and left eigenvector equations."""
+    """Residuals of the right and left eigenvector equations, each relative
+    to the size of the terms it sums, as in ``_null_vectors``: the
+    largest entry of |N c| over that of |N||c|, and of |d N| over that of
+    |d||N|, so that neither depends on the time unit."""
     n = lin.A + lin.As * np.exp(-1j * omega * s) - 1j * omega * _EYE
-    rc = np.linalg.norm(n @ c, np.inf) / np.linalg.norm(c, np.inf)
-    rd = np.linalg.norm(d @ n, np.inf) / np.linalg.norm(d, np.inf)
+    size = np.abs(n)
+    rc = np.abs(n @ c).max() / (size @ np.abs(c)).max()
+    rd = np.abs(d @ n).max() / (np.abs(d) @ size).max()
     return float(rc), float(rd)
 
 

@@ -22,7 +22,6 @@ from infodelay import (
     HopfCandidate,
     ModelParams,
     ParamGrid,
-    ResonanceError,
     SimulationDiverged,
     State,
     Transversality,
@@ -38,8 +37,8 @@ from infodelay import (
     s0,
     simulate,
 )
-from infodelay import cli, integrator
-from infodelay.cli import RunConfig, SweepOpts, main
+from infodelay import cli, integrator, stability
+from infodelay.cli import _REPORT_KEYS, _SWEEP_COLUMNS, RunConfig, SweepOpts, main
 from conftest import REFERENCE, S_STAR, make_params
 
 MODEL_LINES = "\n".join(f"{k} = {v}" for k, v in REFERENCE.items())
@@ -401,7 +400,9 @@ def test_prediction_past_valid_below_has_no_period(tmp_path):
     assert predicted_period(nf, 40.0 - nf.s_star) < 0
     assert d["notes"] == [
         "no predicted period: |delta| = 37.9848 is past valid_below = 0.0210385, "
-        "where the predicted w-amplitude reaches w*"]
+        "where the predicted w-amplitude reaches w*",
+        "s = 40 lies past the next stability switch, at 33.3627 (Positive): the normal "
+        "form at s* = 2.0152 does not describe the point there"]
 
 
 @pytest.mark.parametrize("delta", [0.0215, 0.0225])
@@ -490,6 +491,69 @@ def test_prediction_bound_holds_on_random_draws():
     assert kinds == {"the predicted u-amplitude reaches u*", "the predicted v-amplitude reaches v*",
                      "the predicted w-amplitude reaches w*", "T(delta)'s denominator vanishes",
                      "s reaches 0"}
+
+
+# the "two" point: stable below s* = 0.487, unstable up to the
+# stabilizing switch at 3.087, stable again up to 5.718
+_TWO = dict(r1=3.4, r2=2.2, a1=6.2, a2=1.2, b1=-2.7, b2=-5.0, mu=0.093, r=1.6)
+
+
+@pytest.mark.parametrize("values, note", [
+    ({**_TWO, "s": 4.0}, "s = 4 lies past the next stability switch, at 3.08677 (Negative): "
+                         "the normal form at s* = 0.487198 does not describe the point there"),
+    ({**REFERENCE, "s": 40.0}, "s = 40 lies past the next stability switch, at 33.3627 "
+                               "(Positive): the normal form at s* = 2.0152 does not describe "
+                               "the point there"),
+    ({**REFERENCE, "s": 2.02}, None),
+], ids=["two at s = 4", "reference at s = 40", "reference at s = 2.02"])
+def test_note_where_s_lies_past_the_next_switch(tmp_path, values, note):
+    # the normal form is local to s*: past the next delay of any ladder
+    # the point may have switched back, so Analyze and Direction say so
+    for command in Command.ANALYZE, Command.DIRECTION, Command.CRITICAL:
+        notes = run(RunConfig(command=command, param_values=values), tmp_path / command.value)
+        past = [n for n in notes["notes"] if "next stability switch" in n]
+        assert past == ([] if note is None or command is Command.CRITICAL else [note])
+
+
+# (params, whether they have a coexistence point) for the agreement of
+# the analysis commands
+_ONE_PASS = {
+    "reference, s = 2.0": ({**REFERENCE, "s": 2.0}, True),
+    "reference, s = 2.02": ({**REFERENCE, "s": 2.02}, True),
+    "reference, s = 40": ({**REFERENCE, "s": 40.0}, True),
+    "two, s = 4": ({**_TWO, "s": 4.0}, True),
+    "no coexistence point": ({**REFERENCE, "b1": 1.2, "s": 2.0}, False),
+    "no crossing": ({**REFERENCE, "b1": 0.0, "s": 2.02}, True),
+}
+# the report sections each single-purpose command fills
+_FILLS = {Command.CRITICAL: ("params", "equilibria", "h1_holds", "char_coeffs", "g_coeffs",
+                             "candidates", "s0"),
+          Command.DIRECTION: ("params", "equilibria", "s0", "normal_form")}
+
+
+@pytest.mark.parametrize("values, exists", list(_ONE_PASS.values()), ids=list(_ONE_PASS))
+def test_analysis_commands_agree_in_one_pass(tmp_path, monkeypatch, values, exists):
+    # Critical and Direction fill their sections with Analyze's JSON
+    # text, and each command finds the crossings once
+    calls = []
+    real = stability.crossing_candidates
+    monkeypatch.setattr(stability, "crossing_candidates",
+                        lambda coeffs: calls.append(1) or real(coeffs))
+    docs = {}
+    for command in Command.ANALYZE, Command.CRITICAL, Command.DIRECTION:
+        calls.clear()
+        docs[command] = run(RunConfig(command=command, param_values=values),
+                            tmp_path / command.value)
+        assert len(calls) == (1 if exists else 0), command
+    analyze = docs[Command.ANALYZE]
+    for command, keys in _FILLS.items():
+        for key in _REPORT_KEYS:
+            want = analyze[key] if key in keys else None
+            if key not in ("command", "notes"):
+                assert json.dumps(docs[command][key]) == json.dumps(want), (command, key)
+    # Analyze's notes are Critical's, then Direction's own
+    critical, direction = docs[Command.CRITICAL]["notes"], docs[Command.DIRECTION]["notes"]
+    assert critical + [n for n in direction if n not in critical] == analyze["notes"]
 
 
 def test_critical_and_direction_sections(tmp_path):
@@ -902,24 +966,15 @@ def test_sweep_rows_match_direct_computation(tmp_path):
         assert direction == nf.direction.value
 
 
-def _chain_row(params):
-    """A sweep row from the one-point public chain: stability.s0, then
-    compute_normal_form; cells stay empty where either has nothing."""
-    row = {"s0": None, "chi1": None, "chi2": None, "direction": None, "nf": None}
+def _chain_row(out_dir, values):
+    """A sweep row from the N = 1 Analyze report of the same point; cells
+    stay empty where the report has nothing, or the point is invalid."""
     try:
-        p = make_params(**params)
-        got = s0(p)
+        doc = run(RunConfig(command=Command.ANALYZE, param_values=values), out_dir)
     except ValueError:
-        return row
-    if got is None:
-        return row
-    row["s0"] = got[0]
-    try:
-        nf = compute_normal_form(p)
-    except (ValueError, ResonanceError):
-        return row
-    row.update(chi1=nf.chi1, chi2=nf.chi2, direction=nf.direction.value, nf=nf)
-    return row
+        return dict.fromkeys(_SWEEP_COLUMNS[1:])
+    nf = doc["normal_form"] or {}
+    return {"s0": doc["s0"], **{key: nf.get(key) for key in _SWEEP_COLUMNS[2:]}}
 
 
 # (swept key, min, max, count): the counts straddle the 512-point block
@@ -938,23 +993,17 @@ _SWEEP_GRIDS = {
 @pytest.mark.parametrize("param, lo, hi, count", list(_SWEEP_GRIDS.values()),
                          ids=list(_SWEEP_GRIDS))
 def test_sweep_rows_equal_the_one_point_chain(tmp_path, param, lo, hi, count):
+    # a Sweep's 512-point blocks and their scattering change no row: each
+    # equals the cells of its point's own Analyze report
     config = RunConfig(command=Command.SWEEP, param_values={**REFERENCE, "s": 2.0},
                        sweep=SweepOpts(param=param, lo=lo, hi=hi, count=count))
-    rows = run(config, tmp_path)["sweep"]["rows"]
+    rows = run(config, tmp_path / "sweep")["sweep"]["rows"]
     assert len(rows) == count
     kinds = set()
     for row in rows:
-        want = _chain_row({"s": 2.0, param: row["value"]})
-        for key in ("s0", "chi1", "chi2", "direction"):
-            assert (row[key] is None) == (want[key] is None), (row, want)
-        assert row["direction"] == want["direction"]
+        want = _chain_row(tmp_path / "analyze", {**REFERENCE, "s": 2.0, param: row["value"]})
+        assert row == {"value": row["value"], **want}
         kinds.add(row["direction"] or ("no chi" if row["s0"] else "empty"))
-        if want["s0"] is not None:
-            assert abs(row["s0"] - want["s0"]) <= 1e-12 * want["s0"]
-        if want["nf"] is not None:
-            nf = want["nf"]
-            assert abs(row["chi1"] - nf.chi1) <= 1e-12 * abs(nf.Gamma1)
-            assert abs(row["chi2"] - nf.chi2) <= 1e-12 * abs(nf.Gamma2)
     assert count == 1 or len(kinds) >= 2, kinds
 
 

@@ -155,6 +155,18 @@ def test_verdicts_do_not_depend_on_the_time_unit(k):
     assert nf.Gamma2 == pytest.approx(GAMMA2, rel=1e-8)
 
 
+@pytest.mark.parametrize("k", [1e-12, 1e-6, 1.0, 1e8, 1e10])
+def test_eigenvector_residuals_do_not_depend_on_the_time_unit(k):
+    # each residual is relative to the size of the terms it sums; divided
+    # by |c| or |d| alone they read 4e-28 at k = 1e-12 and 7e-6 at 1e10
+    kw = dict(REFERENCE, s=2.02 / k)
+    kw.update({name: REFERENCE[name] * k for name in ("r1", "r2", "mu", "r", "b2")})
+    p = ModelParams(**kw)
+    checks = self_checks(compute_normal_form(p), p, coexistence(p).point)
+    assert 0.0 < checks["right_eigenvector_residual"] < 1e-14
+    assert 0.0 < checks["left_eigenvector_residual"] < 1e-14
+
+
 def test_null_vectors_keep_their_normalization_on_wide_draws():
     # _null_vectors takes its SVD of the crossing matrix scaled to unit
     # rows and columns and maps c and d back: at every point with a
