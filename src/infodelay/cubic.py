@@ -16,14 +16,15 @@ pair, but they always come back as a pair.
 
 ``cubic_roots_array`` solves N cubics at once: coefficient arrays of
 shape (N,) give an (N, 3) root array, and each cubic's Newton iterates
-stop on their own while the others go on. ``cubic_roots`` and
-``real_positive_roots`` are its one-cubic case.
+stop on their own while the others go on. ``cubic_roots`` is its
+one-cubic case, and ``real_positive_mask`` picks the real positive
+roots out of a root array.
 """
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["cubic_roots", "cubic_roots_array", "real_positive_mask", "real_positive_roots"]
+__all__ = ["cubic_roots", "cubic_roots_array", "real_positive_mask"]
 
 # Kahan's widening factor for the start beside the inflection point
 _START_FACTOR = 1.324718
@@ -127,8 +128,3 @@ def real_positive_mask(roots: np.ndarray) -> np.ndarray:
     """
     return (np.abs(roots.imag) <= _REL_IMAG * np.abs(roots)) & (roots.real > 0.0)
 
-
-def real_positive_roots(m: float, n: float, h: float) -> list[float]:
-    """Real positive roots of the cubic, ascending (see ``real_positive_mask``)."""
-    roots = cubic_roots_array(m, n, h)[0]
-    return roots.real[real_positive_mask(roots)].tolist()

@@ -37,7 +37,6 @@ __all__ = [
     "coexistence",
     "coexistence_points",
     "equilibria",
-    "estar_exists",
     "params_valid",
     "reduced_rhs",
 ]
@@ -166,28 +165,17 @@ def reduced_rhs(current: State, delayed: State, params: ModelParams) -> State:
     return State(du, dv, dw)
 
 
-def estar_exists(params: ModelParams) -> bool:
-    """Existence predicate for the coexistence equilibrium.
-
-    True exactly where the closed-form point is componentwise positive
-    and the shared denominator D = a1*a2*(mu+r) + b1*b2 is positive.
-    The other positive branch (D < 0, b1 > a2, a1*(mu+r) + b2 < 0) is a
-    fixed point too, but the predicate rejects it: there
-    p0 + q0 = r1*r2*u*v*D < 0, so the characteristic function is
-    negative at lambda = 0 and has a positive real root at every delay.
-    That point is unstable for all s, with no stability switch.
-    """
-    return bool(coexistence_points(params)[0])
-
-
 def coexistence_points(p) -> tuple[np.ndarray, State]:
     """Existence mask and closed-form coexistence point, elementwise.
 
-    Works on a ModelParams or a ParamGrid. The mask is
-    ``estar_exists``: a positive point with a positive shared
-    denominator a1*a2*(mu+r) + b1*b2. Where the denominator vanishes the
-    point is NaN; where it is negative the point may still be positive,
-    and is unstable at every delay.
+    Works on a ModelParams or a ParamGrid. The mask is True exactly
+    where the point is componentwise positive and the shared
+    denominator D = a1*a2*(mu+r) + b1*b2 is positive. Where D vanishes
+    the point is NaN. The other positive branch (D < 0, b1 > a2,
+    a1*(mu+r) + b2 < 0) is a fixed point too, but the mask rejects it:
+    there p0 + q0 = r1*r2*u*v*D < 0, so the characteristic function is
+    negative at lambda = 0 and has a positive real root at every delay.
+    That point is unstable for all s, with no stability switch.
     """
     mr = p.mu + p.r
     exists = (p.b1 < p.a2) & (p.a1 * p.a2 * mr > np.maximum(-p.b1 * p.b2, -p.a2 * p.b2))
@@ -205,9 +193,9 @@ def equilibria(params: ModelParams) -> list[Equilibrium]:
     """All four equilibria with existence and stability verdicts.
 
     E0 (both extinct), E1 (u only), E2 (v only) always exist. EStar is
-    marked existing exactly when ``estar_exists`` holds; a positive
-    point with a negative denominator, unstable at every delay, is
-    marked missing.
+    marked existing exactly where ``coexistence_points``' mask holds; a
+    positive point with a negative denominator, unstable at every
+    delay, is marked missing.
     Stability verdicts for E0/E1/E2 come from the zero-delay spectrum;
     E2 in particular can be delay-destabilized even when b1 > a2, which
     the flag deliberately ignores. The EStar verdict is delegated to the

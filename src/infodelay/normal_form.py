@@ -32,9 +32,9 @@ The chain runs on stacks of N crossings: Linearization matrices of
 shape (N, 3, 3), frequencies and delays of shape (N,), vectors of
 shape (N, 3). One SVD of each crossing matrix gives both null vectors,
 and the second-order eigenvalue checks and solves are stacked LAPACK
-calls. ``normal_forms`` evaluates a whole parameter grid at the
-switches ``stability.first_switches`` finds, with their coefficients
-and crossings: the one analysis pass that every report reads.
+calls. ``normal_forms`` evaluates a whole parameter grid, from the
+coexistence points through the crossings to the normal forms at the
+first switches: the one analysis pass that every report reads.
 Failures are per point: a failing point is left out of the results
 and its exception recorded, not raised. ``compute_normal_form`` is
 the one-point case, read through the reports' ``_normal_form``, and
@@ -43,15 +43,15 @@ raises that exception.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from typing import NamedTuple
 
 import numpy as np
 
-from .model import ModelParams, ParamGrid, State
-from .stability import (CharCoeffs, Crossings, _coeffs_at, _jacobian, _scatter, crossing_drift,
-                        first_switches)
+from .model import ModelParams, ParamGrid, State, coexistence_points, params_valid
+from .stability import (CharCoeffs, Crossings, _coeffs_at, _jacobian, _not_a_root,
+                        crossing_candidates, crossing_drift)
 
 __all__ = [
     "Direction",
@@ -401,12 +401,16 @@ def self_checks(nf: NormalForm, params: ModelParams, point: State) -> dict[str, 
 class NormalForms(NamedTuple):
     """``compute_normal_form`` over N parameter sets, point axis first.
 
-    s0 is the first switch, NaN where there is none. ok marks the
-    points whose normal form was computed; the fields from omega_star
-    to Gamma2 are NaN elsewhere. errors maps each other point that
-    passes ModelParams' rules to the exception ``compute_normal_form``
-    raises there. coeffs and crossings are ``first_switches``' record of
-    every point's characteristic coefficients and crossing candidates.
+    s0 is the first switch, the smallest base delay over the point's
+    candidates, NaN where there is none. ok marks the points whose
+    normal form was computed; the fields from omega_star to Gamma2 are
+    NaN elsewhere. errors maps each other point that passes ModelParams'
+    rules to the exception ``compute_normal_form`` raises there: no
+    coexistence point, a candidate off G's root residual, no crossing at
+    all, or a failed step of the reduction. coeffs and crossings hold
+    every point's characteristic coefficients and crossing candidates,
+    NaN and no candidate where it breaks a rule or has no coexistence
+    point.
     """
 
     s0: np.ndarray
@@ -423,37 +427,65 @@ class NormalForms(NamedTuple):
     crossings: Crossings
 
 
+_NO_COEXISTENCE = "coexistence equilibrium does not exist for these parameters"
+_NO_CROSSING = "no imaginary-axis crossings: stability never switches"
+
+
+def _scatter(n: int, idx: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """values, one row per listed point, as n rows with those at idx; the
+    others are NaN, or False for a mask."""
+    out = np.full((n,) + values.shape[1:], False if values.dtype == bool else np.nan,
+                  values.dtype)
+    out[idx] = values
+    return out
+
+
 def normal_forms(p: ParamGrid) -> NormalForms:
     """Normal form at the first switch of every point of a parameter grid.
 
-    Uses the smallest crossing delay over all candidate ladders. A
-    point without the coexistence equilibrium, without a crossing, or
-    where a step of the reduction fails gets no normal form.
+    The first switch is column 0 of ``crossing_candidates``, the
+    smallest element of all the point's ladders. A point that breaks a
+    ModelParams rule, lacks the coexistence equilibrium, has no
+    crossing, or where a step of the reduction fails gets no normal
+    form.
     """
+    errors: dict[int, Exception] = {}
     n = len(p.r1)
-    sw = first_switches(p)
-    errors = dict(sw.errors)
+    idx = np.flatnonzero(params_valid(p))
+    p = p.take(idx)
+    exists, point = coexistence_points(p)
+    errors.update({i: ValueError(_NO_COEXISTENCE) for i in idx[~exists].tolist()})
+    idx, p, point = idx[exists], p.take(exists), State(*(a[exists] for a in point))
+    coeffs = _coeffs_at(p, point)
+    x = crossing_candidates(coeffs)
+    off = x.off_g.any(axis=1)
+    for i in np.flatnonzero(off):
+        omega = x.omega[i, x.off_g[i]][0]
+        errors[int(idx[i])] = _not_a_root(omega * omega)
+    errors.update({i: ValueError(_NO_CROSSING) for i in idx[~x.kept[:, 0]].tolist()})
+    has = x.kept[:, 0] & ~off
+    at, omega, s = idx[has], x.omega[has, 0], x.s_base[has, 0]
 
-    omega, s = sw.omega, sw.s0
-    lin = _linearize(sw.params, sw.point)
+    lin = _linearize(p.take(has), State(*(a[has] for a in point)))
     c, d, right, left = _null_vectors(lin, omega, s)
     e_vec, f_vec, resonant = _second_order(lin, omega, s, c)
     gamma1, gamma2 = _gammas(lin, omega, s, c, d, e_vec, f_vec)
     # the first failure of each point, in the order of the steps
     failed = {**resonant, **left, **right}
-    errors.update({int(sw.idx[i]): exc for i, exc in failed.items()})
-    good = np.ones(len(sw.idx), dtype=bool)
+    errors.update({int(at[i]): exc for i, exc in failed.items()})
+    good = np.ones(len(at), dtype=bool)
     good[list(failed)] = False
-    at = sw.idx[good]
 
     def scatter(values: np.ndarray) -> np.ndarray:
-        return _scatter(n, at, values[good])
+        return _scatter(n, at[good], values[good])
 
     return NormalForms(
-        s0=_scatter(n, sw.idx, s), omega_star=scatter(omega), c_vec=scatter(c),
+        s0=_scatter(n, at, s), omega_star=scatter(omega), c_vec=scatter(c),
         d_vec=scatter(d), e_vec=scatter(e_vec), f_vec=scatter(f_vec), Gamma1=scatter(gamma1),
-        Gamma2=scatter(gamma2), ok=_scatter(n, at, np.ones(len(at), bool)), errors=errors,
-        coeffs=sw.coeffs, crossings=sw.crossings)
+        Gamma2=scatter(gamma2), ok=scatter(np.ones(len(at), bool)), errors=errors,
+        coeffs=CharCoeffs(*(_scatter(n, idx, getattr(coeffs, f.name))
+                            for f in fields(CharCoeffs))),
+        crossings=Crossings(*(_scatter(n, idx, a) for a in x)))
 
 
 def _normal_form(nfs: NormalForms, i: int) -> NormalForm:

@@ -16,11 +16,10 @@ first stability switch s0.
 The chain from parameters to s0 runs on arrays with one leading axis
 of N points: ``char_coeffs``' arithmetic, ``g_cubic`` and the Jacobian
 entries take (N,) arrays as written, ``crossing_candidates`` gives the
-(N, 3) candidates of N equations (one column per root of G), and
-``first_switches`` the smallest base delay of N parameter sets, point
-by point, with each point's coefficients and candidates.
-``hopf_candidates`` reads one equation's through the reports'
-``_candidates``, and ``s0`` is its first.
+(N, 3) candidates of N equations (one column per root of G), column 0
+being the first switch; ``normal_form.normal_forms`` runs this chain
+over a parameter grid. ``hopf_candidates`` reads one equation's through
+the reports' ``_candidates``, and its first is the first switch.
 """
 from __future__ import annotations
 
@@ -34,8 +33,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .cubic import cubic_roots, cubic_roots_array, real_positive_mask
-from .model import (Equilibrium, EquilibriumLabel, ModelParams, ParamGrid, State,
-                    coexistence, coexistence_points, params_valid)
+from .model import Equilibrium, EquilibriumLabel, ModelParams, State
 
 __all__ = [
     "CharCoeffs",
@@ -43,17 +41,14 @@ __all__ = [
     "GCubic",
     "Transversality",
     "HopfCandidate",
-    "Switches",
     "char_coeffs",
     "char_value",
     "crossing_candidates",
     "crossing_drift",
-    "first_switches",
     "h1_holds",
     "g_cubic",
     "hopf_candidates",
     "near_double_root",
-    "s0",
 ]
 
 logger = logging.getLogger(__name__)
@@ -363,87 +358,3 @@ def hopf_candidates(coeffs: CharCoeffs) -> list[HopfCandidate]:
     """Imaginary-axis crossing candidates with their first four delays:
     ``_candidates`` of one equation."""
     return _candidates(crossing_candidates(coeffs), 0)
-
-
-class Switches(NamedTuple):
-    """First stability switches of N parameter sets.
-
-    idx lists, ascending, the points that have a switch; the fields
-    after it hold one entry per listed point: the parameters, the
-    coexistence point, and the frequency omega and base delay s0 of the
-    candidate with the smallest base delay. errors maps every other
-    point that passes ModelParams' rules to the reason it has no
-    switch: no coexistence point, a candidate off G's root residual,
-    or no crossing at all. coeffs and crossings hold every point of the
-    grid, NaN and no candidate where it has no coexistence point.
-    """
-
-    idx: np.ndarray
-    params: ParamGrid
-    point: State
-    omega: np.ndarray
-    s0: np.ndarray
-    errors: dict[int, Exception]
-    coeffs: CharCoeffs
-    crossings: Crossings
-
-
-_NO_COEXISTENCE = "coexistence equilibrium does not exist for these parameters"
-_NO_CROSSING = "no imaginary-axis crossings: stability never switches"
-
-
-def _scatter(n: int, idx: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """values, one row per listed point, as n rows with those at idx; the
-    others are NaN, or False for a mask."""
-    out = np.full((n,) + values.shape[1:], False if values.dtype == bool else np.nan,
-                  values.dtype)
-    out[idx] = values
-    return out
-
-
-def first_switches(p: ParamGrid) -> Switches:
-    """The first stability switch of every point of a parameter grid.
-
-    The smallest base delay over each point's candidates, which is the
-    smallest element of all its ladders: column 0 of
-    ``crossing_candidates``. Points that break a ModelParams rule, lack
-    the coexistence point, or have no crossing have none.
-    """
-    errors: dict[int, Exception] = {}
-    n = len(p.r1)
-    idx = np.flatnonzero(params_valid(p))
-    p = p.take(idx)
-    exists, point = coexistence_points(p)
-    errors.update({i: ValueError(_NO_COEXISTENCE) for i in idx[~exists].tolist()})
-    idx, p, point = idx[exists], p.take(exists), State(*(a[exists] for a in point))
-    coeffs = _coeffs_at(p, point)
-    x = crossing_candidates(coeffs)
-    off = x.off_g.any(axis=1)
-    for i in np.flatnonzero(off):
-        omega = x.omega[i, x.off_g[i]][0]
-        errors[int(idx[i])] = _not_a_root(omega * omega)
-    errors.update({i: ValueError(_NO_CROSSING) for i in idx[~x.kept[:, 0]].tolist()})
-    has = x.kept[:, 0] & ~off
-    return Switches(
-        idx=idx[has], params=p.take(has), point=State(*(a[has] for a in point)),
-        omega=x.omega[has, 0], s0=x.s_base[has, 0], errors=errors,
-        coeffs=CharCoeffs(*(_scatter(n, idx, getattr(coeffs, f.name))
-                            for f in fields(CharCoeffs))),
-        crossings=Crossings(*(_scatter(n, idx, a) for a in x)))
-
-
-def s0(params: ModelParams) -> tuple[float, HopfCandidate] | None:
-    """First stability switch: the smallest delay over all ladders.
-
-    The first of ``hopf_candidates``, which are sorted by base delay.
-    Returns None when no crossing candidates exist (the equilibrium
-    then keeps its zero-delay verdict for every delay). Raises when the
-    coexistence equilibrium itself is missing.
-    """
-    estar = coexistence(params)
-    if not estar.exists:
-        raise ValueError(_NO_COEXISTENCE)
-    candidates = hopf_candidates(char_coeffs(params, estar))
-    if not candidates:
-        return None
-    return candidates[0].delays[0], candidates[0]

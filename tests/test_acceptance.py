@@ -34,9 +34,8 @@ from infodelay import (
     compute_normal_form,
     eigen_residuals,
     equilibria,
-    estar_exists,
     fft_period,
-    s0,
+    hopf_candidates,
     simulate,
 )
 from conftest import (
@@ -62,9 +61,9 @@ def test_criterion_1_reference_coexistence_point():
 
 
 def test_criterion_2_first_crossing():
-    got = s0(make_params(2.0))
-    assert got is not None
-    s_base, cand = got
+    p = make_params(2.0)
+    cand = hopf_candidates(char_coeffs(p, coexistence(p)))[0]
+    s_base = cand.delays[0]
     err_om = abs(cand.omega - 0.2004)
     err_s = abs(s_base - 2.015)
     ok = err_om < 1e-3 and err_s < 1e-2
@@ -296,7 +295,7 @@ def test_criterion_9_existence_and_zero_delay_verdicts():
         mr = p.mu + p.r
         want = (p.b1 < p.a2) and (p.a1 * p.a2 * mr
                                   > max(-p.b1 * p.b2, -p.a2 * p.b2))
-        if equilibria(p)[3].exists != want or estar_exists(p) != want:
+        if equilibria(p)[3].exists != want:
             disagreements += 1
     ok = flip_ok and disagreements == 0
     record_criterion(

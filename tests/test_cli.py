@@ -25,19 +25,20 @@ from infodelay import (
     SimulationDiverged,
     State,
     Transversality,
+    char_coeffs,
     coexistence,
     compute_normal_form,
     cycle_prediction,
+    hopf_candidates,
     normal_forms,
     parse_config,
     predicted_amplitude,
     predicted_component_amplitudes,
     predicted_period,
     run,
-    s0,
     simulate,
 )
-from infodelay import cli, integrator, stability
+from infodelay import cli, integrator, normal_form, stability
 from infodelay.cli import _REPORT_KEYS, _SWEEP_COLUMNS, RunConfig, SweepOpts, main
 from conftest import REFERENCE, S_STAR, make_params
 
@@ -536,8 +537,8 @@ def test_analysis_commands_agree_in_one_pass(tmp_path, monkeypatch, values, exis
     # Critical and Direction fill their sections with Analyze's JSON
     # text, and each command finds the crossings once
     calls = []
-    real = stability.crossing_candidates
-    monkeypatch.setattr(stability, "crossing_candidates",
+    real = normal_form.crossing_candidates
+    monkeypatch.setattr(normal_form, "crossing_candidates",
                         lambda coeffs: calls.append(1) or real(coeffs))
     docs = {}
     for command in Command.ANALYZE, Command.CRITICAL, Command.DIRECTION:
@@ -957,9 +958,8 @@ def test_sweep_rows_match_direct_computation(tmp_path):
         name, value, s0_cell, chi1, chi2, direction = line.split(",")
         assert name == "mu"
         p = make_params(2.0, mu=float(value))
-        got = s0(p)
-        assert got is not None
-        assert float(s0_cell) == got[0]
+        got = hopf_candidates(char_coeffs(p, coexistence(p)))[0]
+        assert float(s0_cell) == got.delays[0]
         nf = compute_normal_form(p)
         assert float(chi1) == nf.chi1
         assert float(chi2) == nf.chi2

@@ -4,8 +4,7 @@ import numpy as np
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from infodelay.cubic import (cubic_roots, cubic_roots_array, real_positive_mask,
-                            real_positive_roots)
+from infodelay.cubic import cubic_roots, cubic_roots_array, real_positive_mask
 
 _f = dict(allow_nan=False, allow_infinity=False)
 coeff = st.floats(-20.0, 20.0, **_f)
@@ -70,26 +69,27 @@ def test_double_plus_simple_root():
 
 
 def test_real_positive_filter():
+    cases = [(-2.0, -5.0, 6.0), (-4.0, 14.0, -20.0), (6.0, 11.0, 6.0), (3.0, 1e-8, 0.0),
+             (-3.0, 1e-8, 0.0)]
+    roots = cubic_roots_array(*(np.array(col) for col in zip(*cases)))
+    got = [row.real[mask].tolist() for row, mask in zip(roots, real_positive_mask(roots))]
+
     # roots -2, 1, 3: only the positive reals pass the filter
-    m, n, h = -2.0, -5.0, 6.0
-    got = real_positive_roots(m, n, h)
-    assert np.allclose(sorted(got), [1.0, 3.0], atol=1e-10)
+    assert np.allclose(sorted(got[0]), [1.0, 3.0], atol=1e-10)
 
     # roots 2 and 1 +- 3i: the complex pair is excluded
-    got = real_positive_roots(-4.0, 14.0, -20.0)
-    assert np.allclose(got, [2.0], atol=1e-10)
+    assert np.allclose(got[1], [2.0], atol=1e-10)
 
     # all roots negative
-    assert real_positive_roots(6.0, 11.0, 6.0) == []
+    assert got[2] == []
 
     # roots 0, -3.3e-9 and -3: no positive root may be invented
-    assert real_positive_roots(3.0, 1e-8, 0.0) == []
+    assert got[3] == []
 
     # roots 0, 3.3e-9 and 3: the tiny positive root must survive
-    got = real_positive_roots(-3.0, 1e-8, 0.0)
-    assert len(got) == 2
-    assert np.isclose(got[0], 1e-8 / 3.0, rtol=1e-6, atol=0.0)
-    assert np.isclose(got[1], 3.0, rtol=1e-6, atol=0.0)
+    assert len(got[4]) == 2
+    assert np.isclose(got[4][0], 1e-8 / 3.0, rtol=1e-6, atol=0.0)
+    assert np.isclose(got[4][1], 3.0, rtol=1e-6, atol=0.0)
 
 
 def test_array_rows_equal_one_cubic_calls():
@@ -107,4 +107,5 @@ def test_array_rows_equal_one_cubic_calls():
     keep = real_positive_mask(roots)
     for row, mask, (mi, ni, hi) in zip(roots, keep, coeffs):
         assert row.tolist() == cubic_roots(mi, ni, hi)
-        assert row.real[mask].tolist() == real_positive_roots(mi, ni, hi)
+        one = np.array(cubic_roots(mi, ni, hi))
+        assert row.real[mask].tolist() == one.real[real_positive_mask(one)].tolist()

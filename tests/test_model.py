@@ -18,7 +18,6 @@ from infodelay import (
     State,
     coexistence,
     equilibria,
-    estar_exists,
     params_valid,
     reduced_rhs,
     simulate_distributed,
@@ -94,7 +93,6 @@ def test_existence_predicate(p):
     mr = p.mu + p.r
     expected = (p.b1 < p.a2) and (p.a1 * p.a2 * mr > max(-p.b1 * p.b2,
                                                          -p.a2 * p.b2))
-    assert estar_exists(p) == expected
     assert coexistence(p).exists == expected
 
 
@@ -250,14 +248,14 @@ def test_existence_predicate_means_positive_point_with_positive_denominator():
     scale = (abs(ju * jv * mr) + abs(br2 * point.u * ju) + abs(q2 * mr * jv)
              + uv * (abs(grid.a1 * grid.a2 * mr) + abs(grid.b1 * grid.b2)))
     assert np.all(abs(cc.p0 + cc.q0 - uv * den) <= 1e-12 * scale)
-    exists = [estar_exists(ModelParams(*(float(a[i]) for a in grid)))
+    exists = [coexistence(ModelParams(*(float(a[i]) for a in grid))).exists
               for i in range(len(den))]
     assert exists == (den > 0).tolist()
     assert 100 < sum(exists) < len(exists) - 100
     # the example: u* = 3.529, v* = 0.8235, D = -0.85, p0 + q0 = -0.618
     p = ModelParams(r1=0.5, r2=0.5, a1=0.05, a2=0.5, b1=1.0, b2=-1.0, mu=2.0, r=4.0, s=1.0)
     _, point = coexistence_points(p)
-    assert not estar_exists(p)
+    assert not coexistence(p).exists
     assert abs(point.u - 3.0 / 0.85) < 1e-12 and abs(point.v - 0.7 / 0.85) < 1e-12
     rhs = reduced_rhs(State(*map(float, point)), State(*map(float, point)), p)
     assert max(map(abs, rhs)) < 1e-12

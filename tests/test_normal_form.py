@@ -25,10 +25,10 @@ from infodelay import (
     predicted_period,
     self_checks,
 )
-from infodelay.model import ParamGrid, State, reduced_rhs
+from infodelay.model import ParamGrid, State, coexistence_points, reduced_rhs
 from infodelay.normal_form import (_cross_matrix, _linearize, _quadratic, _second_order,
                                   normal_forms)
-from infodelay.stability import crossing_drift, first_switches
+from infodelay.stability import crossing_drift
 from conftest import (REFERENCE, OMEGA_STAR, S_STAR, _stack, draw_with_candidates, left_eigvec,
                       linearize, make_params, right_eigvec, second_order,
                       transversality_sign)
@@ -143,9 +143,9 @@ def test_verdicts_do_not_depend_on_the_time_unit(k):
     assert cand.delays[0] * k == pytest.approx(S_STAR, rel=1e-12)
     assert cand.omega / k == pytest.approx(OMEGA_STAR, rel=1e-12)
     assert cand.transversality_sign is Transversality.POSITIVE
-    sw = first_switches(ParamGrid.of(p))
-    assert sw.idx.tolist() == [0] and not sw.errors
-    assert sw.s0[0] * k == pytest.approx(S_STAR, rel=1e-12)
+    nfs = normal_forms(ParamGrid.of(p))
+    assert not nfs.errors
+    assert nfs.s0[0] * k == pytest.approx(S_STAR, rel=1e-12)
     nf = compute_normal_form(p)
     assert nf.s_star * k == pytest.approx(S_STAR, rel=1e-12)
     assert nf.omega_star / k == pytest.approx(OMEGA_STAR, rel=1e-12)
@@ -185,12 +185,12 @@ def test_null_vectors_keep_their_normalization_on_wide_draws():
     nfs = normal_forms(p)
     ok = np.flatnonzero(nfs.ok)
     assert len(ok) > 2000
-    sw = first_switches(p.take(ok))
-    assert sw.s0.tolist() == nfs.s0[ok].tolist()
-    lin = _linearize(sw.params, sw.point)
-    cross, e = _cross_matrix(lin, sw.omega, sw.s0)
+    _, point = coexistence_points(p.take(ok))
+    lin = _linearize(p.take(ok), point)
+    s = nfs.s0[ok]
+    cross, e = _cross_matrix(lin, nfs.omega_star[ok], s)
     c, d = nfs.c_vec[ok], nfs.d_vec[ok]
-    m = np.eye(3) + sw.s0[:, None, None] * lin.As * e[:, None, None]
+    m = np.eye(3) + s[:, None, None] * lin.As * e[:, None, None]
     assert np.abs(c[:, 1] - 1.0).max() < 1e-15
     assert np.abs(np.einsum("ni,nij,nj->n", d, m, c) - 1.0).max() < 1e-14
     rc = np.abs(np.einsum("nij,nj->ni", cross, c)).max(axis=1) / np.einsum(

@@ -17,12 +17,11 @@ from infodelay import (
     g_cubic,
     h1_holds,
     hopf_candidates,
-    s0,
+    normal_forms,
 )
 from infodelay import stability
 from infodelay.model import ParamGrid, State, coexistence_points, params_valid
-from infodelay.stability import (GCubic, _coeffs_at, crossing_candidates, first_switches,
-                                 near_double_root)
+from infodelay.stability import GCubic, _coeffs_at, crossing_candidates, near_double_root
 from conftest import (OMEGA_STAR, REFERENCE, S_STAR, draw_params, draw_with_candidates,
                       make_params, transversality_sign)
 
@@ -64,8 +63,6 @@ def test_char_coeffs_requires_coexistence():
     p = make_params(1.0, b1=1.2)  # b1 > a2: no interior equilibrium
     with pytest.raises(ValueError):
         char_coeffs(p, coexistence(p))
-    with pytest.raises(ValueError):
-        s0(p)
 
 
 def test_reference_candidate(reference_cc):
@@ -90,10 +87,10 @@ def test_reference_ladder_residuals(reference_cc):
 
 def test_s0_returns_smallest_ladder_delay():
     p = make_params(2.0)
-    got = s0(p)
-    assert got is not None
-    s_base, cand = got
-    assert s_base == cand.delays[0]
+    cands = hopf_candidates(char_coeffs(p, coexistence(p)))
+    assert cands
+    s_base = cands[0].delays[0]
+    assert s_base == min(d for c in cands for d in c.delays)
     assert abs(s_base - S_STAR) < 1e-12
 
 
@@ -101,7 +98,7 @@ def test_no_candidates_without_delayed_coupling():
     # b1 = 0 removes the delayed part entirely; the zero-delay cubic is
     # Hurwitz so no amount of delay can destabilise
     p = make_params(1.0, b1=0.0, b2=0.0)
-    assert s0(p) is None
+    assert hopf_candidates(char_coeffs(p, coexistence(p))) == []
 
 
 def test_transversality_signs_on_crafted_cubics():
@@ -288,7 +285,7 @@ def test_model_point_with_three_crossings():
 
 def test_candidates_come_in_base_delay_order():
     # the first-switch rule lives in crossing_candidates' column order:
-    # first_switches reads column 0 and hopf_candidates keeps the order.
+    # normal_forms reads column 0 and hopf_candidates keeps the order.
     # 50,000 wide draws keep 9419 points with a coexistence point; 133
     # of them have two or three crossings, and in 100 of those the roots
     # of G, ascending, are out of base-delay order. The "two" and
@@ -315,11 +312,13 @@ def test_candidates_come_in_base_delay_order():
     multi = np.flatnonzero(count > 1)
     assert len(multi) >= 100 and count[-2:].tolist() == [2, 3]
 
-    sw = first_switches(grid)
+    nfs = normal_forms(grid)
     has = x.kept[:, 0] & ~x.off_g.any(axis=1)
-    assert sw.idx.tolist() == at[has].tolist()
-    assert sw.s0.tolist() == x.s_base[has, 0].tolist()
-    assert sw.omega.tolist() == x.omega[has, 0].tolist()
+    assert np.flatnonzero(~np.isnan(nfs.s0)).tolist() == at[has].tolist()
+    assert nfs.s0[at[has]].tolist() == x.s_base[has, 0].tolist()
+    ok = nfs.ok[at[has]]
+    assert ok.sum() > 1000
+    assert nfs.omega_star[at[has]][ok].tolist() == x.omega[has, 0][ok].tolist()
 
     for i in [*range(1000), *multi.tolist()]:
         cands = hopf_candidates(CharCoeffs(*(float(getattr(cc, f.name)[i])
@@ -368,7 +367,7 @@ def test_a_candidate_off_g_raises_and_fails_only_its_own_point(monkeypatch):
     with pytest.raises(ValueError, match="is not a root of G") as raised:
         hopf_candidates(cc)
     grid = {k: np.array([REFERENCE[k], _LARGE[k], REFERENCE[k]]) for k in REFERENCE}
-    sw = first_switches(ParamGrid.of({**grid, "s": np.ones(3)}))
-    assert sw.idx.tolist() == [0, 2]
-    assert list(sw.errors) == [1] and str(sw.errors[1]) == str(raised.value)
-    assert np.allclose(sw.s0, S_STAR, rtol=1e-12)
+    nfs = normal_forms(ParamGrid.of({**grid, "s": np.ones(3)}))
+    assert np.flatnonzero(~np.isnan(nfs.s0)).tolist() == [0, 2]
+    assert list(nfs.errors) == [1] and str(nfs.errors[1]) == str(raised.value)
+    assert np.allclose(nfs.s0[[0, 2]], S_STAR, rtol=1e-12)
