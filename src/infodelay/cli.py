@@ -348,18 +348,21 @@ def _analysis_sections(report: dict, params: ModelParams, command: Command) -> N
     if command is not Command.DIRECTION:
         coeffs = CharCoeffs(*(float(getattr(nfs.coeffs, f.name)[0]) for f in fields(CharCoeffs)))
         g = g_cubic(coeffs)
-        candidates = _candidates(nfs.crossings, 0)
-        report.update(h1_holds=h1_holds(coeffs), char_coeffs=coeffs, g_coeffs=g,
-                      candidates=candidates)
+        report.update(h1_holds=h1_holds(coeffs), char_coeffs=coeffs, g_coeffs=g)
         pair_at = near_double_root(g)
         if pair_at is not None:
             notes.append(f"G has two roots near z = {pair_at:.9g} closer than double precision "
                          "resolves; two crossings may have been added or dropped there")
-        if candidates:
-            report["s0"] = candidates[0].delays[0]
+        try:
+            candidates = report["candidates"] = _candidates(nfs.crossings, 0)
+        except ValueError as exc:
+            notes.append(f"crossing candidates not computed: {exc}")
         else:
-            notes.append("no imaginary-axis crossings: no delay-induced "
-                         "stability switch")
+            if candidates:
+                report["s0"] = candidates[0].delays[0]
+            else:
+                notes.append("no imaginary-axis crossings: no delay-induced "
+                             "stability switch")
     if command is Command.CRITICAL:
         return
     try:

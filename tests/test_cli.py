@@ -41,6 +41,7 @@ from infodelay import (
 from infodelay import cli, integrator, normal_form, stability
 from infodelay.cli import _REPORT_KEYS, _SWEEP_COLUMNS, RunConfig, SweepOpts, main
 from conftest import REFERENCE, S_STAR, make_params
+from test_stability import _LARGE
 
 MODEL_LINES = "\n".join(f"{k} = {v}" for k, v in REFERENCE.items())
 
@@ -588,6 +589,28 @@ def test_analyze_without_crossing(tmp_path):
         "bifurcation direction not computed: no imaginary-axis crossings: "
         "stability never switches",
     ]
+
+
+@pytest.mark.parametrize("command", ["Analyze", "Critical", "Direction"])
+def test_a_candidate_off_g_is_reported_in_band(tmp_path, monkeypatch, capsys, command):
+    # a polishing step that lands 1% off the root at _LARGE's one
+    # candidate: each analysis command notes the point and exits 0
+    p = ModelParams(**_LARGE, s=1.0)
+    omega = hopf_candidates(char_coeffs(p, coexistence(p)))[0].omega
+    polish = stability._polish_pair
+
+    def off_root(w, s, coeffs):
+        w, s = polish(w, s, coeffs)
+        return np.where(w == omega, 1.01 * w, w), s
+
+    monkeypatch.setattr(stability, "_polish_pair", off_root)
+    text = f"command = {command}\n" + "".join(f"{k} = {v}\n" for k, v in _LARGE.items())
+    assert main([str(_write(tmp_path, text + "s = 1.0\n")),
+                 "--output-dir", str(tmp_path / "out")]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    doc = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert doc["candidates"] is None and doc["s0"] is None and doc["normal_form"] is None
+    assert any("is not a root of G" in note for note in doc["notes"])
 
 
 def test_report_json_is_deterministic(tmp_path):

@@ -2,7 +2,7 @@
 
 import cmath
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -337,13 +337,21 @@ def test_stacked_second_order_fails_per_point(reference_lin):
 
 def test_normal_forms_keep_failures_per_point():
     # a grid over b1 with points past b1 = a2 (no coexistence) and at
-    # b1 = 0 (no delayed coupling, no crossing) between regular ones
-    b1 = np.array([0.95, 1.2, 0.0, 0.5])
-    nfs = normal_forms(ParamGrid.of({**REFERENCE, "s": 2.0, "b1": b1}))
-    assert nfs.ok.tolist() == [True, False, False, True]
+    # b1 = 0 (no delayed coupling, no crossing) between regular ones,
+    # then one that breaks a ModelParams rule (a2 = -1)
+    b1 = np.array([0.95, 1.2, 0.0, 0.5, 0.95])
+    a2 = np.array([1.045] * 4 + [-1.0])
+    nfs = normal_forms(ParamGrid.of({**REFERENCE, "s": 2.0, "b1": b1, "a2": a2}))
+    assert nfs.ok.tolist() == [True, False, False, True, False]
     assert "coexistence" in str(nfs.errors[1]) and "crossing" in str(nfs.errors[2])
     assert sorted(nfs.errors) == [1, 2]
     assert np.isnan(nfs.s0[1:3]).all() and np.isnan(nfs.Gamma1[1:3]).all()
+    # a point without the coexistence point or valid parameters has no
+    # coefficients and no crossing
+    assert np.isnan(nfs.s0[4])
+    for i in (1, 4):
+        assert all(np.isnan(getattr(nfs.coeffs, f.name)[i]) for f in fields(nfs.coeffs))
+        assert not nfs.crossings.kept[i].any()
     for i in (0, 3):
         nf = compute_normal_form(make_params(2.0, b1=float(b1[i])))
         assert nfs.s0[i] == nf.s_star
