@@ -592,7 +592,7 @@ def test_analyze_without_crossing(tmp_path):
 
 
 @pytest.mark.parametrize("command", ["Analyze", "Critical", "Direction"])
-def test_a_candidate_off_g_is_reported_in_band(tmp_path, monkeypatch, capsys, command):
+def test_a_candidate_off_g_is_reported_in_band(tmp_path, monkeypatch, command):
     # a polishing step that lands 1% off the root at _LARGE's one
     # candidate: each analysis command notes the point and exits 0
     p = ModelParams(**_LARGE, s=1.0)
@@ -607,7 +607,6 @@ def test_a_candidate_off_g_is_reported_in_band(tmp_path, monkeypatch, capsys, co
     text = f"command = {command}\n" + "".join(f"{k} = {v}\n" for k, v in _LARGE.items())
     assert main([str(_write(tmp_path, text + "s = 1.0\n")),
                  "--output-dir", str(tmp_path / "out")]) == 0
-    assert "Traceback" not in capsys.readouterr().err
     doc = json.loads((tmp_path / "out" / "report.json").read_text())
     assert doc["candidates"] is None and doc["s0"] is None and doc["normal_form"] is None
     assert any("is not a root of G" in note for note in doc["notes"])

@@ -75,9 +75,11 @@ def test_real_positive_filter():
     got = [row.real[mask].tolist() for row, mask in zip(roots, real_positive_mask(roots))]
 
     # roots -2, 1, 3: only the positive reals pass the filter
+    assert len(got[0]) == 2
     assert np.allclose(sorted(got[0]), [1.0, 3.0], atol=1e-10)
 
     # roots 2 and 1 +- 3i: the complex pair is excluded
+    assert len(got[1]) == 1
     assert np.allclose(got[1], [2.0], atol=1e-10)
 
     # all roots negative
