@@ -108,6 +108,6 @@ def test_array_rows_equal_one_cubic_calls():
     assert roots.shape == (len(coeffs), 3)
     keep = real_positive_mask(roots)
     for row, mask, (mi, ni, hi) in zip(roots, keep, coeffs):
-        assert row.tolist() == cubic_roots(mi, ni, hi)
         one = np.array(cubic_roots(mi, ni, hi))
+        assert row.tolist() == one.tolist()
         assert row.real[mask].tolist() == one.real[real_positive_mask(one)].tolist()
