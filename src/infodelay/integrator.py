@@ -20,16 +20,17 @@ derivative is the model's right-hand side at the node, so the
 trajectory derives it from the states where dense output needs it, and
 the run keeps only the current block's. _Run hands each block's Python
 loop the delayed losses, formed from that buffer by one numpy
-expression, and a row list; the loop does only the RK4 stage algebra,
-appends a row per step and checks the bound. Then two slice assignments
-store the rows and two strided ones overwrite the buffer with the
-block's nodes and midpoints. The derivative at the next block's first
-node, which the last midpoint needs, takes the block's last delayed
-loss. Every value comes from the same expression, evaluated in the same
-order, as in a loop that reads and appends a whole-run lag grid step by
-step, so the results are bit-identical to it. When s = 0 the system is
-an ODE, the delayed factor is the stage's own state, and blocks of
-_MAX_BLOCK steps only bound the row list.
+expression, and a row list; the loop does only the RK4 stage algebra
+and appends a row per step. Then two slice assignments store the rows,
+one numpy test holds the nodes to the divergence bound, and two strided
+ones overwrite the buffer with the block's nodes and midpoints. The
+derivative at the next block's first node, which the last midpoint
+needs, takes the block's last delayed loss. Every value comes from the
+same expression, evaluated in the same order, as in a loop that reads
+and appends a whole-run lag grid step by step, so the results are
+bit-identical to it. When s = 0 the system is an ODE, the delayed
+factor is the stage's own state, and blocks of _MAX_BLOCK steps only
+bound the row list.
 
 simulate advances the three-variable reduced system in which the memory
 variable w obeys its own ODE. simulate_distributed instead evaluates
@@ -194,7 +195,7 @@ class Trajectory:
     the run's own, is reduced_rhs of params with the (u, v) a delay
     back: from the states, or from history_nodes, the history at the
     nodes of [-s, 0], before the run (for s = 0, the node's own). It is
-    derived where needed and not kept; dense_coeffs derives every row.
+    derived where needed and not kept.
     Between nodes __call__ evaluates the Hermite cubic through the
     bracketing pair, and at a node it returns the stored row bit for
     bit; without params there is no dense output.
@@ -216,11 +217,6 @@ class Trajectory:
     @property
     def times(self) -> np.ndarray:
         return self.t0 + self.step * np.arange(len(self.states))
-
-    @property
-    def dense_coeffs(self) -> np.ndarray:
-        """The slope at every node, derived on each access."""
-        return self._slopes(np.arange(len(self.states)))
 
     def _slopes(self, k: np.ndarray) -> np.ndarray:
         """reduced_rhs at the nodes k, as rows."""
@@ -352,15 +348,17 @@ class _Run:
     one column of the state at t = 0. The run's initial (u, v) is in
     states[0]; the integrator adds w.
 
-    blocks() yields each block's first step, the delayed losses
-    b1*r1*u*v at each step's first node, midpoint and last node (one
-    numpy expression per block; placeholder zeros when s = 0, where each
-    stage uses its own product) and an empty list, to which the caller
-    appends per step the row (k1u, k1v, u, v, w): the (u, v) derivative
-    at the step's first node and the state at its last. Asking for the next
-    block stores the states and keeps the (u, v) derivatives of that
-    block alone in slopes, for its midpoints. A row past the bound is
-    appended too, and diverged() stores them all. rates are the
+    blocks() yields each block's delayed losses b1*r1*u*v at each step's
+    first node, midpoint and last node (one numpy expression per block;
+    placeholder zeros when s = 0, where each stage uses its own product)
+    and an empty list, to which the caller appends per step the row
+    (k1u, k1v, u, v, w): the (u, v) derivative at the step's first node
+    and the state at its last. Asking for the next block stores the
+    states and keeps the (u, v) derivatives of that block alone in
+    slopes, for its midpoints; a block with a node past the bound raises
+    SimulationDiverged at the first such node, its loop having run on to
+    the block's end (Python float overflow gives inf or NaN, never an
+    exception). rates are the
     constants of the stage algebra that both integrators share;
     history_nodes the history at the nodes of [-s, 0], for the
     trajectory to derive its slopes from.
@@ -387,17 +385,17 @@ class _Run:
         self.states[0, :2] = self.lag[:, -1]
 
     def blocks(self):
-        """Each block's first step, delayed losses and row list."""
+        """Each block's delayed losses and row list."""
         lag, br1 = self.lag, self.br1
         for i0 in range(0, self.n, self.block):
             m = min(self.block, self.n - i0)
             rows = []
             if not self.lagged:
-                yield i0, repeat((0.0, 0.0, 0.0), m), rows
+                yield repeat((0.0, 0.0, 0.0), m), rows
                 self._store(i0, rows)
                 continue
             F = (br1 * lag[0, :2 * m + 1] * lag[1, :2 * m + 1]).tolist()
-            yield i0, zip(F[0:-1:2], F[1::2], F[2::2]), rows
+            yield zip(F[0:-1:2], F[1::2], F[2::2]), rows
             if self._store(i0, rows) < self.n:
                 self._next_lag(i0)
 
@@ -416,17 +414,18 @@ class _Run:
         self.lag[:, 1::2] = 0.5 * (y[:, :-1] + y[:, 1:]) + 0.125 * self.h * (d[:, :-1] - d[:, 1:])
         self.lag[:, 0::2] = y
 
-    def diverged(self, i0: int, rows: list) -> SimulationDiverged:
-        """The exception for a block whose last row is past the bound."""
-        b = self._store(i0, rows)
-        return SimulationDiverged(b * self.h, self._orthant_exit(b), self.nd)
-
     def _store(self, i0: int, rows: list) -> int:
-        """Put the rows of steps i0, i0+1, ... into slopes and states; the next node index."""
+        """Put the rows of steps i0, i0+1, ... into slopes and states; the next
+        node index. Raises SimulationDiverged at the first node past the bound."""
         m = len(rows) // 5
         block = np.fromiter(rows, float, len(rows)).reshape(m, 5)
         self.slopes[:m] = block[:, :2]
-        self.states[i0 + 1:i0 + m + 1] = block[:, 2:]
+        stored = self.states[i0 + 1:i0 + m + 1]
+        stored[:] = block[:, 2:]
+        size = np.abs(stored)
+        if not size.max() <= _DIVERGENCE_BOUND:
+            b = i0 + 1 + int((size.max(axis=1) <= _DIVERGENCE_BOUND).argmin())
+            raise SimulationDiverged(b * self.h, self._orthant_exit(b), self.nd)
         return i0 + m
 
     def _orthant_exit(self, last: int) -> float | None:
@@ -460,9 +459,8 @@ def simulate(params: ModelParams, history: HistorySpec, t_end: float,
     w = run.states[0, 2] = history.initial_w(params)
 
     r1, a1, r2, a2, br1, br2, mr, half, sixth = run.rates
-    bound = _DIVERGENCE_BOUND
 
-    for i0, forcing, rows in run.blocks():
+    for forcing, rows in run.blocks():
         for f1, fm, f4 in forcing:
             if not lagged:
                 f1 = br1 * u * v
@@ -491,8 +489,6 @@ def simulate(params: ModelParams, history: HistorySpec, t_end: float,
             v += sixth * (k1v + 2.0 * (k2v + k3v) + k4v)
             w += sixth * (k1w + 2.0 * (k2w + k3w) + k4w)
             rows.extend((k1u, k1v, u, v, w))
-            if not (abs(u) <= bound and abs(v) <= bound and abs(w) <= bound):
-                raise run.diverged(i0, rows)
     return run.trajectory()
 
 
@@ -672,19 +668,18 @@ def simulate_distributed(params: ModelParams, history: HistorySpec, t_end: float
     S = float(qstep * (np.exp(-mr * qstep * k) @ (qu * qv))
               + qstep * ut0 * vt0 * decay ** (K + 1) / -math.expm1(-mr * qstep))
 
-    bound = _DIVERGENCE_BOUND
-
     u, v = run.states[0, :2].tolist()
     uv = u * v
     w_cur = run.states[0, 2] = S + w0_tail * uv
+    q_seed = None
 
-    for i0, forcing, rows in run.blocks():
-        for i, (f1, fm, f4) in enumerate(forcing, i0):
+    for forcing, rows in run.blocks():
+        for f1, fm, f4 in forcing:
             if not lagged:
                 f1 = br1 * u * v
             k1u = r1 * u * (1.0 - a1 * u) - f1
             k1v = r2 * v * (1.0 - a2 * v) + br2 * w_cur
-            if i:
+            if q_seed is not None:
                 # replace last step's seeded half product with its Hermite value
                 um = 0.5 * (pu + u) + eighth * (pku - k1u)
                 vm = 0.5 * (pv + v) + eighth * (pkv - k1v)
@@ -713,8 +708,6 @@ def simulate_distributed(params: ModelParams, history: HistorySpec, t_end: float
             uv = u * v
             w_cur = S + w0_tail * uv
             rows.extend((k1u, k1v, u, v, w_cur))
-            if not (abs(u) <= bound and abs(v) <= bound and abs(w_cur) <= bound):
-                raise run.diverged(i0, rows)
     return run.trajectory()
 
 

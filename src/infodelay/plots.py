@@ -28,10 +28,9 @@ def _fmt(v: float) -> str:
     return "0" if out == "-0" else out
 
 
-def _nice_ticks(lo: float, hi: float, target: int = 6) -> list[float]:
-    if not (hi > lo):
-        lo, hi = lo - 0.5, hi + 0.5
-    raw = (hi - lo) / target
+def _nice_ticks(lo: float, hi: float) -> list[float]:
+    """About six round tick values in [lo, hi], for lo < hi."""
+    raw = (hi - lo) / 6
     mag = 10.0 ** math.floor(math.log10(raw))
     step = 10.0 * mag
     for mult in (1.0, 2.0, 2.5, 5.0, 10.0):

@@ -1,6 +1,7 @@
 """Time stepping, dense output, classification, distributed memory."""
 
 import io
+import itertools
 import math
 import os
 import signal
@@ -153,7 +154,7 @@ def test_dense_output_matches_pointwise_hermite():
     # the vectorized evaluation must reproduce the per-point formula
     # bit for bit away from the nodes
     traj = simulate(make_params(2.0), _flat(1.05, 0.95), 10.0, 50)
-    h, y, d = traj.step, traj.states, traj.dense_coeffs
+    h, y, d = traj.step, traj.states, traj._slopes(np.arange(len(traj.states)))
     ts = (np.arange(500) + 0.37) * (traj.t_end / 500)
     for t, row in zip(ts, traj(ts)):
         k = int(math.floor(t / h))
@@ -239,9 +240,11 @@ _RAMP = HistorySpec.sampled([-2.0, 0.0], [[0.9, 1.1], [1.01, 0.99]])
     (2.0, _flat(1.0, -0.05), 20.0, 50, {}),
     (0.3, _flat(1.05, 0.95), 2.0, 5000, {}),
     (2.02, _flat(1.01, 0.99), 120.0, 50, {"r1": 0.3, "r2": 0.3}),
+    (2.0352, _flat(1.01, 0.99), 2000.0, 50, {}),
+    (0.0, _flat(-1e-6, 1.0), 400.0, 20, {}),
 ], ids=["spd20", "spd37", "partial-last-block", "t_end-below-s", "s0-past-block-cap",
         "ramp-history", "diverging-start", "negative-v-start", "delay-block-past-cap",
-        "rates-not-powers-of-2"])
+        "rates-not-powers-of-2", "diverging-mid-block", "s0-diverging-mid-block"])
 def test_delay_blocks_match_per_step_rk4(s, hist, t_end, spd, overrides):
     # the block loop evaluates the same expressions in the same order as
     # a per-step loop, so states, dense rows and event times agree bit for
@@ -257,7 +260,7 @@ def test_delay_blocks_match_per_step_rk4(s, hist, t_end, spd, overrides):
         return
     traj = simulate(p, hist, t_end, spd)
     assert np.array_equal(traj.states, want_states)
-    assert np.array_equal(traj.dense_coeffs, want_derivs)
+    assert np.array_equal(traj._slopes(np.arange(len(traj.states))), want_derivs)
     assert traj.left_positive_orthant_at == want_left
     if s == 0.0:
         assert len(traj.states) - 1 > _MAX_BLOCK
@@ -439,7 +442,7 @@ def test_step_ladder_keeps_the_spd_50_run():
     direct = simulate(p, hist, 30.0, 50)
     assert (kept.steps_per_delay, kept.step, kept.t_end) == (50, direct.step, direct.t_end)
     assert np.array_equal(kept.states, direct.states)
-    assert np.array_equal(kept.dense_coeffs, direct.dense_coeffs)
+    assert np.array_equal(kept._slopes(np.arange(len(kept.states))), direct._slopes(np.arange(len(direct.states))))
     assert kept.step_error_estimate == _step_error(25, x25, 50, direct.states) <= 1e-6
     # a run simulate makes on its own records its spd and no estimate
     assert direct.steps_per_delay == 50 and direct.step_error_estimate is None
@@ -545,7 +548,7 @@ def test_forked_rung_gives_the_in_process_ladder(tmp_path, monkeypatch, forks, p
     assert here.step_error_estimate == aside.step_error_estimate
     assert (here.step_error_estimate is None) == (spd == 200)
     assert np.array_equal(here.states, aside.states)
-    assert np.array_equal(here.dense_coeffs, aside.dense_coeffs)
+    assert np.array_equal(here._slopes(np.arange(len(here.states))), aside._slopes(np.arange(len(aside.states))))
     assert here_csv == aside_csv
 
 
@@ -690,6 +693,7 @@ def _direct_quadrature(p, hist, t_end, spd):
     """
     run = _Run(p, hist, t_end, spd)
     lagged, h, n = run.lagged, run.h, run.n
+    steps = itertools.count()
     r1, a1, r2, a2 = p.r1, p.a1, p.r2, p.a2
     br1, br2, mr = p.b1 * p.r1, p.b2 * p.r2, p.mu + p.r
     qstep = 0.5 * h
@@ -706,8 +710,10 @@ def _direct_quadrature(p, hist, t_end, spd):
     half, sixth, eighth = 0.5 * h, h / 6.0, 0.125 * h
     u, v = run.states[0, :2].tolist()
     w_cur = run.states[0, 2] = float(wk_past @ q[0:ns]) + w0_tail * q[ns]
-    for i0, forcing, rows in run.blocks():
-        for i, (f1, fm, f4) in enumerate(forcing, i0):
+    left = 0.0 if u < 0.0 or v < 0.0 else None
+    for forcing, rows in run.blocks():
+        # forcing first, so that its end does not draw a step number
+        for (f1, fm, f4), i in zip(forcing, steps):
             base = ns + 2 * i
             if not lagged:
                 f1 = br1 * u * v
@@ -742,8 +748,10 @@ def _direct_quadrature(p, hist, t_end, spd):
             q[base + 2] = u * v
             w_cur = sn1 + w0_tail * u * v
             rows.extend((k1u, k1v, u, v, w_cur))
+            if left is None and (u < 0.0 or v < 0.0):
+                left = (i + 1) * h
             if not (abs(u) <= 1e6 and abs(v) <= 1e6 and abs(w_cur) <= 1e6):
-                return run.diverged(i0, rows)
+                return SimulationDiverged((i + 1) * h, left, spd)
     return run.trajectory()
 
 
@@ -754,8 +762,9 @@ def _direct_quadrature(p, hist, t_end, spd):
     (2.02, _flat(1.05, 0.95), 101.3, 37, {}),
     (3.0, _flat(1.01, 0.99), 20.0, 20, {"mu": 8.0}),
     (2.0, _flat(1e3, 1e3), 10.0, 50, {}),
+    (2.0352, _flat(1.01, 0.99), 2000.0, 50, {}),
 ], ids=["reference-pair", "s0", "clamped-ramp-history", "spd37-partial-last-block",
-        "window-shorter-than-block", "diverging-start"])
+        "window-shorter-than-block", "diverging-start", "diverging-mid-block"])
 def test_memory_recurrence_matches_direct_quadrature(s, hist, t_end, spd, overrides):
     # the recurrence carries the untruncated trapezoid sum; the dot
     # product over the truncated window differs from it by about e^-30
@@ -771,7 +780,7 @@ def test_memory_recurrence_matches_direct_quadrature(s, hist, t_end, spd, overri
     got = simulate_distributed(p, hist, t_end, spd)
     assert got.states.shape == want.states.shape
     assert np.abs(got.states - want.states).max() <= 1e-10
-    assert np.abs(got.dense_coeffs - want.dense_coeffs).max() <= 1e-10
+    assert np.abs(got._slopes(np.arange(len(got.states))) - want._slopes(np.arange(len(want.states)))).max() <= 1e-10
     assert got.left_positive_orthant_at == want.left_positive_orthant_at
     if overrides:  # the mu = 8 window spans fewer half-steps than one block
         ns = math.ceil(_KERNEL_SPAN / ((p.mu + p.r) * 0.5 * got.step))

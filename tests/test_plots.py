@@ -1,9 +1,8 @@
 """SVG plots: decimation of long trajectories, axes of flat data."""
 
 import numpy as np
-import pytest
 
-from infodelay.plots import _MAX_POINTS, _decimate, _nice_ticks, line_plot
+from infodelay.plots import _MAX_POINTS, _decimate, line_plot
 
 
 def test_decimate_picks_increasing_nodes_from_first_to_last():
@@ -13,10 +12,6 @@ def test_decimate_picks_increasing_nodes_from_first_to_last():
         idx = _decimate(n)
         assert len(idx) == _MAX_POINTS and idx[0] == 0 and idx[-1] == n - 1, n
         assert (np.diff(idx) > 0).all(), n
-
-
-def test_nice_ticks_widen_a_flat_range():
-    assert _nice_ticks(1.0, 1.0) == pytest.approx([0.6, 0.8, 1.0, 1.2, 1.4])
 
 
 def test_line_plot_of_flat_data():
