@@ -442,7 +442,8 @@ def test_step_ladder_keeps_the_spd_50_run():
     direct = simulate(p, hist, 30.0, 50)
     assert (kept.steps_per_delay, kept.step, kept.t_end) == (50, direct.step, direct.t_end)
     assert np.array_equal(kept.states, direct.states)
-    assert np.array_equal(kept._slopes(np.arange(len(kept.states))), direct._slopes(np.arange(len(direct.states))))
+    assert np.array_equal(kept._slopes(np.arange(len(kept.states))),
+                          direct._slopes(np.arange(len(direct.states))))
     assert kept.step_error_estimate == _step_error(25, x25, 50, direct.states) <= 1e-6
     # a run simulate makes on its own records its spd and no estimate
     assert direct.steps_per_delay == 50 and direct.step_error_estimate is None
@@ -548,7 +549,8 @@ def test_forked_rung_gives_the_in_process_ladder(tmp_path, monkeypatch, forks, p
     assert here.step_error_estimate == aside.step_error_estimate
     assert (here.step_error_estimate is None) == (spd == 200)
     assert np.array_equal(here.states, aside.states)
-    assert np.array_equal(here._slopes(np.arange(len(here.states))), aside._slopes(np.arange(len(aside.states))))
+    assert np.array_equal(here._slopes(np.arange(len(here.states))),
+                          aside._slopes(np.arange(len(aside.states))))
     assert here_csv == aside_csv
 
 
@@ -693,7 +695,6 @@ def _direct_quadrature(p, hist, t_end, spd):
     """
     run = _Run(p, hist, t_end, spd)
     lagged, h, n = run.lagged, run.h, run.n
-    steps = itertools.count()
     r1, a1, r2, a2 = p.r1, p.a1, p.r2, p.a2
     br1, br2, mr = p.b1 * p.r1, p.b2 * p.r2, p.mu + p.r
     qstep = 0.5 * h
@@ -711,6 +712,7 @@ def _direct_quadrature(p, hist, t_end, spd):
     u, v = run.states[0, :2].tolist()
     w_cur = run.states[0, 2] = float(wk_past @ q[0:ns]) + w0_tail * q[ns]
     left = 0.0 if u < 0.0 or v < 0.0 else None
+    steps = itertools.count()
     for forcing, rows in run.blocks():
         # forcing first, so that its end does not draw a step number
         for (f1, fm, f4), i in zip(forcing, steps):
@@ -780,7 +782,8 @@ def test_memory_recurrence_matches_direct_quadrature(s, hist, t_end, spd, overri
     got = simulate_distributed(p, hist, t_end, spd)
     assert got.states.shape == want.states.shape
     assert np.abs(got.states - want.states).max() <= 1e-10
-    assert np.abs(got._slopes(np.arange(len(got.states))) - want._slopes(np.arange(len(want.states)))).max() <= 1e-10
+    slope_gap = got._slopes(np.arange(len(got.states))) - want._slopes(np.arange(len(want.states)))
+    assert np.abs(slope_gap).max() <= 1e-10
     assert got.left_positive_orthant_at == want.left_positive_orthant_at
     if overrides:  # the mu = 8 window spans fewer half-steps than one block
         ns = math.ceil(_KERNEL_SPAN / ((p.mu + p.r) * 0.5 * got.step))
