@@ -42,8 +42,8 @@ the reduction; MacDonald, Time Lags in Biological Models, 1978), and
 the clamped history before its first sample adds a geometric series.
 Agreement between the two integrators validates the chain reduction.
 Both report the first node at which u or v turns negative, where the
-model leaves its meaningful region; the 1e6 divergence bound is only a
-backstop.
+model leaves its meaningful region; the divergence bound, 1e6 times
+each component's scale, is only a backstop.
 
 Trajectory.to_csv writes the bytes of np.savetxt with %.17g, made by
 numpy a chunk of rows at a time (_rowtext, exact by Dekker's
@@ -53,11 +53,12 @@ has the details.
 cycle_metrics classifies the tail of a trajectory (settled, oscillating,
 growing), measures amplitude and period of a limit cycle, and returns
 the spacing spread, envelope ratio and largest deviation its verdict
-rests on. The extrema behind the amplitude and the peak instants behind
-the period are both refined by the three-point parabola, so that a
-coarse step does not set their error. Like the step-doubling estimate,
-it works on views and single columns of the states, never on a copy of
-the whole run.
+rests on; deviations are relative to the equilibrium's components, so
+no size test in the module is in the units of u and v. The extrema
+behind the amplitude and the peak instants behind the period are both
+refined by the three-point parabola, so that a coarse step does not set
+their error. Like the step-doubling estimate, it works on views and
+single columns of the states, never on a copy of the whole run.
 """
 from __future__ import annotations
 
@@ -88,10 +89,10 @@ __all__ = [
     "fft_period",
 ]
 
-# any component beyond this bound aborts the run as diverged; the
-# comparison is written so NaN also trips it
+# a component beyond this times its scale, 1/a1, 1/a2 or 1/(a1*a2*(mu+r)),
+# aborts the run as diverged; the comparison is written so NaN also trips it
 _DIVERGENCE_BOUND = 1e6
-# tail deviation below this counts as settled at the equilibrium
+# tail deviation below this, relative to each component, counts as settled
 _CONVERGED_DEV = 1e-3
 _PEAK_PROMINENCE = 1e-6
 _SUSTAINED_CV = 0.01
@@ -115,7 +116,7 @@ _STEP_RTOL = 1e-6
 
 
 class SimulationDiverged(RuntimeError):
-    """A state component left the admissible range at the given time.
+    """A component passed _DIVERGENCE_BOUND times its scale at the given time.
 
     left_positive_orthant_at is the first node time, up to that one, at
     which u or v was negative, or None, and steps_per_delay the run's.
@@ -123,7 +124,7 @@ class SimulationDiverged(RuntimeError):
 
     def __init__(self, time: float, left_positive_orthant_at: float | None = None,
                  steps_per_delay: int | None = None):
-        super().__init__(f"state left |x| <= {_DIVERGENCE_BOUND:g} at t = {time:g}")
+        super().__init__(f"state passed {_DIVERGENCE_BOUND:g} times its scale at t = {time:g}")
         self.time = time
         self.left_positive_orthant_at = left_positive_orthant_at
         self.steps_per_delay = steps_per_delay
@@ -191,7 +192,7 @@ class HistorySpec:
 class Trajectory:
     """Fixed-step solution with dense cubic Hermite output.
 
-    states[k] is the state at t0 + k*step. The slope there, bit for bit
+    states[k] is the state at t = k*step. The slope there, bit for bit
     the run's own, is reduced_rhs of params with the (u, v) a delay
     back: from the states, or from history_nodes, the history at the
     nodes of [-s, 0], before the run (for s = 0, the node's own). It is
@@ -204,8 +205,6 @@ class Trajectory:
     simulate_to_tolerance kept the run.
     """
 
-    t0: float
-    t_end: float
     step: float
     states: np.ndarray
     params: ModelParams | None = None
@@ -215,8 +214,12 @@ class Trajectory:
     step_error_estimate: float | None = None
 
     @property
+    def t_end(self) -> float:
+        return self.step * (len(self.states) - 1)
+
+    @property
     def times(self) -> np.ndarray:
-        return self.t0 + self.step * np.arange(len(self.states))
+        return self.step * np.arange(len(self.states))
 
     def _slopes(self, k: np.ndarray) -> np.ndarray:
         """reduced_rhs at the nodes k, as rows."""
@@ -232,14 +235,13 @@ class Trajectory:
     def __call__(self, t):
         ts = np.asarray(t, dtype=float).ravel()
         slack = 1e-9 * self.step
-        outside = ~((self.t0 - slack <= ts) & (ts <= self.t_end + slack))
+        outside = ~((-slack <= ts) & (ts <= self.t_end + slack))
         if outside.any():
-            raise ValueError(f"t = {float(ts[outside][0])!r} outside "
-                             f"[{self.t0!r}, {self.t_end!r}]")
+            raise ValueError(f"t = {float(ts[outside][0])!r} outside [0.0, {self.t_end!r}]")
         h = self.step
         # at a node t_j the bracket is (t_{j-1}, t_j], and `last` returns row j
         k = np.clip(_first_node_from(self, ts) - 1, 0, len(self.states) - 2)
-        tk = self.t0 + h * k
+        tk = h * k
         th = ((ts - tk) / h)[:, None]
         om = 1.0 - th
         y0, y1 = self.states[k], self.states[k + 1]
@@ -248,7 +250,7 @@ class Trajectory:
                + th * om * om * h * d0
                + th * th * (3.0 - 2.0 * th) * y1
                - th * th * om * h * d1)
-        first, last = ts == tk, ts == self.t0 + h * (k + 1)
+        first, last = ts == tk, ts == h * (k + 1)
         out[first] = y0[first]
         out[last] = y1[last]
         return out if np.ndim(t) > 0 else out[0]
@@ -289,7 +291,7 @@ class Trajectory:
         for c in range(0, len(self.states), _CSV_CHUNK):
             states = self.states[c:c + _CSV_CHUNK]
             chunk = rows[:len(states)]
-            chunk[:, 0] = self.t0 + self.step * np.arange(c, c + len(states))
+            chunk[:, 0] = self.step * np.arange(c, c + len(states))
             chunk[:, 1:] = states
             fh.write(text(chunk))
 
@@ -309,8 +311,8 @@ class CycleMetrics:
     with fewer than three peaks), envelope_ratio the deviation envelope
     of the window's last chunk over that of its first (None when the
     first is zero), and max_deviation the largest deviation from the
-    equilibrium in the retained window; all three are None when the
-    window is too short to measure.
+    equilibrium, relative to each component, in the retained window;
+    all three are None when the window is too short to measure.
     """
 
     classification: Classification
@@ -355,10 +357,10 @@ class _Run:
     (k1u, k1v, u, v, w): the (u, v) derivative at the step's first node
     and the state at its last. Asking for the next block stores the
     states and keeps the (u, v) derivatives of that block alone in
-    slopes, for its midpoints; a block with a node past the bound raises
-    SimulationDiverged at the first such node, its loop having run on to
-    the block's end (Python float overflow gives inf or NaN, never an
-    exception). rates are the
+    slopes, for its midpoints; a block with a node past bound, the
+    per-component divergence bound, raises SimulationDiverged at the
+    first such node, its loop having run on to the block's end (Python
+    float overflow gives inf or NaN, never an exception). rates are the
     constants of the stage algebra that both integrators share;
     history_nodes the history at the nodes of [-s, 0], for the
     trajectory to derive its slopes from.
@@ -375,6 +377,9 @@ class _Run:
         self.br1 = params.b1 * params.r1
         self.rates = (params.r1, params.a1, params.r2, params.a2, self.br1,
                       params.b2 * params.r2, params.mu + params.r, 0.5 * h, h / 6.0)
+        self.bound = _DIVERGENCE_BOUND / np.array(
+            [params.a1, params.a2, params.a1 * params.a2 * (params.mu + params.r)])
+        self.least_bound = float(self.bound.min())
         self.lagged = params.s > 0.0
         self.block = nd if self.lagged else _MAX_BLOCK
         back = 2 * nd if self.lagged else 0
@@ -416,15 +421,15 @@ class _Run:
 
     def _store(self, i0: int, rows: list) -> int:
         """Put the rows of steps i0, i0+1, ... into slopes and states; the next
-        node index. Raises SimulationDiverged at the first node past the bound."""
+        node index. Raises SimulationDiverged at the first node past bound."""
         m = len(rows) // 5
         block = np.fromiter(rows, float, len(rows)).reshape(m, 5)
         self.slopes[:m] = block[:, :2]
         stored = self.states[i0 + 1:i0 + m + 1]
         stored[:] = block[:, 2:]
         size = np.abs(stored)
-        if not size.max() <= _DIVERGENCE_BOUND:
-            b = i0 + 1 + int((size.max(axis=1) <= _DIVERGENCE_BOUND).argmin())
+        if not size.max() <= self.least_bound and not (size <= self.bound).all():
+            b = i0 + 1 + int((size <= self.bound).all(axis=1).argmin())
             raise SimulationDiverged(b * self.h, self._orthant_exit(b), self.nd)
         return i0 + m
 
@@ -438,10 +443,9 @@ class _Run:
 
     def trajectory(self) -> Trajectory:
         """The finished run."""
-        return Trajectory(t0=0.0, t_end=self.n * self.h, step=self.h, states=self.states,
-                          params=self.params, history_nodes=self.history_nodes,
-                          left_positive_orthant_at=self._orthant_exit(self.n),
-                          steps_per_delay=self.nd)
+        return Trajectory(step=self.h, states=self.states, params=self.params,
+                          history_nodes=self.history_nodes, steps_per_delay=self.nd,
+                          left_positive_orthant_at=self._orthant_exit(self.n))
 
 
 def simulate(params: ModelParams, history: HistorySpec, t_end: float,
@@ -450,8 +454,8 @@ def simulate(params: ModelParams, history: HistorySpec, t_end: float,
 
     The step is s/steps_per_delay (1/steps_per_delay when s = 0, where
     the system is an ODE), and the run extends to the first node at or
-    past t_end. Raises SimulationDiverged when a component leaves
-    |x| <= 1e6.
+    past t_end. Raises SimulationDiverged when a component passes 1e6
+    times its scale: 1/a1 for u, 1/a2 for v, 1/(a1*a2*(mu+r)) for w.
     """
     run = _Run(params, history, t_end, steps_per_delay)
     lagged, h = run.lagged, run.h
@@ -610,19 +614,21 @@ def _rung_aside(params: ModelParams, history: HistorySpec, t_end: float, spd: in
 
 def _step_error(coarse_spd: int, coarse: np.ndarray, spd: int, fine: np.ndarray) -> float:
     """Richardson estimate of the error of the states of a run at spd
-    from those of a run at coarse_spd = spd / k: max|fine[::k] - coarse|
-    / (k**4 - 1) / max(1, max|fine|) over their common nodes, as RK4's
-    gap there is k**4 - 1 times the finer run's error. Each run ends at
+    from those of a run at coarse_spd = spd / k: over the columns c, the
+    largest max|fine[::k, c] - coarse[:, c]| / max|fine[:, c]| on their
+    common nodes, over k**4 - 1 (RK4's gap there over the finer run's
+    error); a column zero in both runs adds nothing. Each run ends at
     the first node at or past t_end, so the coarse one may have a node
-    more. The gap is taken a column at a time, so no copy of a whole
-    run is made."""
+    more. The gap is taken a column at a time, so no copy is made."""
     k = spd // coarse_spd
     m = min(len(coarse), len(fine[::k]))
-    gap, diff = 0.0, np.empty(m)
+    scale = np.maximum(fine.max(axis=0), -fine.min(axis=0)).tolist()
+    worst, diff = 0.0, np.empty(m)
     for c in range(coarse.shape[1]):
         np.subtract(fine[::k, c][:m], coarse[:m, c], out=diff)
-        gap = max(gap, float(diff.max()), -float(diff.min()))
-    return gap / (k ** 4 - 1) / max(1.0, float(fine.max()), -float(fine.min()))
+        gap = max(float(diff.max()), -float(diff.min()))
+        worst = max(worst, gap / scale[c] if gap else 0.0)
+    return worst / (k ** 4 - 1)
 
 
 def simulate_distributed(params: ModelParams, history: HistorySpec, t_end: float,
@@ -728,13 +734,14 @@ def fft_period(values, step: float) -> float | None:
     if x.ndim != 1 or len(x) < 8:
         return None
     x = x[len(x) - _fast_length(len(x)):]
+    size = float(np.abs(x).max())
     x = x - x.mean()
     mag = np.abs(np.fft.rfft(x))
     # k >= 1, and mag[0] is at rounding level after the mean removal, so
-    # past the flatness guard mag[k] tops both neighbours and the vertex
-    # stays within half a bin of k
+    # past the flatness guard, relative to the signal's size, mag[k]
+    # tops both neighbours and the vertex stays within half a bin of k
     k = 1 + int(np.argmax(mag[1:]))
-    if mag[k] < 1e-12 * len(x) * max(1.0, float(np.abs(x).max())):
+    if mag[k] <= 1e-12 * len(x) * size:
         return None
     if k < len(mag) - 1:
         return len(x) * step / (k + float(_vertex_shift(*mag[k - 1:k + 2])))
@@ -836,30 +843,31 @@ def _lowest_back_to_higher(heights: np.ndarray, valleys: np.ndarray) -> np.ndarr
 
 
 def _first_node_from(traj: Trajectory, ts):
-    """Per entry of ts, the first k with t0 + step*k >= t (len(states) if
+    """Per entry of ts, the first k with step*k >= t (len(states) if
     none): np.searchsorted(traj.times, ts) without forming the times.
     The quotient's ceiling is off by at most one node either way, and
     each correction makes the same comparison as the search."""
-    n, t0, step = len(traj.states), traj.t0, traj.step
-    k = np.clip(np.ceil((ts - t0) / step), 0, n).astype(np.intp)
-    k = k - ((k > 0) & (t0 + step * (k - 1) >= ts))
-    return k + ((k < n) & (t0 + step * k < ts))
+    n, step = len(traj.states), traj.step
+    k = np.clip(np.ceil(ts / step), 0, n).astype(np.intp)
+    k = k - ((k > 0) & (step * (k - 1) >= ts))
+    return k + ((k < n) & (step * k < ts))
 
 
 def cycle_metrics(traj: Trajectory, equilibrium, transient_fraction: float = 0.5
                   ) -> CycleMetrics:
     """Classify the post-transient window and measure the cycle if any.
 
-    The first transient_fraction of the run is discarded. Verdicts, in
-    priority order: ConvergesToEquilibrium when the retained deviation
-    from the given equilibrium stays under 1e-3 with a non-increasing
-    chunk envelope; SustainedOscillation when at least 6 peaks (5 full
-    periods) exist with peak spacings spread under 1% of their mean and
-    a deviation envelope that neither collapses nor keeps growing
-    across the window; Diverges when the chunk envelope grows strictly
-    and at least tenfold; Inconclusive otherwise. When an oscillation
-    is suspected the retained window should cover 10 or more estimated
-    periods, else the verdict is unreliable.
+    The first transient_fraction of the run is discarded. The deviation
+    is max |x_c - e_c| / e_c over the components of the given positive
+    equilibrium e. Verdicts, in priority order: ConvergesToEquilibrium
+    when the retained deviation stays under 1e-3 with a non-increasing
+    chunk envelope; SustainedOscillation when at least 6 peaks of u
+    (prominence 1e-6*e_u; 5 full periods) exist with peak spacings
+    spread under 1% of their mean and a deviation envelope that neither
+    collapses nor keeps growing across the window; Diverges when the
+    chunk envelope grows strictly and at least tenfold; Inconclusive
+    otherwise. When an oscillation is suspected the retained window
+    should cover 10 or more periods, else the verdict is unreliable.
 
     amplitude is the per-component half peak-to-peak over the retained
     window, each extremum refined to the vertex of the parabola through
@@ -876,25 +884,26 @@ def cycle_metrics(traj: Trajectory, equilibrium, transient_fraction: float = 0.5
     if not 0.0 <= transient_fraction < 1.0:
         raise ValueError(f"transient_fraction must be in [0, 1), got {transient_fraction!r}")
     eq = np.asarray(equilibrium, dtype=float).reshape(3)
-    t0, step = traj.t0, traj.step
-    start = t0 + transient_fraction * (traj.t_end - t0)
-    first = int(_first_node_from(traj, start))
+    if not (eq > 0.0).all():
+        raise ValueError(f"equilibrium components must be positive, got {eq.tolist()!r}")
+    first = int(_first_node_from(traj, transient_fraction * traj.t_end))
     xs = traj.states[first:]
     if len(xs) < 32:
         return CycleMetrics(Classification.INCONCLUSIVE, None, None, 0)
 
     amplitude = 0.5 * (_vertex_extreme(xs, 1.0) + _vertex_extreme(xs, -1.0))
     signal = xs[:, 0] - eq[0]
-    dev, col = np.abs(signal), np.empty_like(signal)
-    for c in (1, 2):
-        np.maximum(dev, np.abs(np.subtract(xs[:, c], eq[c], out=col), out=col), out=dev)
+    dev, col = np.zeros_like(signal), np.empty_like(signal)
+    for c in range(3):
+        np.abs(np.subtract(xs[:, c], eq[c], out=col), out=col)
+        np.maximum(dev, np.divide(col, eq[c], out=col), out=dev)
     env = np.array([c.max() for c in np.array_split(dev, _ENVELOPE_CHUNKS)])
     max_deviation = float(dev.max())
     del dev, col
 
-    peaks = _prominent_peaks(signal, _PEAK_PROMINENCE)
+    peaks = _prominent_peaks(signal, _PEAK_PROMINENCE * eq[0])
     n_periods = max(0, len(peaks) - 1)
-    pk_times = _refined_peak_times(lambda k: t0 + step * (first + k), signal, peaks)
+    pk_times = _refined_peak_times(lambda k: traj.step * (first + k), signal, peaks)
     spacings = np.diff(pk_times)
     period = float(spacings.mean()) if len(peaks) >= 2 else None
     spacing_cv = float(spacings.std() / spacings.mean()) if len(peaks) >= 3 else None

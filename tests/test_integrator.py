@@ -165,17 +165,16 @@ def test_dense_output_matches_pointwise_hermite():
         assert np.array_equal(row, want), t
 
 
-@pytest.mark.parametrize("t0", [0.0, -12.375])
-def test_first_node_from_is_the_search_of_the_node_times(t0):
+def test_first_node_from_is_the_search_of_the_node_times():
     # the node lookup behind dense output and the cycle window makes the
     # comparison of np.searchsorted(times, t) without forming the times
     rng = np.random.default_rng(20)
     steps = [2.02 / 25, 2.02 / 50, 0.0101, 1.0 / 3.0, *rng.uniform(1e-3, 1.0, 12)]
     for step, rows in zip(steps, rng.integers(2, 5000, len(steps))):
-        traj = Trajectory(t0, t0 + step * (rows - 1), step, np.zeros((rows, 3)))
+        traj = Trajectory(step, np.zeros((rows, 3)))
         times = traj.times
         ts = np.concatenate([times, np.nextafter(times, -np.inf), np.nextafter(times, np.inf),
-                             rng.uniform(t0 - step, traj.t_end + step, 1000)])
+                             rng.uniform(-step, traj.t_end + step, 1000)])
         assert np.array_equal(_first_node_from(traj, ts), np.searchsorted(times, ts))
         for t in ts[::97].tolist():
             assert int(_first_node_from(traj, t)) == np.searchsorted(times, t)
@@ -186,8 +185,10 @@ def _per_step_rk4(p, hist, t_end, spd):
 
     Returns (states, dense rows, divergence time, orthant exit time):
     the arrays are None after a divergence, the times None when the
-    event does not happen.
+    event does not happen. A run diverges where a component passes 1e6
+    times its scale, 1/a1, 1/a2 or 1/(a1*a2*(mu+r)).
     """
+    bound = [1e6 / p.a1, 1e6 / p.a2, 1e6 / (p.a1 * p.a2 * (p.mu + p.r))]
     h = p.s / spd if p.s > 0.0 else 1.0 / spd
     n = max(1, math.ceil(t_end / h - 1e-9))
     half, sixth, eighth = 0.5 * h, h / 6.0, 0.125 * h
@@ -219,7 +220,7 @@ def _per_step_rk4(p, hist, t_end, spd):
                     for a, b1, b2, b3, b4 in zip(x, k1, k2, k3, k4)))
         if left is None and (x.u < 0.0 or x.v < 0.0):
             left = (i + 1) * h
-        if not all(abs(c) <= 1e6 for c in x):
+        if not all(abs(c) <= b for c, b in zip(x, bound)):
             return None, None, (i + 1) * h, left
         states.append(x)
     derivs.append(rhs(x, 2 * n))
@@ -268,7 +269,7 @@ def test_delay_blocks_match_per_step_rk4(s, hist, t_end, spd, overrides):
 
 def test_left_positive_orthant_before_divergence():
     # past the end of the bounded cycle u turns negative about 20 time
-    # units before the 1e6 bound trips
+    # units before the divergence bound trips
     with pytest.raises(SimulationDiverged) as exc:
         simulate(make_params(S_STAR + 0.02), _flat(1.01, 0.99), 700.0, 200)
     left, time = exc.value.left_positive_orthant_at, exc.value.time
@@ -287,8 +288,7 @@ def _special_trajectory(rows):
     states = rng.normal(size=(rows, 3)) * 10.0 ** rng.integers(-3, 6, size=(rows, 3))
     states[0] = (-0.0, 5e-324, -1e5 * math.pi)
     states[-1, 1:] = (-2.2250738585072014e-308 / 3.0, 123456.789)
-    return Trajectory(t0=-12.375, t_end=-12.375 + 0.0101 * (rows - 1), step=0.0101,
-                      states=states)
+    return Trajectory(step=0.0101, states=states)
 
 
 def _savetxt_bytes(traj, tmp_path):
@@ -345,7 +345,7 @@ def _percent_g_mismatches(values, step):
     a row after the t column of the given step, that differ from
     '%.17g' % v, as (want, got) pairs."""
     states = np.resize(values, (-(-len(values) // 3), 3))
-    traj = Trajectory(0.0, step * (len(states) - 1), step, states)
+    traj = Trajectory(step, states)
     buf = io.BytesIO()
     traj._write_rows(buf)
     got = buf.getvalue().decode().replace("\n", ",").split(",")[:-1]
@@ -382,7 +382,7 @@ def test_row_formatter_matches_percent_g(tmp_path):
     states = rng.uniform(0.05, 1.5, (3001, 3))
     specials = [5e-324, -1e-300, 1e-5, 1e17, 1e300, math.inf, -math.inf, math.nan]
     states.flat[rng.choice(states.size, 300, replace=False)] = rng.choice(specials, 300)
-    traj = Trajectory(0.0, 0.04 * 3000, 0.04, states)
+    traj = Trajectory(0.04, states)
     traj.to_csv(tmp_path / "mixed.csv")
     assert (tmp_path / "mixed.csv").read_bytes() == _savetxt_bytes(traj, tmp_path)
 
@@ -433,6 +433,19 @@ def test_divergence_guard_reports_time():
         simulate(p, _flat(1e3, 1e3), 10.0, 50)
     assert 0.0 < exc.value.time < 1.0
     assert exc.value.steps_per_delay == 50
+
+
+def test_divergence_bound_is_per_component():
+    # at the reference the bound is 2e7 for u, 9.57e5 for v and 3.19e6
+    # for w: a block past v's bound only in u and w is stored, and the
+    # first node past a component's own bound raises
+    run = _Run(make_params(2.0), _flat(1.0, 1.0), 1.0, 50)
+    rows = [0.0, 0.0, 1.9e7, 1.0, 3.1e6] * 3
+    assert run._store(0, rows) == 3
+    rows[5 + 3] = 9.6e5
+    with pytest.raises(SimulationDiverged) as exc:
+        run._store(0, rows)
+    assert exc.value.time == 2 * run.h
 
 
 def test_step_ladder_keeps_the_spd_50_run():
@@ -647,6 +660,58 @@ def test_oscillates_above_first_crossing(cycle_run):
     assert metrics.n_periods_measured == 72
 
 
+def _default_simulate(u_star, v_star, k):
+    """The reference cycle (s = 2.02, t_end 5000, from 1.01 and 0.99 of
+    the equilibrium) with u in units of u_star, v in units of v_star and
+    time in units of 1/k: a1 and b2 over u_star, a2 and b1 over v_star,
+    then r1, r2, mu, r and b2 times k and s over k. Returns the ladder's
+    kept run, its metrics and the factors (u_star, v_star, u_star*v_star/k)
+    of the states."""
+    kw = dict(REFERENCE, a1=REFERENCE["a1"] / u_star, a2=REFERENCE["a2"] / v_star,
+              b1=REFERENCE["b1"] / v_star, b2=REFERENCE["b2"] / u_star)
+    kw.update({f: kw[f] * k for f in ("r1", "r2", "mu", "r", "b2")})
+    p = ModelParams(**kw, s=2.02 / k)
+    traj = simulate_to_tolerance(p, _flat(1.01 * u_star, 0.99 * v_star), 5000.0 / k)
+    return traj, cycle_metrics(traj, coexistence(p).point), np.array(
+        [u_star, v_star, u_star * v_star / k])
+
+
+@pytest.fixture(scope="module")
+def default_reference():
+    return _default_simulate(1.0, 1.0, 1.0)
+
+
+@pytest.mark.parametrize("u_star, v_star, k", [
+    (1e-3, 1e-3, 1.0), (1e3, 1e3, 1.0), (2.0 ** -10, 2.0 ** 7, 1.0), (1.0, 1.0, 2.0 ** -5),
+], ids=["small densities", "large densities", "powers of two", "time unit"])
+def test_default_simulate_does_not_depend_on_the_units(default_reference, u_star, v_star, k):
+    # rescaling u, v and t is exact for the model, and every size test
+    # is relative to the model's or the run's own scale, so the verdict
+    # and the kept step stay; with power-of-two factors every state,
+    # metric and estimate is the reference's, rescaled bit for bit
+    ref, ref_m, _ = default_reference
+    traj, m, scale = _default_simulate(u_star, v_star, k)
+    assert (m.classification, traj.steps_per_delay) == (Classification.SUSTAINED, 50)
+    assert (ref_m.classification, ref.steps_per_delay) == (Classification.SUSTAINED, 50)
+    assert m.n_periods_measured == ref_m.n_periods_measured
+    assert abs(m.period * k - ref_m.period) <= 1e-12 * ref_m.period
+    assert np.abs(m.amplitude / scale / ref_m.amplitude - 1.0).max() <= 1e-12
+    if all(math.frexp(x)[0] == 0.5 for x in (u_star, v_star, k)):
+        assert np.array_equal(traj.states / scale, ref.states)
+        assert traj.step_error_estimate == ref.step_error_estimate
+        assert (m.period * k, m.spacing_cv, m.envelope_ratio, m.max_deviation) == (
+            ref_m.period, ref_m.spacing_cv, ref_m.envelope_ratio, ref_m.max_deviation)
+        assert np.array_equal(m.amplitude / scale, ref_m.amplitude)
+
+
+def test_cycle_metrics_needs_a_positive_equilibrium(cycle_run):
+    # deviations are relative to the equilibrium's components
+    traj, _ = cycle_run
+    for eq in ((0.0, 1.0, 1.0), (1.0, -1.0, 1.0), (1.0, 1.0, math.nan)):
+        with pytest.raises(ValueError, match="positive"):
+            cycle_metrics(traj, eq)
+
+
 # --------------------------------------------------------------------------
 # distributed-memory integrator
 
@@ -691,8 +756,10 @@ def _direct_quadrature(p, hist, t_end, spd):
     """simulate_distributed with the memory sum formed by a dot product
     over a window truncated at exp(-30) at every RK stage that needs it.
 
-    Returns a Trajectory, or the SimulationDiverged it would raise.
+    Returns a Trajectory, or the SimulationDiverged it would raise where
+    a component passes 1e6 times its scale, 1/a1, 1/a2 or 1/(a1*a2*(mu+r)).
     """
+    bu, bv, bw = 1e6 / p.a1, 1e6 / p.a2, 1e6 / (p.a1 * p.a2 * (p.mu + p.r))
     run = _Run(p, hist, t_end, spd)
     lagged, h, n = run.lagged, run.h, run.n
     r1, a1, r2, a2 = p.r1, p.a1, p.r2, p.a2
@@ -752,7 +819,7 @@ def _direct_quadrature(p, hist, t_end, spd):
             rows.extend((k1u, k1v, u, v, w_cur))
             if left is None and (u < 0.0 or v < 0.0):
                 left = (i + 1) * h
-            if not (abs(u) <= 1e6 and abs(v) <= 1e6 and abs(w_cur) <= 1e6):
+            if not (abs(u) <= bu and abs(v) <= bv and abs(w_cur) <= bw):
                 return SimulationDiverged((i + 1) * h, left, spd)
     return run.trajectory()
 
@@ -826,8 +893,7 @@ def test_distributed_w0_on_slow_kernel(hist):
 
 def _synthetic(times, u, eq=1.0):
     states = np.column_stack([u, np.full_like(u, eq), np.full_like(u, eq)])
-    return Trajectory(t0=float(times[0]), t_end=float(times[-1]),
-                      step=float(times[1] - times[0]), states=states)
+    return Trajectory(step=float(times[1] - times[0]), states=states)
 
 
 def test_metrics_converged_signal():
@@ -1000,6 +1066,9 @@ def test_fft_period_recovers_off_bin_frequency():
     t = np.arange(0.0, 2048.0, step)
     got = fft_period(np.sin(2 * np.pi * t / 17.3), step)
     assert abs(got - 17.3) / 17.3 < 0.01
+    # the flatness guard is relative to the signal's size, and a
+    # power-of-two scale is exact throughout
+    assert fft_period(2.0 ** -60 * np.sin(2 * np.pi * t / 17.3), step) == got
 
 
 @pytest.mark.parametrize("n, fast", [
