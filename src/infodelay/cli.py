@@ -1,9 +1,9 @@
 """Config-driven command line front end.
 
 A run is described by a flat key = value file (# starts a comment).
-A key the file leaves out takes its RunConfig field default; the range
-rules of the run keys are the _RUN_RULES table, those of the model keys
-ModelParams' own. The command key selects what happens:
+Its keys are the ModelParams fields and RunConfig's own fields, whose
+rules RunConfig checks; a key the file leaves out takes its RunConfig
+field default. The command key selects what happens:
 
     Critical   equilibria, crossing candidates and the first switch s0
     Direction  equilibria, s0, the amplitude-equation classification and
@@ -12,9 +12,10 @@ ModelParams' own. The command key selects what happens:
     Simulate   time integration from a constant history, with metrics
     Sweep      s0 / chi1 / chi2 / direction along one parameter axis
 
-Every command but Simulate reads one normal_forms pass: Analyze,
-Critical and Direction make it once on their point and fill their
-sections from its row, and a Sweep makes it per block of rows.
+Every command reads the normal_forms pass: Analyze, Critical and
+Direction make it once on their point and fill their sections from its
+row, Simulate fills Direction's sections after its run, and a Sweep
+makes it per block of rows.
 
 A Simulate config without steps_per_delay is run by
 integrator.simulate_to_tolerance, whose docstring describes the step
@@ -62,7 +63,6 @@ from .stability import CharCoeffs, _candidates, g_cubic, h1_holds, near_double_r
 __all__ = [
     "Command",
     "ConfigError",
-    "SweepOpts",
     "RunConfig",
     "parse_config",
     "run",
@@ -70,11 +70,9 @@ __all__ = [
 ]
 
 _MODEL_KEYS = tuple(f.name for f in fields(ModelParams))
-_FLOAT_KEYS = _MODEL_KEYS + ("t_end", "transient_fraction", "u0", "v0", "w0",
-                             "sweep_min", "sweep_max")
+# the config keys whose values are not floats
 _INT_KEYS = ("steps_per_delay", "sweep_count")
 _STR_KEYS = ("command", "sweep_param")
-_ALL_KEYS = _FLOAT_KEYS + _INT_KEYS + _STR_KEYS
 
 # points per normal_forms call in a Sweep: large enough to amortize the
 # per-call overhead, small enough that a block's stacked arrays stay a
@@ -102,37 +100,20 @@ class ConfigError(Exception):
 
 
 @dataclass(frozen=True)
-class SweepOpts:
-    """count points from lo to hi along the model key param; a bad field
-    raises ValueError with parse_config's message."""
-
-    param: str
-    lo: float
-    hi: float
-    count: int
-
-    def __post_init__(self):
-        if self.param not in _MODEL_KEYS:
-            raise ValueError(f"sweep_param must be one of {', '.join(_MODEL_KEYS)}, "
-                             f"got {self.param!r}")
-        if not self.lo <= self.hi:
-            raise ValueError(f"sweep_min {self.lo!r} exceeds sweep_max {self.hi!r}")
-        if self.count < 1:
-            raise ValueError(f"sweep_count must be >= 1, got {self.count!r}")
-
-
-@dataclass(frozen=True)
 class RunConfig:
-    """Validated run description.
+    """Validated run description: each field but param_values is the
+    config key of that name.
 
     param_values holds the model keys present in the config; only a
-    Sweep may omit one, and then only the swept key itself. A key the
-    command requires but the config lacks, a fixed model key outside
-    its ModelParams rule, or a run key outside its _RUN_RULES range,
-    raises ValueError with parse_config's message, in that order. A
-    Sweep's swept key is not checked here: a grid may start where the
-    model is invalid, and reports those points empty. With
-    steps_per_delay None a Simulate run climbs the step ladder.
+    Sweep may omit one, and then only its sweep_param. __post_init__ is
+    the one validator, and raises ValueError with parse_config's
+    message on the first of: the keys the command requires but the
+    config lacks (all at once), a Sweep's sweep_param, sweep_min >
+    sweep_max or sweep_count, a fixed model key outside its ModelParams
+    rule, and a run key outside its _RUN_RULES range. A Sweep's swept
+    key is not checked here: a grid may start where the model is
+    invalid, and reports those points empty. With steps_per_delay None
+    a Simulate run climbs the step ladder.
     """
 
     command: Command
@@ -143,19 +124,30 @@ class RunConfig:
     u0: float | None = None
     v0: float | None = None
     w0: float | None = None
-    sweep: SweepOpts | None = None
+    sweep_param: str | None = None
+    sweep_min: float | None = None
+    sweep_max: float | None = None
+    sweep_count: int | None = None
 
     def __post_init__(self):
-        given = {*self.param_values,
-                 *(f.name for f in fields(self) if getattr(self, f.name) is not None)}
-        if self.sweep is not None:
-            given.update(_SWEEP_KEYS)
-        missing = _missing_keys(self.command, given, self.sweep and self.sweep.param)
+        swept = self.sweep_param if self.command is Command.SWEEP else None
+        required = _MODEL_KEYS + _REQUIRED.get(self.command, ())
+        missing = [k for k in required if k != swept and k not in self.param_values
+                   and getattr(self, k, None) is None]
         if missing:
             raise ValueError("missing required keys: " + ", ".join(missing))
+        if self.command is Command.SWEEP:
+            if swept not in _MODEL_KEYS:
+                raise ValueError(f"sweep_param must be one of {', '.join(_MODEL_KEYS)}, "
+                                 f"got {swept!r}")
+            if not self.sweep_min <= self.sweep_max:
+                raise ValueError(f"sweep_min {self.sweep_min!r} exceeds "
+                                 f"sweep_max {self.sweep_max!r}")
+            if self.sweep_count < 1:
+                raise ValueError(f"sweep_count must be >= 1, got {self.sweep_count!r}")
         probe = dict(self.param_values)
-        if self.sweep is not None:
-            probe[self.sweep.param] = 1.0   # a value every ModelParams rule accepts
+        if swept:
+            probe[swept] = 1.0   # a value every ModelParams rule accepts
         ModelParams(**probe)
         for key, holds, what in _RUN_RULES:
             value = getattr(self, key)
@@ -166,6 +158,12 @@ class RunConfig:
         return ModelParams(**self.param_values)
 
 
+# every config key: the model's, then the run keys
+_ALL_KEYS = _MODEL_KEYS + tuple(f.name for f in fields(RunConfig) if f.name != "param_values")
+# the run keys each command requires beyond the model's, in the order
+# they are reported missing
+_REQUIRED = {Command.SIMULATE: ("t_end", "u0", "v0"),
+             Command.SWEEP: ("sweep_param", "sweep_min", "sweep_max", "sweep_count")}
 # range rules for the run keys, checked in this order on the keys a
 # RunConfig sets: the key, its test, and the end of its error message
 _RUN_RULES = (
@@ -173,27 +171,15 @@ _RUN_RULES = (
     ("transient_fraction", lambda x: 0.0 <= x < 1.0, "must be in [0, 1)"),
     ("t_end", lambda x: x > 0, "must be positive"),
 )
-# the config keys that make a Sweep's SweepOpts, in its field order
-_SWEEP_KEYS = ("sweep_param", "sweep_min", "sweep_max", "sweep_count")
-
-
-def _missing_keys(command: Command, given, swept: str | None) -> list[str]:
-    """The keys command requires that given lacks, in the order they are
-    reported; a Sweep may omit its swept model key."""
-    required = list(_MODEL_KEYS)
-    if command is Command.SIMULATE:
-        required += ["t_end", "u0", "v0"]
-    if command is Command.SWEEP:
-        required += _SWEEP_KEYS
-    return [k for k in required if k not in given and k != swept]
 
 
 def parse_config(text: str) -> RunConfig:
-    """Parse and validate a flat key = value config.
+    """Parse a flat key = value config into a RunConfig.
 
-    Unknown keys, duplicates, malformed lines, bad values and missing
-    required keys all raise ConfigError with the offending line quoted;
-    missing keys are reported all at once.
+    Unknown keys, duplicates, malformed lines and values that are not
+    numbers raise ConfigError with the offending line quoted; so do
+    RunConfig's own checks, and a Sweep grid that starts where the model
+    is invalid, with the line of the key they name where it has one.
     """
     values: dict[str, object] = {}
     lines: dict[str, int] = {}
@@ -238,28 +224,17 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError(
             f"line {lines['command']}: command must be one of {names}, "
             f"got {values['command']!r}") from None
-
-    # the swept model key may be omitted; the grid supplies it
-    swept = values.get("sweep_param") if command is Command.SWEEP else None
-    missing = _missing_keys(command, values, swept)
-    if missing:
-        raise ConfigError("missing required keys: " + ", ".join(missing))
-
-    param_values = {k: values[k] for k in _MODEL_KEYS if k in values}
-    # a run key the config leaves out keeps its RunConfig default
-    run_keys = {f.name for f in fields(RunConfig)}
+    param_values = {k: values.pop(k) for k in _MODEL_KEYS if k in values}
     try:
-        sweep = None
+        config = RunConfig(param_values=param_values, **values)
         if command is Command.SWEEP:
-            sweep = SweepOpts(*(values[k] for k in _SWEEP_KEYS))
             # a config's grid must start where the model is valid
-            ModelParams(**{**param_values, sweep.param: sweep.lo})
-        return RunConfig(param_values=param_values, sweep=sweep,
-                         **{k: v for k, v in values.items() if k in run_keys})
+            ModelParams(**{**param_values, config.sweep_param: config.sweep_min})
     except ValueError as exc:
         bad = str(exc).split(" ", 1)[0]
         at = f"line {lines[bad]}: " if bad in lines else ""
         raise ConfigError(f"{at}{exc}") from None
+    return config
 
 
 def _jsonify(obj):
@@ -334,16 +309,12 @@ def _missing_estar_note(estar, consequence: str) -> str:
     return f"coexistence equilibrium does not exist; {consequence}"
 
 
-def _analysis_sections(report: dict, params: ModelParams, command: Command) -> None:
+def _analysis_sections(report: dict, params: ModelParams, estar, command: Command) -> None:
     """The sections of an Analyze, Critical or Direction report, all read
-    from one normal_forms pass over the point: Critical's coefficients
-    and candidates, Direction's normal form, and Analyze's both."""
+    from one normal_forms pass over the point, whose coexistence point
+    estar exists: Critical's coefficients and candidates, Direction's
+    normal form (which Simulate reports too), and Analyze's both."""
     notes = report["notes"]
-    eqs = report["equilibria"] = equilibria(params)
-    estar = eqs[3]
-    if not estar.exists:
-        notes.append(_missing_estar_note(estar, "delay analysis is not applicable"))
-        return
     nfs = normal_forms(ParamGrid.of(params))
     if command is not Command.DIRECTION:
         coeffs = CharCoeffs(*(float(getattr(nfs.coeffs, f.name)[0]) for f in fields(CharCoeffs)))
@@ -389,7 +360,7 @@ def _analysis_sections(report: dict, params: ModelParams, command: Command) -> N
                                  self_checks=self_checks(nf, params, estar.point))
 
 
-def _run_simulate(report: dict, config: RunConfig, params: ModelParams,
+def _run_simulate(report: dict, config: RunConfig, params: ModelParams, estar,
                   history: HistorySpec, out_dir: Path, plot: bool) -> None:
     # the time-domain stack is imported by the one command that runs it
     from .integrator import (_STEP_RTOL, CycleMetrics, SimulationDiverged, cycle_metrics,
@@ -398,8 +369,6 @@ def _run_simulate(report: dict, config: RunConfig, params: ModelParams,
 
     # the Simulate report writes the CycleMetrics fields in their order
     cycle_keys = tuple(f.name for f in fields(CycleMetrics))
-    eqs = report["equilibria"] = equilibria(params)
-    estar = eqs[3]
     # every outcome writes these keys in this order; null where a
     # diverged run or a missing equilibrium leaves nothing to report
     sim = report["simulation"] = {
@@ -524,15 +493,15 @@ class _SweepTable:
 
 
 def _run_sweep(report: dict, config: RunConfig, out_dir: Path) -> _SweepTable:
-    opts = config.sweep
-    grid = np.linspace(opts.lo, opts.hi, opts.count)
-    table = _SweepTable(opts.param, out_dir / "sweep.csv")
-    for start in range(0, opts.count, _SWEEP_BLOCK):
+    param, count = config.sweep_param, config.sweep_count
+    grid = np.linspace(config.sweep_min, config.sweep_max, count)
+    table = _SweepTable(param, out_dir / "sweep.csv")
+    for start in range(0, count, _SWEEP_BLOCK):
         values = grid[start:start + _SWEEP_BLOCK]
-        table.add(values, normal_forms(ParamGrid.of({**config.param_values, opts.param: values})))
-    report["sweep"] = {"param": opts.param, "min": opts.lo, "max": opts.hi,
-                       "count": opts.count, "rows": _ROWS_MARK}
-    if opts.param == "s":
+        table.add(values, normal_forms(ParamGrid.of({**config.param_values, param: values})))
+    report["sweep"] = {"param": param, "min": config.sweep_min, "max": config.sweep_max,
+                       "count": count, "rows": _ROWS_MARK}
+    if param == "s":
         report["notes"].append("s0, chi1, chi2 and the direction do not depend on s: "
                                "every row of a sweep over s is the same")
     return table
@@ -562,10 +531,21 @@ def run(config: RunConfig, output_dir=".", plot: bool = False) -> dict:
     table = None
     if command is Command.SWEEP:
         table = _run_sweep(report, config, out_dir)
-    elif command is Command.SIMULATE:
-        _run_simulate(report, config, params, history, out_dir, plot)
     else:
-        _analysis_sections(report, params, command)
+        eqs = report["equilibria"] = equilibria(params)
+        estar = eqs[3]
+        if command is Command.SIMULATE:
+            _run_simulate(report, config, params, estar, history, out_dir, plot)
+        if estar.exists:
+            # Simulate makes the pass once _run_simulate has returned and
+            # its trajectory is freed: the pass's LAPACK calls map about
+            # 3 MB of library pages, which made before the run add to its
+            # peak RSS (the reference Simulate's VmHWM rose 3.3-4.9 MB
+            # with the pass first, 0.3-0.9 MB with it after the run)
+            _analysis_sections(report, params, estar, Command.DIRECTION
+                               if command is Command.SIMULATE else command)
+        elif command is not Command.SIMULATE:
+            report["notes"].append(_missing_estar_note(estar, "delay analysis is not applicable"))
     doc = _jsonify(report)
     _write_report(doc, out_dir, table)
     if table is not None:
@@ -588,7 +568,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        text = Path(args.config).read_text(encoding="utf-8")
+        # utf-8-sig: a config saved with a byte-order mark reads as one without
+        text = Path(args.config).read_text(encoding="utf-8-sig")
     except OSError as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return 2

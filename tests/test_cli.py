@@ -39,7 +39,7 @@ from infodelay import (
     simulate,
 )
 from infodelay import cli, integrator, normal_form, stability
-from infodelay.cli import _REPORT_KEYS, _SWEEP_COLUMNS, RunConfig, SweepOpts, main
+from infodelay.cli import _REPORT_KEYS, _SWEEP_COLUMNS, RunConfig, main
 from conftest import REFERENCE, S_STAR, make_params
 from test_stability import _LARGE
 
@@ -117,7 +117,7 @@ def test_parse_sweep_requirements():
     extra = ("sweep_param = mu\nsweep_min = 1.0\nsweep_max = 3.0\n"
              "sweep_count = 5\n")
     c = parse_config(cfg("Sweep", extra=extra))
-    assert c.sweep.param == "mu" and c.sweep.count == 5
+    assert c.sweep_param == "mu" and c.sweep_count == 5
     with pytest.raises(ConfigError, match="sweep"):
         parse_config(cfg("Sweep"))
     # missing model and sweep keys are reported together
@@ -133,7 +133,24 @@ def test_parse_sweep_requirements():
         parse_config(cfg("Sweep", extra=extra.replace("count = 5", "count = 0")))
 
 
+def test_every_config_key_is_declared_once():
+    # a config key is a ModelParams field or a RunConfig field other than
+    # param_values, and a config that sets every run key parses each value
+    # into the field of that name
+    run_keys = tuple(f.name for f in fields(RunConfig) if f.name != "param_values")
+    assert cli._ALL_KEYS == tuple(f.name for f in fields(ModelParams)) + run_keys
+    values = {"t_end": 40.0, "steps_per_delay": 60, "transient_fraction": 0.25, "u0": 1.5,
+              "v0": 0.5, "w0": 0.125, "sweep_param": "mu", "sweep_min": 1.0, "sweep_max": 3.0,
+              "sweep_count": 7}
+    assert {"command", *values} == set(run_keys)
+    c = parse_config(cfg("Sweep", extra="".join(f"{k} = {v}\n" for k, v in values.items())))
+    assert c.command is Command.SWEEP
+    assert {k: getattr(c, k) for k in values} == values
+    assert all(type(getattr(c, k)) is type(v) for k, v in values.items())
+
+
 _SWEEP_LINES = "sweep_param = mu\nsweep_min = 1.0\nsweep_max = 3.0\nsweep_count = 5\n"
+_SWEEP_KEYS = ("sweep_param", "sweep_min", "sweep_max", "sweep_count")
 
 # the full text of every ConfigError parse_config raises, one case per
 # raise site, then the first error of configs that have several; model
@@ -237,7 +254,7 @@ def test_run_checks_a_sweeps_fixed_model_keys_before_anything_is_written(tmp_pat
     # grid may start at an invalid point (test_sweep_rows_equal_the_one_point_chain)
     out = tmp_path / "out"
     with pytest.raises(ValueError) as err:
-        run(RunConfig(Command.SWEEP, params, sweep=SweepOpts(*sweep)), out)
+        run(RunConfig(Command.SWEEP, params, **dict(zip(_SWEEP_KEYS, sweep))), out)
     assert str(err.value) == message
     assert not out.exists()
 
@@ -252,14 +269,16 @@ def test_run_checks_a_sweeps_fixed_model_keys_before_anything_is_written(tmp_pat
     (dict(REFERENCE, s=2.0), ("s", 3.0, 1.0, 3), "sweep_min 3.0 exceeds sweep_max 1.0"),
     (dict(REFERENCE, s=2.0), ("s", 1.0, 3.0, 0), "sweep_count must be >= 1, got 0"),
     (dict(REFERENCE, s=2.0), ("s", 1.0, 3.0, -2), "sweep_count must be >= 1, got -2"),
+    ({k: v for k, v in dict(REFERENCE, s=2.0).items() if k != "mu"}, ("t_end", 1.0, 3.0, 3),
+     "missing required keys: mu"),
 ], ids=["sweep", "model key", "sweep_param", "sweep_min > sweep_max", "sweep_count 0",
-        "sweep_count -2"])
+        "sweep_count -2", "missing model key before a bad sweep key"])
 def test_run_config_checks_sweep_keys_before_anything_is_written(tmp_path, params, sweep,
                                                                  message):
-    # SweepOpts is built inside pytest.raises: its own checks raise the message
+    # RunConfig checks the missing keys first, as parse_config reports them
     out = tmp_path / "out"
     with pytest.raises(ValueError) as err:
-        run(RunConfig(Command.SWEEP, params, sweep=sweep and SweepOpts(*sweep)), out)
+        run(RunConfig(Command.SWEEP, params, **dict(zip(_SWEEP_KEYS, sweep or ()))), out)
     assert str(err.value) == message
     assert not out.exists()
 
@@ -870,8 +889,11 @@ def test_step_ladder_stiff_config_is_not_a_divergence(tmp_path, spds):
     assert spds == [25, 200]
     assert sim["diverged"] is False and sim["steps_per_delay"] == 200
     assert sim["step_error_estimate"] is None
+    # the run's note, then Direction's
     assert doc["notes"] == ["steps_per_delay = 200: no step-doubling error estimate, "
-                            "no coarser run reached t_end"]
+                            "no coarser run reached t_end",
+                            "no predicted period: |delta| = 0.248555 is past valid_below = "
+                            "0.0324128, where the predicted w-amplitude reaches w*"]
     assert (tmp_path / "trajectory.csv").exists() and _hidden(tmp_path) == []
 
 
@@ -892,6 +914,34 @@ def test_step_ladder_divergence_stays_in_band(tmp_path, spds):
     assert not (tmp_path / "out" / "trajectory.csv").exists()
     assert _hidden(tmp_path / "out") == []
     assert any("diverged" in note for note in doc["notes"])
+
+
+# (s, the config lines after it, the model lines replaced) of a Simulate
+# run per case
+_SIMULATE_ANALYSIS = {
+    "reference, s = 2.02": ("2.02", _REFERENCE_RUN, ()),
+    "stiff, mu = 100": ("2.0", _SHORT_RUN, (("mu = 2.0\n", "mu = 100.0\n"),)),
+    "s = 0": ("0", "t_end = 300\nu0 = 1.01\nv0 = 0.99\n", ()),
+}
+
+
+@pytest.mark.parametrize("s, extra, edits", list(_SIMULATE_ANALYSIS.values()),
+                         ids=list(_SIMULATE_ANALYSIS))
+def test_simulate_reports_directions_analysis(tmp_path, s, extra, edits):
+    # Simulate reads the pass Direction reads: the same equilibria, s0 and
+    # normal form bit for bit, and Direction's notes after its run's
+    text = cfg("Simulate", extra=extra, s=s)
+    for old, new in edits:
+        text = text.replace(old, new)
+    sim = run(parse_config(text), tmp_path / "Simulate")
+    direction = run(parse_config(text.replace("Simulate", "Direction")), tmp_path / "Direction")
+    assert sim["s0"] is not None and sim["normal_form"] is not None
+    for key in "equilibria", "s0", "normal_form":
+        assert json.dumps(sim[key]) == json.dumps(direction[key]), key
+    tail = len(sim["notes"]) - len(direction["notes"])
+    assert sim["notes"][tail:] == direction["notes"]
+    assert not any("stability switch" in note or "predicted" in note
+                   for note in sim["notes"][:tail])
 
 
 def test_simulate_reports_orthant_exit_before_divergence(tmp_path):
@@ -919,6 +969,8 @@ def test_simulate_without_coexistence_point(tmp_path):
     u, v, w = sim["final_state"]
     assert abs(u - 20.0) < 0.1 and 0.0 < v < 1e-3 and 0.0 < w < 1e-2
     assert all(sim[f.name] is None for f in fields(CycleMetrics))
+    # without E* no analysis pass runs, so Direction's note is not added
+    assert d["s0"] is None and d["normal_form"] is None
     assert d["notes"] == ["coexistence equilibrium does not exist; cycle metrics skipped"]
     lines = (tmp_path / "trajectory.csv").read_text().splitlines()
     assert lines[0] == "t,u,v,w" and len(lines) == 2 + round(sim["t_end"] / sim["step"])
@@ -1020,7 +1072,7 @@ def test_sweep_rows_equal_the_one_point_chain(tmp_path, param, lo, hi, count):
     # a Sweep's 512-point blocks and their scattering change no row: each
     # equals the cells of its point's own Analyze report
     config = RunConfig(command=Command.SWEEP, param_values={**REFERENCE, "s": 2.0},
-                       sweep=SweepOpts(param=param, lo=lo, hi=hi, count=count))
+                       sweep_param=param, sweep_min=lo, sweep_max=hi, sweep_count=count)
     rows = run(config, tmp_path / "sweep")["sweep"]["rows"]
     assert len(rows) == count
     kinds = set()
@@ -1041,7 +1093,7 @@ def _csv_text(rows):
 def test_sweep_files_equal_the_reference_encoders(tmp_path, name):
     param, lo, hi, count = _SWEEP_GRIDS[name]
     config = RunConfig(command=Command.SWEEP, param_values={**REFERENCE, "s": 2.0},
-                       sweep=SweepOpts(param=param, lo=lo, hi=hi, count=count))
+                       sweep_param=param, sweep_min=lo, sweep_max=hi, sweep_count=count)
     doc = run(config, tmp_path)
     report_json = (tmp_path / "report.json").read_text(encoding="utf-8")
     assert report_json == json.dumps(doc, indent=2) + "\n"
@@ -1124,6 +1176,17 @@ def test_main_success_and_message(tmp_path, capsys):
     assert main([str(conf), "--output-dir", str(tmp_path / "out")]) == 0
     out = capsys.readouterr().out
     assert "finished" in out
+
+
+def test_main_reads_a_config_saved_with_a_byte_order_mark(tmp_path):
+    # a UTF-8 byte-order mark is not part of the first key
+    text = cfg("Analyze", s="2.02")
+    plain, marked = _write(tmp_path, text), tmp_path / "marked.cfg"
+    marked.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    assert main([str(plain), "--output-dir", str(tmp_path / "plain")]) == 0
+    assert main([str(marked), "--output-dir", str(tmp_path / "marked")]) == 0
+    assert (tmp_path / "marked" / "report.json").read_bytes() == \
+        (tmp_path / "plain" / "report.json").read_bytes()
 
 
 def test_main_invalid_config_exits_1(tmp_path, capsys):
